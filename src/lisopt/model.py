@@ -107,7 +107,24 @@ def effective_channel(channels: ChannelSet, phases: PhaseConfig) -> np.ndarray:
             f"phase vector length {phases.theta.shape[0]} does not match "
             f"{channels.h1.shape[0]} surface elements"
         )
-    return (channels.h2 * phases.phi[None, :]) @ channels.h1 + channels.h
+    return effective_channels(channels, phases.phi)
+
+
+def effective_channels(channels: ChannelSet, phi: np.ndarray) -> np.ndarray:
+    """Composite channels for element responses phi of shape (..., N); shape (..., K, M)."""
+    return (channels.h2 * phi[..., None, :]) @ channels.h1 + channels.h
+
+
+def _zf_shape(h_eff: np.ndarray) -> tuple:
+    k, m = h_eff.shape[-2:]
+    if k > m:
+        raise ValueError(f"need at least as many antennas as users, got K={k} > M={m}")
+    return k, m
+
+
+def _rank_threshold(s: np.ndarray, k: int, m: int) -> np.ndarray:
+    # singular values s sorted descending along the last axis; rank deficient at s[-1] <= threshold
+    return max(k, m) * np.finfo(float).eps * s[..., 0]
 
 
 def zf_precoder(h_eff: np.ndarray) -> np.ndarray:
@@ -116,14 +133,29 @@ def zf_precoder(h_eff: np.ndarray) -> np.ndarray:
     Raises SingularMatrixError when the smallest singular value falls at or
     below max(K, M) * machine_eps * s_max.
     """
-    k, m = h_eff.shape
-    if k > m:
-        raise ValueError(f"need at least as many antennas as users, got K={k} > M={m}")
+    k, m = _zf_shape(h_eff)
     u, s, vh = np.linalg.svd(h_eff, full_matrices=False)
-    threshold = max(k, m) * np.finfo(float).eps * s[0]
+    threshold = _rank_threshold(s, k, m)
     if s[-1] <= threshold:
         raise SingularMatrixError(float(s[-1]), float(threshold))
     return (vh.conj().T / s[None, :]) @ u.conj().T
+
+
+def zf_beam_norms(h_eff: np.ndarray) -> np.ndarray:
+    """Squared ZF beam norms ||g_k||^2 of an effective channel or a stack of them.
+
+    h_eff has shape (..., K, M); the result has shape (..., K). With the
+    reduced SVD U S V^H the beam norms are sum_j |U[k, j]|^2 / s_j^2, so a
+    stack costs one batched SVD. A channel that zf_precoder rejects as rank
+    deficient gets +inf in every entry.
+    """
+    h_eff = np.asarray(h_eff)
+    k, m = _zf_shape(h_eff)
+    u, s, _ = np.linalg.svd(h_eff.reshape(-1, k, m), full_matrices=False)
+    good = s[:, -1] > _rank_threshold(s, k, m)
+    out = np.full(u.shape[:2], np.inf)
+    out[good] = np.einsum("bkj,bj->bk", np.abs(u[good]) ** 2, 1.0 / s[good] ** 2)
+    return out.reshape(h_eff.shape[:-1])
 
 
 def sinr(k: int, channels: ChannelSet, phases: PhaseConfig, precoder: np.ndarray,

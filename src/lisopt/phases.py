@@ -9,7 +9,7 @@ from scipy.optimize import minimize
 
 from .channels import ChannelSet
 from .config import CONTINUOUS
-from .model import TWO_PI, PhaseConfig, PowerAllocation
+from .model import TWO_PI, PhaseConfig, PowerAllocation, effective_channels, zf_beam_norms
 
 # Stands in for +inf inside line searches so they back off instead of dying.
 _SENTINEL = 1e30
@@ -57,21 +57,14 @@ class PhaseSolveOutcome:
 def trace_values(thetas: np.ndarray, channels: ChannelSet, powers: PowerAllocation) -> np.ndarray:
     """Radiated ZF power for a batch of phase vectors; +inf where rank deficient.
 
-    thetas has shape (B, N); returns shape (B,). For an effective channel
-    with reduced SVD U S V^H the per-user beam norms are
-    ||g_k||^2 = sum_j |U[k, j]|^2 / s_j^2, so the whole batch reduces to one
-    stacked SVD.
+    thetas has shape (B, N); returns shape (B,). The beam norms of the whole
+    batch come from one stacked zf_beam_norms call.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    phi = np.exp(1j * thetas)
-    h_eff = (channels.h2[None, :, :] * phi[:, None, :]) @ channels.h1 + channels.h[None, :, :]
-    u, s, _ = np.linalg.svd(h_eff, full_matrices=False)
-    k_dim, m_dim = channels.h.shape
-    good = s[:, -1] > max(k_dim, m_dim) * np.finfo(float).eps * s[:, 0]
+    beam_norms = zf_beam_norms(effective_channels(channels, np.exp(1j * thetas)))
+    good = np.all(np.isfinite(beam_norms), axis=1)
     out = np.full(thetas.shape[0], np.inf)
-    if np.any(good):
-        beam_norms = np.einsum("bkj,bj->bk", np.abs(u[good]) ** 2, 1.0 / s[good] ** 2)
-        out[good] = beam_norms @ powers.p
+    out[good] = beam_norms[good] @ powers.p
     return out
 
 

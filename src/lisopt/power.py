@@ -8,11 +8,10 @@ import numpy as np
 
 from .channels import ChannelSet
 from .config import SystemConfig
-from .model import PhaseConfig, PowerAllocation, effective_channel, zf_precoder
+from .model import PhaseConfig, PowerAllocation, effective_channel, zf_beam_norms, zf_precoder
 
 LN2 = float(np.log(2.0))
-_BISECT_ITERATIONS = 120
-_BRACKET_DOUBLINGS = 200
+_NEWTON_ITERATIONS = 100
 
 
 class InfeasibleError(ValueError):
@@ -43,72 +42,88 @@ def qos_min_powers(config: SystemConfig) -> np.ndarray:
 
 
 def zf_power_weights(channels: ChannelSet, phases: PhaseConfig) -> np.ndarray:
-    """Squared beam norms: radiated watts per watt allocated to each user."""
-    g = zf_precoder(effective_channel(channels, phases))
-    return np.sum(np.abs(g) ** 2, axis=0)
+    """Squared beam norms: radiated watts per watt allocated to each user.
+
+    Raises SingularMatrixError when the effective channel is rank deficient.
+    """
+    return channel_power_weights(effective_channel(channels, phases))
 
 
-def _kkt_powers(lam: float, nu: float, weights, p_min, mu, sigma2: float) -> np.ndarray:
-    # stationarity: 1/(ln2 (sigma2 + p_k)) = lam*mu_k + nu*w_k, clipped at the QoS floor
-    a = lam * mu + nu * weights
-    p = np.full_like(a, np.inf)
-    positive = a > 0.0
-    p[positive] = 1.0 / (LN2 * a[positive]) - sigma2
-    return np.maximum(p, p_min)
+def channel_power_weights(h_eff: np.ndarray) -> np.ndarray:
+    """zf_beam_norms of one effective channel; SingularMatrixError if rank deficient."""
+    weights = zf_beam_norms(h_eff)
+    if not np.all(np.isfinite(weights)):
+        zf_precoder(h_eff)  # raises SingularMatrixError with the offending singular values
+    return weights
 
 
-def solve_inner(lam: float, weights, p_min, mu, sigma2: float, p_budget: float) -> PowerAllocation:
+def solve_inner(lam, weights, p_min, mu, sigma2: float, p_budget: float):
     """Exact maximizer of rate minus lam-weighted amplifier power over the feasible box.
 
-    Water-filling with a bisected budget multiplier nu >= 0: powers follow
-    the stationarity closed form, the multiplier is grown geometrically
-    until the radiated power fits the budget and then bisected to machine
-    precision, so the output does not depend on the starting bracket.
+    weights has shape (K,) or, for a batch of B problems solved at once,
+    (B, K) with lam a scalar or of shape (B,). Returns a PowerAllocation for
+    one problem and the (B, K) powers for a batch; a single problem is solved
+    as a batch of one, so every row of a batch equals the solve of that row
+    alone bit for bit.
 
-    Raises InfeasibleError when the floors alone exceed the budget and
-    ValueError for unbounded setups (lam == 0 with a non-binding budget).
+    Powers follow the stationarity closed form
+    p_k(nu) = max(1/(ln2 (lam mu_k + nu w_k)) - sigma2, p_min_k) with the
+    budget multiplier nu >= 0 at the root of S(nu) = sum_k w_k p_k(nu) = P,
+    or nu = 0 when the budget is slack there. S is convex and decreasing,
+    and 1/(S + sigma2 sum_k w_k) is concave and nondecreasing, so Newton steps
+    on the latter started left of the root climb to it without overshooting
+    (in one step when no floor binds and lam = 0). The start is
+    nu = 0 when every lam mu_k > 0, and otherwise the lower bound
+    Z / (ln2 (P + sigma2 sum_k w_k)), Z counting the users with lam mu_k = 0.
+    The returned multiplier is the first iterate on the feasible side,
+    S(nu) <= P.
+
+    Raises InfeasibleError when the floors alone exceed the budget,
+    NonConvergenceError when the multiplier does not settle, and ValueError
+    for unbounded setups (lam == 0 with a non-binding budget).
     """
     weights = np.asarray(weights, dtype=float)
+    batch = np.atleast_2d(weights)
+    lam = np.zeros(batch.shape[0]) + lam
     p_min = np.asarray(p_min, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    if lam < 0.0:
-        raise ValueError(f"ratio parameter must be >= 0, got {lam}")
+    if np.any(lam < 0.0):
+        raise ValueError(f"ratio parameter must be >= 0, got {lam.min()}")
     if not np.isfinite(p_budget) or p_budget <= 0.0:
         raise ValueError(f"budget must be finite and positive, got {p_budget}")
-    if np.any(weights < 0.0):
-        raise ValueError("radiated-power weights must be non-negative")
-    if lam == 0.0 and np.any(weights == 0.0):
+    if not np.all((batch >= 0.0) & (batch < np.inf)):
+        raise ValueError("radiated-power weights must be finite and non-negative")
+    if np.any((lam == 0.0) & np.any(batch == 0.0, axis=1)):
         raise ValueError("unbounded: zero-weight user with no ratio penalty")
 
-    committed = float(np.dot(weights, p_min))
-    if committed > p_budget * (1.0 + 1e-9):
+    committed = np.sum(batch * p_min, axis=1)
+    if np.any(committed > p_budget * (1.0 + 1e-9)):
         raise InfeasibleError(
-            f"QoS floors need {committed:.6g} W radiated, budget is {p_budget:.6g} W"
+            f"QoS floors need {committed.max():.6g} W radiated, budget is {p_budget:.6g} W"
         )
-    if committed >= p_budget * (1.0 - 1e-12):
-        return PowerAllocation(p=p_min.copy())
-
-    p0 = _kkt_powers(lam, 0.0, weights, p_min, mu, sigma2)
-    if np.all(np.isfinite(p0)) and float(np.dot(weights, p0)) <= p_budget:
-        return PowerAllocation(p=p0)
-
-    hi = 1.0
-    for _ in range(_BRACKET_DOUBLINGS):
-        p_hi = _kkt_powers(lam, hi, weights, p_min, mu, sigma2)
-        if float(np.dot(weights, p_hi)) <= p_budget:
-            break
-        hi *= 2.0
-    else:
-        raise NonConvergenceError("budget multiplier bracket did not close")
-    lo = 0.0
-    for _ in range(_BISECT_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        p_mid = _kkt_powers(lam, mid, weights, p_min, mu, sigma2)
-        if float(np.dot(weights, p_mid)) <= p_budget:
-            hi = mid
-        else:
-            lo = mid
-    return PowerAllocation(p=_kkt_powers(lam, hi, weights, p_min, mu, sigma2))
+    p = np.broadcast_to(p_min, batch.shape).copy()
+    unsettled = committed < p_budget * (1.0 - 1e-12)
+    a0 = LN2 * lam[:, None] * mu
+    lw = LN2 * batch
+    target = p_budget + sigma2 * np.sum(batch, axis=1)
+    nu = np.count_nonzero(a0 == 0.0, axis=1) / (LN2 * target)
+    with np.errstate(divide="ignore", invalid="ignore"):  # settled rows may divide by zero
+        for _ in range(_NEWTON_ITERATIONS):
+            level = 1.0 / (a0 + nu[:, None] * lw)  # p_k + sigma2 at multiplier nu
+            p_nu = np.maximum(level - sigma2, p_min)
+            excess = np.sum(batch * p_nu, axis=1) - p_budget
+            fits = unsettled & (excess <= 0.0)
+            p[fits] = p_nu[fits]
+            unsettled &= ~fits
+            if not unsettled.any():
+                return p if weights.ndim == 2 else PowerAllocation(p=p[0])
+            free_wl = batch * level * (p_nu > p_min)
+            slope = LN2 * np.sum(free_wl * free_wl, axis=1)  # -dS/dnu
+            # Newton on 1/(S + sigma2 sum w) is the Newton step on S lengthened by
+            # (S + sigma2 sum w)/target; at least one ulp, so rounding cannot stall a row
+            step = excess * (excess + target) / (target * slope)
+            nu = np.where(unsettled, np.maximum(nu + step, np.nextafter(nu, np.inf)), nu)
+    raise NonConvergenceError("budget multiplier did not settle")
 
 
 def inner_concave_solve(lam: float, weights, p_min, config: SystemConfig) -> PowerAllocation:
@@ -116,32 +131,62 @@ def inner_concave_solve(lam: float, weights, p_min, config: SystemConfig) -> Pow
     return solve_inner(lam, weights, p_min, config.mu, config.sigma2, config.p_budget)
 
 
+def dinkelbach_batch(weights, p_min, mu, sigma2: float, p_budget: float,
+                     power_offset: float, epsilon: float, max_iterations: int = 100):
+    """Ratio maximization for every row of a (B, K) weight batch at once.
+
+    Each row starts its ratio parameter at zero and alternates the concave
+    inner solve with ratio updates until consecutive values differ by less
+    than epsilon; a settled row is left alone while the others go on.
+    Returns (lambdas, powers, iterations): lambdas of shape (I, B) and
+    powers of shape (I, B, K) hold the ratio and the inner maximizer after
+    each of the I updates, frozen once a row settled, so lambdas[-1] and
+    powers[-1] are the results; iterations (B,) counts each row's updates.
+    The final ratio equals the efficiency of the final powers by
+    construction.
+    """
+    weights = np.asarray(weights, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    lam = np.zeros(weights.shape[0])
+    powers = np.zeros(weights.shape)
+    iterations = np.zeros(weights.shape[0], dtype=int)
+    lambdas_seen, powers_seen = [], []
+    rows = np.arange(weights.shape[0])
+    for i in range(max_iterations):
+        if rows.size == 0:
+            break
+        p = solve_inner(lam[rows], weights[rows], p_min, mu, sigma2, p_budget)
+        rate = np.sum(np.log2(1.0 + p / sigma2), axis=1)
+        lam_next = rate / (np.sum(mu * p, axis=1) + power_offset)
+        settled = np.abs(lam_next - lam[rows]) < epsilon
+        lam[rows], powers[rows] = lam_next, p
+        iterations[rows] = i + 1
+        lambdas_seen.append(lam.copy())
+        powers_seen.append(powers.copy())
+        rows = rows[~settled]
+    if rows.size:
+        raise NonConvergenceError(
+            f"ratio parameter did not settle within {max_iterations} iterations"
+        )
+    return np.array(lambdas_seen), np.array(powers_seen), iterations
+
+
 def dinkelbach_allocation(weights, p_min, mu, sigma2: float, p_budget: float,
                           power_offset: float, epsilon: float,
                           max_iterations: int = 100):
-    """Ratio maximization: alternate the concave inner solve with ratio updates.
+    """Ratio maximization for one weight vector: dinkelbach_batch on a batch of one.
 
-    Starts the ratio parameter at zero and stops once consecutive values
-    differ by less than epsilon. Returns (PowerAllocation, DinkelbachTrace);
-    the final ratio equals the efficiency of the returned allocation by
-    construction.
+    Returns (PowerAllocation, DinkelbachTrace); the final ratio equals the
+    efficiency of the returned allocation by construction.
     """
-    mu = np.asarray(mu, dtype=float)
-    lambdas = []
-    inners = []
-    lam_prev = 0.0
-    for i in range(max_iterations):
-        alloc = solve_inner(lam_prev, weights, p_min, mu, sigma2, p_budget)
-        rate = float(np.sum(np.log2(1.0 + alloc.p / sigma2)))
-        lam = rate / (float(np.dot(mu, alloc.p)) + power_offset)
-        lambdas.append(lam)
-        inners.append(alloc)
-        if abs(lam - lam_prev) < epsilon:
-            return alloc, DinkelbachTrace(tuple(lambdas), tuple(inners), i + 1, True)
-        lam_prev = lam
-    raise NonConvergenceError(
-        f"ratio parameter did not settle within {max_iterations} iterations"
+    lambdas, powers, iterations = dinkelbach_batch(
+        np.asarray(weights, dtype=float)[None, :], p_min, mu, sigma2, p_budget,
+        power_offset, epsilon, max_iterations,
     )
+    inners = tuple(PowerAllocation(p=p) for p in powers[:, 0])
+    trace = DinkelbachTrace(tuple(float(lam) for lam in lambdas[:, 0]), inners,
+                            int(iterations[0]), True)
+    return inners[-1], trace
 
 
 def dinkelbach(channels: ChannelSet, phases: PhaseConfig, config: SystemConfig):

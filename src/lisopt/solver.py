@@ -14,8 +14,10 @@ from .model import (
     SingularMatrixError,
     SolveReport,
     effective_channel,
+    effective_channels,
     phase_grid,
     sum_rate,
+    zf_beam_norms,
     zf_precoder,
 )
 from .phases import (
@@ -25,7 +27,9 @@ from .phases import (
 )
 from .power import (
     InfeasibleError,
+    channel_power_weights,
     dinkelbach_allocation,
+    dinkelbach_batch,
     qos_min_powers,
     solve_inner,
     zf_power_weights,
@@ -33,6 +37,8 @@ from .power import (
 
 DEFAULT_ENUMERATION_CAP = 2 ** 20
 DEFAULT_MAX_OUTER = 50
+# Candidates exhaustive_search solves together: its arrays stay a few MB up to the 2^20 cap.
+_EXHAUSTIVE_CHUNK = 4096
 
 
 class EnumerationCapError(ValueError):
@@ -160,9 +166,11 @@ def exhaustive_search(channels: ChannelSet, config: SystemConfig,
     """Try every admissible phase vector; keep the efficiency-best feasible one.
 
     Candidates whose effective channel is rank deficient or whose QoS floors
-    do not fit the budget are skipped. Deterministic: equal efficiencies
-    resolve to the lowest enumeration index. outer_iterations reports the
-    number of candidates enumerated.
+    do not fit the budget are skipped. Candidate i sets element j to grid
+    level (i // 2^(b*j)) mod 2^b. Candidates are solved _EXHAUSTIVE_CHUNK at
+    a time: one stacked SVD for the beam norms, one batched Dinkelbach solve.
+    Deterministic: equal efficiencies resolve to the lowest enumeration
+    index. outer_iterations reports the number of candidates enumerated.
     """
     if config.b == CONTINUOUS:
         raise ValueError("exhaustive enumeration needs a finite resolution")
@@ -173,31 +181,31 @@ def exhaustive_search(channels: ChannelSet, config: SystemConfig,
             f"enumeration needs {total} candidates, cap is {enumeration_cap}"
         )
     grid = phase_grid(config.b)
+    phi_grid = np.exp(1j * grid)
+    place = levels ** np.arange(config.n)
     offset = _power_offset(config)
     p_min = qos_min_powers(config)
-    best = None  # (ee, phases, powers)
-    for index in range(total):
-        rem = index
-        theta = np.empty(config.n)
-        for j in range(config.n):
-            rem, digit = divmod(rem, levels)
-            theta[j] = grid[digit]
-        phases = PhaseConfig(theta=theta, resolution=config.b)
-        try:
-            weights = zf_power_weights(channels, phases)
-            alloc, dtrace = dinkelbach_allocation(
-                weights, p_min, config.mu, config.sigma2, config.p_budget,
-                offset, config.epsilon,
-            )
-        except (SingularMatrixError, InfeasibleError):
+    best = None  # (ee, digits, powers)
+    for first in range(0, total, _EXHAUSTIVE_CHUNK):
+        digits = np.arange(first, min(first + _EXHAUSTIVE_CHUNK, total))[:, None] // place % levels
+        weights = zf_beam_norms(effective_channels(channels, phi_grid[digits]))
+        with np.errstate(invalid="ignore"):  # inf * 0 floors of rank-deficient rows
+            fits = np.sum(weights * p_min, axis=1) <= config.p_budget * (1.0 + 1e-9)
+        keep = np.all(np.isfinite(weights), axis=1) & fits
+        if not np.any(keep):
             continue
-        ee = dtrace.lambdas[-1]
-        if best is None or ee > best[0]:
-            best = (ee, phases, alloc)
+        lambdas, powers, _ = dinkelbach_batch(
+            weights[keep], p_min, config.mu, config.sigma2, config.p_budget,
+            offset, config.epsilon,
+        )
+        i = int(np.argmax(lambdas[-1]))
+        if best is None or lambdas[-1, i] > best[0]:
+            best = (lambdas[-1, i], digits[keep][i], powers[-1, i])
     if best is None:
         return _infeasible_report("exhaustive", total)
-    report = _build_report(channels, best[1], best[2], config, total, "exhaustive", offset)
-    return report
+    phases = PhaseConfig(theta=grid[best[1]], resolution=config.b)
+    return _build_report(channels, phases, PowerAllocation(p=best[2]), config, total,
+                         "exhaustive", offset)
 
 
 def _relay_effective_channel(channels: ChannelSet, config: SystemConfig) -> np.ndarray:
@@ -216,18 +224,14 @@ def relay_baseline(channels: ChannelSet, config: SystemConfig) -> SolveReport:
     h_eff = _relay_effective_channel(channels, config)
     offset = config.k * config.p_c + config.relay.tx_power_w
     try:
-        g = zf_precoder(h_eff)
-    except SingularMatrixError:
-        return _infeasible_report("relay")
-    weights = np.sum(np.abs(g) ** 2, axis=0)
-    try:
+        weights = channel_power_weights(h_eff)
         alloc, dtrace = dinkelbach_allocation(
             weights, qos_min_powers(config), config.mu, config.sigma2,
             config.p_budget, offset, config.epsilon,
         )
-    except InfeasibleError:
+    except (SingularMatrixError, InfeasibleError):
         return _infeasible_report("relay")
-    gains = np.abs(h_eff @ g) ** 2
+    gains = np.abs(h_eff @ zf_precoder(h_eff)) ** 2
     signal = alloc.p * np.diag(gains)
     interference = gains @ alloc.p - signal
     rate = float(np.sum(np.log2(1.0 + signal / (interference + config.sigma2))))
@@ -249,8 +253,7 @@ def max_rate_power_fill(channels: ChannelSet, phases_or_relay, config: SystemCon
     if isinstance(phases_or_relay, PhaseConfig):
         weights = zf_power_weights(channels, phases_or_relay)
     elif phases_or_relay == "relay":
-        g = zf_precoder(_relay_effective_channel(channels, config))
-        weights = np.sum(np.abs(g) ** 2, axis=0)
+        weights = channel_power_weights(_relay_effective_channel(channels, config))
     else:
         raise ValueError(f"expected a PhaseConfig or 'relay', got {phases_or_relay!r}")
     return solve_inner(0.0, weights, qos_min_powers(config), config.mu,

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,19 +7,24 @@ from lisopt import (
     CONTINUOUS,
     ChannelSet,
     EnumerationCapError,
+    InfeasibleError,
     PhaseConfig,
     PowerAllocation,
     RelayParams,
+    SingularMatrixError,
     alternating_ee_max,
     dinkelbach_allocation,
     exhaustive_search,
     max_rate_power_fill,
+    phase_grid,
     qos_min_powers,
     relay_baseline,
     sample_channels,
     zf_power_weights,
     zf_precoder,
 )
+from lisopt import solver
+from lisopt.power import dinkelbach_batch
 from util import make_config, random_channels, unit_pathloss
 
 TWO_PI = 2.0 * np.pi
@@ -146,6 +153,88 @@ def test_exhaustive_cap_refusal_names_count():
     ch = sample_channels(cfg, seed=7)
     with pytest.raises(EnumerationCapError, match="16"):
         exhaustive_search(ch, cfg, enumeration_cap=10)
+
+
+def reference_exhaustive(channels, cfg):
+    """One candidate at a time, element 0 the fastest digit; keeps the first best."""
+    grid = phase_grid(cfg.b)
+    offset = cfg.k * cfg.p_c + cfg.n * cfg.p_n_of_b[cfg.b]
+    best = None  # (ee, theta, powers)
+    for digits in itertools.product(range(1 << cfg.b), repeat=cfg.n):
+        phases = PhaseConfig(theta=grid[list(reversed(digits))], resolution=cfg.b)
+        try:
+            weights = zf_power_weights(channels, phases)
+            alloc, trace = dinkelbach_allocation(weights, qos_min_powers(cfg), cfg.mu,
+                                                 cfg.sigma2, cfg.p_budget, offset, cfg.epsilon)
+        except (SingularMatrixError, InfeasibleError):
+            continue
+        if best is None or trace.lambdas[-1] > best[0]:
+            best = (trace.lambdas[-1], phases.theta, alloc.p)
+    return best
+
+
+@pytest.mark.parametrize("n,b,seeds", [(2, 1, range(8)), (4, 1, range(6)), (6, 1, range(4)),
+                                       (8, 1, range(2)), (3, 2, range(3))])
+def test_exhaustive_matches_reference_loop(n, b, seeds):
+    cfg = make_config(k=2, m=2, n=n, b=b)
+    for seed in seeds:
+        ch = sample_channels(cfg, seed=100 + seed)
+        report = exhaustive_search(ch, cfg)
+        best = reference_exhaustive(ch, cfg)
+        assert report.feasible == (best is not None)
+        if best is None:
+            continue
+        assert np.array_equal(report.phases.theta, best[1])
+        assert report.ee == pytest.approx(best[0], rel=1e-12)
+        np.testing.assert_allclose(report.powers.p, best[2], rtol=1e-12)
+
+
+def test_exhaustive_chunk_boundaries_do_not_matter(monkeypatch):
+    cfg = make_config(k=2, m=2, n=5, b=1)
+    for seed in range(3):
+        ch = sample_channels(cfg, seed=200 + seed)
+        whole = exhaustive_search(ch, cfg)
+        monkeypatch.setattr(solver, "_EXHAUSTIVE_CHUNK", 7)
+        chunked = exhaustive_search(ch, cfg)
+        monkeypatch.undo()
+        assert chunked.ee == whole.ee
+        assert np.array_equal(chunked.phases.theta, whole.phases.theta)
+        assert np.array_equal(chunked.powers.p, whole.powers.p)
+
+
+def test_exhaustive_numbers_candidates_with_element_zero_fastest(monkeypatch):
+    cfg = make_config(k=2, m=2, n=3, b=2, pathloss=unit_pathloss(direct_loss_db=0.0))
+    ch = sample_channels(cfg, seed=34)
+    solved = []
+
+    def recording(weights, *args, **kwargs):
+        solved.append(weights)
+        return dinkelbach_batch(weights, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_EXHAUSTIVE_CHUNK", 7)
+    monkeypatch.setattr(solver, "dinkelbach_batch", recording)
+    exhaustive_search(ch, cfg)
+    weights = np.concatenate(solved)
+    assert weights.shape == (64, 2)
+    grid = phase_grid(2)
+    for i, row in enumerate(weights):
+        theta = grid[[(i >> (2 * j)) & 3 for j in range(3)]]
+        expected = zf_power_weights(ch, PhaseConfig(theta=theta, resolution=2))
+        np.testing.assert_allclose(row, expected, rtol=1e-9)
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_exhaustive_dark_surface_ties_resolve_to_index_zero(chunk, monkeypatch):
+    # h1 = 0: every candidate sees the direct channel alone, so all tie
+    if chunk is not None:
+        monkeypatch.setattr(solver, "_EXHAUSTIVE_CHUNK", chunk)
+    cfg = make_config(k=2, m=2, n=4, b=2, pathloss=unit_pathloss(direct_loss_db=0.0))
+    base = sample_channels(cfg, seed=33)
+    ch = ChannelSet(h1=np.zeros_like(base.h1), h2=base.h2, h=base.h)
+    report = exhaustive_search(ch, cfg)
+    assert report.feasible
+    assert np.array_equal(report.phases.theta, np.zeros(4))
+    assert report.outer_iterations == 256
 
 
 def test_exhaustive_requires_finite_resolution():
