@@ -483,8 +483,6 @@ def scenario_from_pairs(pairs: dict) -> Scenario:
         gradient_tolerance=float(take("phase.gradient_tolerance", base_options.gradient_tolerance)),
         step_tolerance=float(take("phase.step_tolerance", base_options.step_tolerance)),
         num_restarts=int(take("phase.num_restarts", base_options.num_restarts)),
-        finite_difference_step=float(take("phase.finite_difference_step",
-                                          base_options.finite_difference_step)),
     )
 
     scenario = Scenario(

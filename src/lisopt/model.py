@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,8 +32,18 @@ def phase_grid(b: int) -> np.ndarray:
     return step * np.arange(1 << b)
 
 
-@dataclass(frozen=True)
-class PhaseConfig:
+class _ArrayFieldsEq:
+    """Field-by-field equality that compares ndarray fields with np.array_equal."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+
+@dataclass(frozen=True, eq=False)
+class PhaseConfig(_ArrayFieldsEq):
     """Per-element phase angles plus the resolution they honour.
 
     Finite-resolution angles must sit exactly on the admissible grid
@@ -67,8 +77,8 @@ class PhaseConfig:
         return np.exp(1j * self.theta)
 
 
-@dataclass(frozen=True)
-class PowerAllocation:
+@dataclass(frozen=True, eq=False)
+class PowerAllocation(_ArrayFieldsEq):
     """Per-user transmit powers in watts."""
 
     p: np.ndarray
@@ -82,8 +92,8 @@ class PowerAllocation:
             raise ValueError("powers must be finite and non-negative")
 
 
-@dataclass(frozen=True)
-class SolveReport:
+@dataclass(frozen=True, eq=False)
+class SolveReport(_ArrayFieldsEq):
     """Outcome of one joint design: efficiency, rate, power, operating point.
 
     When ``feasible`` is False the numeric fields are zero and the
@@ -141,21 +151,27 @@ def zf_precoder(h_eff: np.ndarray) -> np.ndarray:
     return (vh.conj().T / s[None, :]) @ u.conj().T
 
 
-def zf_beam_norms(h_eff: np.ndarray) -> np.ndarray:
-    """Squared ZF beam norms ||g_k||^2 of an effective channel or a stack of them.
+def zf_svd(h_eff: np.ndarray) -> tuple:
+    """Reduced SVD U S V^H of a stack of effective channels and its squared ZF beam norms.
 
-    h_eff has shape (..., K, M); the result has shape (..., K). With the
-    reduced SVD U S V^H the beam norms are sum_j |U[k, j]|^2 / s_j^2, so a
-    stack costs one batched SVD. A channel that zf_precoder rejects as rank
-    deficient gets +inf in every entry.
+    h_eff has shape (..., K, M) and is taken as a stack of B channels. Returns
+    u (B, K, K), s (B, K), vh (B, K, M) and the beam norms ||g_k||^2 =
+    sum_j |U[k, j]|^2 / s_j^2 of shape (B, K). A channel that zf_precoder
+    rejects as rank deficient gets +inf in every beam norm.
     """
     h_eff = np.asarray(h_eff)
     k, m = _zf_shape(h_eff)
-    u, s, _ = np.linalg.svd(h_eff.reshape(-1, k, m), full_matrices=False)
+    u, s, vh = np.linalg.svd(h_eff.reshape(-1, k, m), full_matrices=False)
     good = s[:, -1] > _rank_threshold(s, k, m)
-    out = np.full(u.shape[:2], np.inf)
-    out[good] = np.einsum("bkj,bj->bk", np.abs(u[good]) ** 2, 1.0 / s[good] ** 2)
-    return out.reshape(h_eff.shape[:-1])
+    norms = np.full(u.shape[:2], np.inf)
+    norms[good] = np.einsum("bkj,bj->bk", np.abs(u[good]) ** 2, 1.0 / s[good] ** 2)
+    return u, s, vh, norms
+
+
+def zf_beam_norms(h_eff: np.ndarray) -> np.ndarray:
+    """Squared ZF beam norms (..., K) of effective channels (..., K, M), as zf_svd gives them."""
+    h_eff = np.asarray(h_eff)
+    return zf_svd(h_eff)[3].reshape(h_eff.shape[:-1])
 
 
 def sinr(k: int, channels: ChannelSet, phases: PhaseConfig, precoder: np.ndarray,

@@ -9,7 +9,7 @@ from scipy.optimize import minimize
 
 from .channels import ChannelSet
 from .config import CONTINUOUS
-from .model import TWO_PI, PhaseConfig, PowerAllocation, effective_channels, zf_beam_norms
+from .model import TWO_PI, PhaseConfig, PowerAllocation, effective_channels, zf_beam_norms, zf_svd
 
 # Stands in for +inf inside line searches so they back off instead of dying.
 _SENTINEL = 1e30
@@ -32,11 +32,9 @@ class RelaxedSolveOptions:
     gradient_tolerance: float = 1e-6
     step_tolerance: float = 1e-12
     num_restarts: int = 4
-    finite_difference_step: float = 1e-5
 
     def __post_init__(self):
-        for name in ("max_iterations", "gradient_tolerance", "step_tolerance",
-                     "finite_difference_step"):
+        for name in ("max_iterations", "gradient_tolerance", "step_tolerance"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.num_restarts < 1:
@@ -73,6 +71,28 @@ def trace_objective(theta: np.ndarray, channels: ChannelSet, powers: PowerAlloca
     return float(trace_values(np.asarray(theta, dtype=float)[None, :], channels, powers)[0])
 
 
+def trace_value_and_grad(theta: np.ndarray, channels: ChannelSet,
+                         powers: PowerAllocation) -> tuple:
+    """Radiated ZF power at phases theta and its exact gradient, from one reduced SVD.
+
+    With the effective channel H = U S V^H, the ZF precoder G = V S^-1 U^H and
+    X = (H H^H)^-1 = U S^-2 U^H, tr(P X) has d/d theta_n = 2 Im(phi_n [h1 G P X h2]_nn).
+    The value is trace_objective's. A rank-deficient point gives the sentinel
+    and a zero gradient, so line searches back off.
+    """
+    theta = np.asarray(theta, dtype=float)
+    phi = np.exp(1j * theta)
+    u, s, vh, beam_norms = zf_svd(effective_channels(channels, phi[None, :]))
+    if not np.isfinite(beam_norms[0, 0]):
+        return _SENTINEL, np.zeros_like(theta)
+    u, s, vh, p = u[0], s[0], vh[0], powers.p
+    uh = u.conj().T
+    h1_g = (channels.h1 @ vh.conj().T / s) @ uh
+    px_h2 = p[:, None] * ((u / s ** 2) @ (uh @ channels.h2))
+    grad = 2.0 * np.imag(phi * np.einsum("nk,kn->n", h1_g, px_h2))
+    return float((beam_norms @ p)[0]), grad
+
+
 def solve_relaxed(channels: ChannelSet, powers: PowerAllocation,
                   warm_start: np.ndarray | None = None,
                   options: RelaxedSolveOptions | None = None,
@@ -80,8 +100,8 @@ def solve_relaxed(channels: ChannelSet, powers: PowerAllocation,
     """Minimize the radiated-power objective over the box [0, 2*pi]^N.
 
     Runs a projected quasi-Newton solve (L-BFGS-B) from the warm start and
-    from num_restarts - 1 seeded random points; gradients are central finite
-    differences so the objective stays a black box. Rank-deficient points
+    from num_restarts - 1 seeded random points, with the exact gradient of
+    trace_value_and_grad (one SVD per evaluation). Rank-deficient points
     evaluate to a large sentinel so line searches step away. The result is
     never worse than the warm start; ties go to the lowest restart index.
     """
@@ -96,25 +116,15 @@ def solve_relaxed(channels: ChannelSet, powers: PowerAllocation,
     rng = np.random.default_rng(seed)
     starts = [warm] + [rng.uniform(0.0, TWO_PI, n) for _ in range(options.num_restarts - 1)]
 
-    h = options.finite_difference_step
-    eye = np.eye(n)
-
     def value(theta: np.ndarray) -> float:
         v = trace_values(theta[None, :], channels, powers)[0]
         return float(v) if np.isfinite(v) else _SENTINEL
-
-    def value_and_grad(theta: np.ndarray):
-        probes = np.concatenate([theta[None, :], theta + h * eye, theta - h * eye], axis=0)
-        vals = trace_values(probes, channels, powers)
-        vals = np.where(np.isfinite(vals), vals, _SENTINEL)
-        grad = (vals[1:n + 1] - vals[n + 1:]) / (2.0 * h)
-        return vals[0], grad
 
     # The raw warm-start point is candidate zero: it guarantees the descent contract.
     best_f, best_theta = value(warm), warm
     for x0 in starts:
         res = minimize(
-            value_and_grad, x0, jac=True, method="L-BFGS-B",
+            trace_value_and_grad, x0, args=(channels, powers), jac=True, method="L-BFGS-B",
             bounds=[(0.0, TWO_PI)] * n,
             options={
                 "maxiter": options.max_iterations,

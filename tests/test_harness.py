@@ -287,6 +287,12 @@ def test_scenario_from_pairs_rejects_unknown_keys():
                              "k": "2", "frobnicate": "1"})
 
 
+def test_scenario_from_pairs_rejects_removed_finite_difference_step():
+    with pytest.raises(ValueError, match=r"unknown scenario keys: \['phase.finite_difference_step'\]"):
+        scenario_from_pairs({"methods": "relay", "sweep.n": "2,4", "m": "4",
+                             "k": "2", "phase.finite_difference_step": "1e-5"})
+
+
 def test_scenario_from_pairs_requires_exactly_one_sweep():
     with pytest.raises(ValueError, match="sweep"):
         scenario_from_pairs({"methods": "relay"})

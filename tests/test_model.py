@@ -7,6 +7,7 @@ from lisopt import (
     PhaseConfig,
     PowerAllocation,
     SingularMatrixError,
+    SolveReport,
     consumed_power,
     effective_channel,
     energy_efficiency,
@@ -50,6 +51,32 @@ def test_power_allocation_validation():
         PowerAllocation(p=np.array([-1e-9]))
     with pytest.raises(ValueError):
         PowerAllocation(p=np.array([np.inf]))
+
+
+def test_array_dataclasses_compare_to_bools():
+    assert PowerAllocation(p=np.ones(2)) == PowerAllocation(p=np.ones(2))
+    assert PowerAllocation(p=np.ones(2)) != PowerAllocation(p=np.array([1.0, 0.5]))
+    assert PowerAllocation(p=np.ones(2)) != PowerAllocation(p=np.ones(3))
+    one_bit = PhaseConfig(theta=np.array([0.0, np.pi]), resolution=1)
+    assert one_bit == PhaseConfig(theta=np.array([0.0, np.pi]), resolution=1)
+    assert one_bit != continuous_phases([0.0, np.pi])
+    assert PowerAllocation(p=np.zeros(1)) != PhaseConfig(theta=np.zeros(1))
+
+
+def test_solve_report_equality_with_array_and_none_fields():
+    def report(phases, powers, ee=2.0):
+        return SolveReport(ee=ee, sum_rate=4.0, total_power=2.0, phases=phases, powers=powers,
+                           outer_iterations=3, feasible=phases is not None, method_tag="lis-1bit")
+
+    phases = PhaseConfig(theta=np.array([0.0, np.pi]), resolution=1)
+    powers = PowerAllocation(p=np.array([0.1, 0.2]))
+    assert report(phases, powers) == report(PhaseConfig(theta=phases.theta.copy(), resolution=1),
+                                            PowerAllocation(p=powers.p.copy()))
+    assert report(phases, powers) != report(phases, PowerAllocation(p=np.array([0.1, 0.3])))
+    assert report(phases, powers) != report(phases, powers, ee=2.5)
+    assert report(None, None) == report(None, None)
+    assert report(None, None) != report(phases, None)
+    assert report(phases, None) != report(None, None)
 
 
 # ---------------------------------------------------------- effective channel

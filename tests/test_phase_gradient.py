@@ -1,0 +1,99 @@
+"""Property tests of the exact phase-step gradient on random instances.
+
+Instances are drawn at desk scale (unit-ish hops, 1e-4 W noise) and at paper
+scale (hops of 1e-5 to 1e-3 in amplitude, -100 dBm noise), for K <= M users
+and antennas and N = 1..16 surface elements. The direct link is kept within
+a decade of the surface path, so the phases move the objective.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from lisopt import ChannelSet, PowerAllocation, dbm_to_watts, trace_objective, trace_values
+from lisopt.model import effective_channels, zf_beam_norms
+from lisopt.phases import _SENTINEL, solve_relaxed, trace_value_and_grad
+from util import complex_gaussian
+
+TWO_PI = 2.0 * np.pi
+
+# noise power and the log10 range of each hop's amplitude
+SCALES = {
+    "desk": dict(sigma2=1e-4, hop=(-1.0, 1.0)),
+    "paper": dict(sigma2=dbm_to_watts(-100.0), hop=(-5.0, -3.0)),
+}
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@st.composite
+def instances(draw, scale):
+    """Channels, powers (0-30 dB SNR) and a phase vector at one scale."""
+    k = draw(st.integers(1, 4))
+    m = draw(st.integers(k, 5))
+    n = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo, hi = SCALES[scale]["hop"]
+    a, b = 10.0 ** rng.uniform(lo, hi, 2)
+    channels = ChannelSet(
+        h1=a * complex_gaussian(rng, (n, m)),
+        h2=b * complex_gaussian(rng, (k, n)),
+        h=a * b * 10.0 ** rng.uniform(-1.0, 1.0) * complex_gaussian(rng, (k, m)),
+    )
+    powers = PowerAllocation(p=SCALES[scale]["sigma2"] * 10.0 ** rng.uniform(0.0, 3.0, k))
+    return channels, powers, rng.uniform(0.0, TWO_PI, n)
+
+
+def central_difference(theta, channels, powers, h=1e-3):
+    """Richardson-extrapolated central differences (error O(h^4)) of trace_values."""
+
+    def step(d):
+        shift = d * np.eye(theta.size)
+        return (trace_values(theta + shift, channels, powers)
+                - trace_values(theta - shift, channels, powers)) / (2.0 * d)
+
+    return (4.0 * step(h / 2.0) - step(h)) / 3.0
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), scale=st.sampled_from(sorted(SCALES)))
+def test_gradient_matches_central_differences(data, scale):
+    channels, powers, theta = data.draw(instances(scale))
+    # the finite-difference reference is only accurate away from rank deficiency
+    assume(np.linalg.cond(effective_channels(channels, np.exp(1j * theta))) <= 100.0)
+    value, grad = trace_value_and_grad(theta, channels, powers)
+    reference = central_difference(theta, channels, powers)
+    assert grad.shape == theta.shape
+    assert np.max(np.abs(grad - reference)) <= 1e-6 * np.max(np.abs(reference))
+    expected = trace_objective(theta, channels, powers)
+    assert abs(value - expected) <= 1e-14 * expected
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), scale=st.sampled_from(sorted(SCALES)))
+def test_trace_values_equal_beam_norms_times_powers(data, scale):
+    channels, powers, theta = data.draw(instances(scale))
+    rng = np.random.default_rng(theta.size)
+    thetas = np.vstack([theta, rng.uniform(0.0, TWO_PI, (4, theta.size))])
+    beam_norms = zf_beam_norms(effective_channels(channels, np.exp(1j * thetas)))
+    assume(np.all(np.isfinite(beam_norms)))
+    assert np.array_equal(trace_values(thetas, channels, powers), beam_norms @ powers.p)
+
+
+def test_rank_deficient_point_takes_sentinel_path():
+    # H(theta) = h2 diag(e^{j theta}) h1 + h is the rank-one [[1, 2], [2, 4]] at theta = 0
+    # (exact in floating point) and full rank at theta = pi
+    channels = ChannelSet(h1=np.array([[1.0, 0.0]], dtype=complex),
+                          h2=np.array([[1.0], [0.0]], dtype=complex),
+                          h=np.array([[0.0, 2.0], [2.0, 4.0]], dtype=complex))
+    powers = PowerAllocation(p=np.array([0.5, 2.0]))
+    value, grad = trace_value_and_grad(np.zeros(1), channels, powers)
+    assert value == _SENTINEL
+    assert np.array_equal(grad, np.zeros(1))
+    assert np.isinf(trace_objective(np.zeros(1), channels, powers))
+    value, grad = trace_value_and_grad(np.array([np.pi]), channels, powers)
+    assert value == trace_objective(np.array([np.pi]), channels, powers)
+    assert np.all(np.isfinite(grad))
+    # a warm start on the singular point still leaves it for a finite objective
+    out = solve_relaxed(channels, powers, warm_start=np.zeros(1), seed=0)
+    assert np.isfinite(trace_objective(out, channels, powers))
