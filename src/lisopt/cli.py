@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -35,11 +36,11 @@ _ORACLE_PAIRS = {
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    if args.seed is not None:
-        scenario.master_seed = args.seed
-    if args.workers is not None:
-        scenario.workers = args.workers
-    return scenario
+    overrides = {"master_seed": args.seed, "workers": args.workers}
+    try:  # replace() re-runs Scenario's checks on the overridden values
+        return replace(scenario, **{k: v for k, v in overrides.items() if v is not None})
+    except ValueError as exc:
+        raise SystemExit(f"lisopt: {exc}") from exc
 
 
 def _run_and_emit(scenario: Scenario, out_dir: str) -> int:
@@ -135,7 +136,7 @@ def main(argv=None) -> int:
 
     for p in (run_p, sweep_p):
         p.add_argument("--out", default="out", help="output directory (default: out)")
-        p.add_argument("--workers", type=int, default=None, help="concurrent cells")
+        p.add_argument("--workers", type=int, default=None, help="forked cell processes")
     for p in (run_p, sweep_p, oracle_p):
         p.add_argument("--seed", type=int, default=None, help="master seed override")
 

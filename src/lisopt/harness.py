@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
 
 import numpy as np
@@ -247,14 +249,20 @@ def run_scenario(scenario: Scenario) -> list:
     Child seeds derive deterministically from (master_seed, sweep index,
     trial index), so the full output is reproducible end to end. Rows come
     back ordered by (method order, sweep index, trial).
+
+    With workers > 1, up to `workers` forked processes run one cell each; rows
+    equal the serial run's except wall_ms. One cell, or a platform without
+    fork, runs serially (Python 3.12+ warns when a threaded process forks).
     """
     cells = [(si, v, t) for si, v in enumerate(scenario.values)
              for t in range(scenario.trials)]
-    if scenario.workers > 1:
-        with ThreadPoolExecutor(max_workers=scenario.workers) as pool:
-            chunks = list(pool.map(lambda cell: _run_cell(scenario, *cell), cells))
+    run_cell = functools.partial(_run_cell, scenario)
+    if scenario.workers > 1 and len(cells) > 1 and "fork" in get_all_start_methods():
+        # Not spawn or forkserver: they re-import numpy and scipy, ~0.7 s a pool (fork ~20 ms).
+        with ProcessPoolExecutor(min(scenario.workers, len(cells)), get_context("fork")) as pool:
+            chunks = list(pool.map(run_cell, *zip(*cells)))
     else:
-        chunks = [_run_cell(scenario, *cell) for cell in cells]
+        chunks = [run_cell(*cell) for cell in cells]
     rows = [row for chunk in chunks for row in chunk]
     method_order = {m: i for i, m in enumerate(scenario.methods)}
     value_order = {v: i for i, v in enumerate(scenario.values)}

@@ -1,6 +1,8 @@
 import csv
 import json
+import os
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,12 +13,14 @@ from lisopt import (
     Scenario,
     aggregate,
     emit_outputs,
+    harness,
     load_scenario,
     run_scenario,
     scenario_from_pairs,
 )
 from lisopt.cli import main as cli_main
 from lisopt.harness import AGG_COLUMNS, RAW_COLUMNS, _config_at
+from lisopt.model import SingularMatrixError
 from util import make_config
 
 SCENARIO_TEXT = """
@@ -141,13 +145,74 @@ def test_run_scenario_deterministic_and_paired():
     assert all(len(seeds) == 1 for seeds in by_cell.values())
 
 
+def comparable(rows):
+    """Rows with wall_ms zeroed, so that == compares every other field."""
+    return [replace(r, wall_ms=0.0) for r in rows]
+
+
 def test_run_scenario_workers_match_serial():
+    methods = ("lis-1bit", "lis-continuous", "exhaustive", "relay")
+    for power_rule, worker_counts in (("ee", (2, 3)), ("max-rate", (2,))):
+        sc = tiny_scenario(methods=methods, power_rule=power_rule)
+        serial = comparable(run_scenario(sc))
+        assert len(serial) == len(methods) * 2 * 3
+        assert {r.method for r in serial if r.feasible} == set(methods)
+        for workers in worker_counts:
+            parallel = comparable(run_scenario(replace(sc, workers=workers)))
+            assert len(parallel) == len(serial)
+            assert parallel == serial, (power_rule, workers)
+
+
+def test_method_error_in_worker_gives_the_serial_infeasible_row(monkeypatch, tmp_path):
+    pids = tmp_path / "pids"
+
+    def singular_relay(channels, cfg):
+        with open(pids, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        raise SingularMatrixError(0.0, 1e-12)
+
+    monkeypatch.setattr(harness, "relay_baseline", singular_relay)
     sc = tiny_scenario()
-    serial = run_scenario(sc)
-    sc_par = tiny_scenario(workers=4)
-    parallel = run_scenario(sc_par)
-    for a, b in zip(serial, parallel):
-        assert (a.method, a.sweep, a.trial, a.ee, a.feasible) == (b.method, b.sweep, b.trial, b.ee, b.feasible)
+    serial = comparable(run_scenario(sc))
+    pids.unlink()
+    parallel = comparable(run_scenario(replace(sc, workers=2)))
+    assert parallel == serial
+    relay = [r for r in parallel if r.method == "relay"]
+    assert len(relay) == 6
+    assert all(not r.feasible and r.ee == 0.0 and r.iters == 0 for r in relay)
+    worker_pids = set(pids.read_text().split())
+    assert worker_pids and str(os.getpid()) not in worker_pids
+
+
+def test_non_method_error_in_worker_propagates(monkeypatch):
+    def broken_draw(cfg, seed):
+        raise RuntimeError("channel draw failed")
+
+    monkeypatch.setattr(harness, "sample_channels", broken_draw)
+    with pytest.raises(RuntimeError, match="channel draw failed"):
+        run_scenario(tiny_scenario(workers=2))
+
+
+@pytest.fixture
+def no_process_pool(monkeypatch):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("run_scenario started a process pool")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", NoPool)
+
+
+def test_one_cell_with_workers_starts_no_process(no_process_pool):
+    sc = tiny_scenario(values=(-10.0,), trials=1, workers=2)
+    rows = comparable(run_scenario(sc))
+    assert len(rows) == 2
+    assert rows == comparable(run_scenario(replace(sc, workers=1)))
+
+
+def test_workers_run_serially_without_fork(no_process_pool, monkeypatch):
+    monkeypatch.setattr(harness, "get_all_start_methods", lambda: ["spawn"])
+    sc = tiny_scenario(workers=2)
+    assert comparable(run_scenario(sc)) == comparable(run_scenario(replace(sc, workers=1)))
 
 
 def test_run_scenario_exhaustive_dominates_alternating_per_row():
@@ -337,12 +402,25 @@ def test_cli_sweep_writes_outputs(tmp_path):
         "--set", "pathloss.lis_user.exponent=0",
         "--set", "pathloss.lis_user.ref_loss_db=0",
         "--set", "trials=2",
-        "--out", str(out), "--seed", "3",
+        "--out", str(out), "--seed", "3", "--workers", "2",
     ])
     assert code == 0
     assert (out / "rows.csv").exists()
     assert (out / "aggregates.csv").exists()
-    assert (out / "manifest.json").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["scenario"]["master_seed"] == 3
+    assert manifest["scenario"]["workers"] == 2
+
+
+def test_cli_rejects_invalid_workers_override(tmp_path):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["sweep", "--axis", "n", "--values", "2,4", "--methods", "lis-1bit",
+                  "--set", "k=2", "--set", "m=3", "--workers", "0", "--out", str(out)])
+    # a string code makes the interpreter print it and exit with status 1
+    assert isinstance(exc.value.code, str)
+    assert "workers must be >= 1" in exc.value.code
+    assert not out.exists()
 
 
 def test_cli_run_scenario_file(tmp_path):
