@@ -34,13 +34,10 @@ from .model import (
     PowerAllocation,
     SingularMatrixError,
     SolveReport,
-    consumed_power,
     effective_channel,
-    energy_efficiency,
     phase_grid,
     sinr,
     sum_rate,
-    total_power,
     transmit_power_used,
     zf_precoder,
 )
@@ -48,7 +45,6 @@ from .phases import (
     PhaseOptimizationError,
     PhaseSolveOutcome,
     RelaxedSolveOptions,
-    check_feasibility,
     quantize_phases,
     solve_phase_subproblem,
     solve_relaxed,
@@ -59,9 +55,7 @@ from .power import (
     DinkelbachTrace,
     InfeasibleError,
     NonConvergenceError,
-    dinkelbach,
     dinkelbach_allocation,
-    inner_concave_solve,
     qos_min_powers,
     solve_inner,
     zf_power_weights,
@@ -71,6 +65,7 @@ from .solver import (
     AlternatingTrace,
     EnumerationCapError,
     alternating_ee_max,
+    evaluate,
     exhaustive_search,
     max_rate_power_fill,
     relay_baseline,
@@ -102,17 +97,13 @@ __all__ = [
     "SystemConfig",
     "aggregate",
     "alternating_ee_max",
-    "check_feasibility",
-    "consumed_power",
     "db_to_linear",
     "dbm_to_watts",
-    "dinkelbach",
     "dinkelbach_allocation",
     "effective_channel",
     "emit_outputs",
-    "energy_efficiency",
+    "evaluate",
     "exhaustive_search",
-    "inner_concave_solve",
     "load_scenario",
     "max_rate_power_fill",
     "pathloss_gain",
@@ -128,7 +119,6 @@ __all__ = [
     "solve_phase_subproblem",
     "solve_relaxed",
     "sum_rate",
-    "total_power",
     "trace_objective",
     "trace_values",
     "transmit_power_used",

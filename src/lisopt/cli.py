@@ -35,12 +35,21 @@ _ORACLE_PAIRS = {
 }
 
 
-def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    overrides = {"master_seed": args.seed, "workers": args.workers}
-    try:  # replace() re-runs Scenario's checks on the overridden values
-        return replace(scenario, **{k: v for k, v in overrides.items() if v is not None})
-    except ValueError as exc:
+def _checked(build):
+    """build(), with bad scenario input (ValueError, OSError) ending the command.
+
+    The message goes to stderr as 'lisopt: <msg>' with exit status 1.
+    """
+    try:
+        return build()
+    except (ValueError, OSError) as exc:
         raise SystemExit(f"lisopt: {exc}") from exc
+
+
+def _with_overrides(scenario: Scenario, args) -> Scenario:
+    overrides = {"master_seed": args.seed, "workers": args.workers}
+    # replace() re-runs Scenario's checks on the overridden values
+    return replace(scenario, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _run_and_emit(scenario: Scenario, out_dir: str) -> int:
@@ -56,48 +65,52 @@ def _run_and_emit(scenario: Scenario, out_dir: str) -> int:
 
 
 def _cmd_run(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
+    scenario = _checked(lambda: _with_overrides(load_scenario(args.scenario), args))
     return _run_and_emit(scenario, args.out)
 
 
-def _cmd_sweep(args) -> int:
+def _sweep_scenario(args) -> Scenario:
     pairs = {}
     for item in args.set or []:
         if "=" not in item:
-            raise SystemExit(f"--set expects key=value, got {item!r}")
+            raise ValueError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         pairs[key.strip()] = value.strip()
     pairs[_AXIS_KEYS[args.axis]] = args.values
     if args.methods:
         pairs["methods"] = args.methods
-    scenario = _apply_overrides(scenario_from_pairs(pairs), args)
-    return _run_and_emit(scenario, args.out)
+    return _with_overrides(scenario_from_pairs(pairs), args)
+
+
+def _cmd_sweep(args) -> int:
+    return _run_and_emit(_checked(lambda: _sweep_scenario(args)), args.out)
 
 
 def _cmd_oracle_check(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
+    configs = _checked(lambda: [scenario_from_pairs({**_ORACLE_PAIRS, "n": size}).config
+                                for size in args.sizes.split(",")])
     gaps = []
     rng = np.random.default_rng(args.seed)
-    for n in sizes:
-        pairs = dict(_ORACLE_PAIRS)
-        pairs["n"] = str(n)
-        cfg = scenario_from_pairs(pairs).config
+    for cfg in configs:
         size_gaps = []
+        false_infeasible = both_infeasible = 0
         for _ in range(args.instances):
             channel_seed = int(rng.integers(2 ** 63))
             solver_seed = int(rng.integers(2 ** 63))
             channels = sample_channels(cfg, channel_seed)
             alt, _ = alternating_ee_max(channels, cfg, seed=solver_seed)
             exh = exhaustive_search(channels, cfg)
-            if not (alt.feasible and exh.feasible):
-                continue
-            size_gaps.append((exh.ee - alt.ee) / exh.ee)
+            false_infeasible += exh.feasible and not alt.feasible
+            both_infeasible += not (exh.feasible or alt.feasible)
+            if alt.feasible and exh.feasible:
+                size_gaps.append((exh.ee - alt.ee) / exh.ee)
         gaps.extend(size_gaps)
+        dropped = f"false-infeasible={false_infeasible} both-infeasible={both_infeasible}"
         if size_gaps:
-            print(f"n={n:3d}: instances={len(size_gaps)} "
+            print(f"n={cfg.n:3d}: instances={len(size_gaps)} {dropped} "
                   f"median gap={np.median(size_gaps):.4%} max gap={max(size_gaps):.4%}")
         else:
-            print(f"n={n:3d}: no feasible paired instances")
+            print(f"n={cfg.n:3d}: no feasible paired instances, {dropped}")
     if not gaps:
         print("no paired results")
         return 1

@@ -25,7 +25,8 @@ from .config import (
     SystemConfig,
     dbm_to_watts,
 )
-from .model import SingularMatrixError, SolveReport, zf_precoder
+from .model import SingularMatrixError, SolveReport
+from .model import zf_precoder  # noqa: F401  not called here; perfbench's instrument() wraps it
 from .phases import PhaseOptimizationError, RelaxedSolveOptions
 from .power import InfeasibleError, NonConvergenceError
 from .solver import (
@@ -36,8 +37,6 @@ from .solver import (
     exhaustive_search,
     max_rate_power_fill,
     relay_baseline,
-    _build_report,
-    _power_offset,
 )
 
 KNOWN_METHODS = ("lis-1bit", "lis-2bit", "lis-continuous", "exhaustive", "relay")
@@ -188,32 +187,6 @@ def _dispatch(method: str, channels, cfg: SystemConfig, solver_seed: int,
     return relay_baseline(channels, cfg)
 
 
-def _rate_filled(channels, report: SolveReport, cfg: SystemConfig) -> SolveReport:
-    """Replace the operating point's powers with the budget-exhausting rate fill."""
-    if report.method_tag == "relay":
-        alloc = max_rate_power_fill(channels, "relay", cfg)
-        base = relay_baseline_report_with(channels, cfg, alloc, report.outer_iterations)
-        return base
-    alloc = max_rate_power_fill(channels, report.phases, cfg)
-    return _build_report(channels, report.phases, alloc, cfg,
-                         report.outer_iterations, report.method_tag, _power_offset(cfg))
-
-
-def relay_baseline_report_with(channels, cfg: SystemConfig, alloc, iterations: int) -> SolveReport:
-    """Relay report for a caller-chosen allocation (used by the max-rate rule)."""
-    h_eff = cfg.relay.alpha * (channels.h2 @ channels.h1) + channels.h
-    g = zf_precoder(h_eff)
-    gains = np.abs(h_eff @ g) ** 2
-    signal = alloc.p * np.diag(gains)
-    interference = gains @ alloc.p - signal
-    rate = float(np.sum(np.log2(1.0 + signal / (interference + cfg.sigma2))))
-    offset = cfg.k * cfg.p_c + cfg.relay.tx_power_w
-    ptot = float(np.dot(cfg.mu, alloc.p)) + offset
-    return SolveReport(ee=rate / ptot, sum_rate=rate, total_power=ptot,
-                       phases=None, powers=alloc, outer_iterations=iterations,
-                       feasible=True, method_tag="relay")
-
-
 def _run_cell(scenario: Scenario, sweep_index: int, value: float, trial: int) -> list:
     ss = np.random.SeedSequence(scenario.master_seed, spawn_key=(sweep_index, trial))
     channel_seed, solver_seed = (int(s) for s in ss.generate_state(2, dtype=np.uint64))
@@ -226,11 +199,9 @@ def _run_cell(scenario: Scenario, sweep_index: int, value: float, trial: int) ->
         try:
             report = _dispatch(method, channels, mcfg, solver_seed, scenario)
             if scenario.power_rule == "max-rate" and report.feasible:
-                report = _rate_filled(channels, report, mcfg)
+                report = max_rate_power_fill(channels, report, mcfg)
         except _METHOD_ERRORS:
-            report = SolveReport(ee=0.0, sum_rate=0.0, total_power=0.0,
-                                 phases=None, powers=None, outer_iterations=0,
-                                 feasible=False, method_tag=method)
+            report = SolveReport.infeasible(method)
         wall_ms = (time.perf_counter() - t0) * 1e3
         rows.append(ResultRow(
             method=method, sweep=value, trial=trial, seed=channel_seed,

@@ -1,4 +1,4 @@
-"""Effective channel, zero-forcing precoding, and the rate/power/efficiency figures."""
+"""Effective channel, zero-forcing precoding, and the rate and radiated-power figures."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .channels import ChannelSet
-from .config import CONTINUOUS, SystemConfig
+from .config import CONTINUOUS
 
 TWO_PI = 2.0 * np.pi
 
@@ -109,6 +109,12 @@ class SolveReport(_ArrayFieldsEq):
     feasible: bool
     method_tag: str
 
+    @classmethod
+    def infeasible(cls, tag: str, iterations: int = 0) -> SolveReport:
+        """Report of a solve that found no feasible operating point."""
+        return cls(ee=0.0, sum_rate=0.0, total_power=0.0, phases=None, powers=None,
+                   outer_iterations=iterations, feasible=False, method_tag=tag)
+
 
 def effective_channel(channels: ChannelSet, phases: PhaseConfig) -> np.ndarray:
     """Composite users<-BS channel through and around the surface."""
@@ -187,10 +193,9 @@ def sinr(k: int, channels: ChannelSet, phases: PhaseConfig, precoder: np.ndarray
     return float(signal / (interference + sigma2))
 
 
-def sum_rate(channels: ChannelSet, phases: PhaseConfig, precoder: np.ndarray,
-             powers: PowerAllocation, sigma2: float) -> float:
-    """Sum of per-user log2(1 + SINR), bits/s/Hz."""
-    h_eff = effective_channel(channels, phases)
+def sum_rate(h_eff: np.ndarray, precoder: np.ndarray, powers: PowerAllocation,
+             sigma2: float) -> float:
+    """Sum of per-user log2(1 + SINR) over effective channel h_eff, bits/s/Hz."""
     gains = np.abs(h_eff @ precoder) ** 2  # gains[k, i] = |h_k g_i|^2
     p = powers.p
     signal = p * np.diag(gains)
@@ -201,24 +206,3 @@ def sum_rate(channels: ChannelSet, phases: PhaseConfig, precoder: np.ndarray,
 def transmit_power_used(powers: PowerAllocation, precoder: np.ndarray) -> float:
     """Radiated power sum_k p_k * ||g_k||^2 (the trace of P G^H G)."""
     return float(np.dot(powers.p, np.sum(np.abs(precoder) ** 2, axis=0)))
-
-
-def consumed_power(p, mu, p_c: float, n_elements: int, p_n: float) -> float:
-    """Amplifier draw plus per-link circuit power plus per-element surface power."""
-    p = np.asarray(p, dtype=float)
-    return float(np.dot(np.asarray(mu, dtype=float), p)) + p.size * p_c + n_elements * p_n
-
-
-def total_power(powers: PowerAllocation, config: SystemConfig) -> float:
-    """System power consumption at the configured resolution."""
-    if config.b not in config.p_n_of_b:
-        raise ValueError(f"p_n_of_b has no entry for resolution {config.b!r}")
-    return consumed_power(powers.p, config.mu, config.p_c, config.n, config.p_n_of_b[config.b])
-
-
-def energy_efficiency(channels: ChannelSet, phases: PhaseConfig,
-                      powers: PowerAllocation, config: SystemConfig) -> float:
-    """Achievable sum rate per watt of total consumption, under ZF precoding."""
-    precoder = zf_precoder(effective_channel(channels, phases))
-    rate = sum_rate(channels, phases, precoder, powers, config.sigma2)
-    return rate / total_power(powers, config)

@@ -157,12 +157,6 @@ def quantize_phases(theta: np.ndarray, b: int) -> PhaseConfig:
     return PhaseConfig(theta=m * step, resolution=int(b))
 
 
-def check_feasibility(phases: PhaseConfig, powers: PowerAllocation,
-                      channels: ChannelSet, p_budget: float) -> bool:
-    """Budget test: can ZF deliver the allocation within the radiated-power cap."""
-    return trace_objective(phases.theta, channels, powers) <= p_budget * (1.0 + 1e-9)
-
-
 def solve_phase_subproblem(channels: ChannelSet, powers: PowerAllocation, b,
                            warm_start: np.ndarray | None, p_budget: float,
                            options: RelaxedSolveOptions | None = None,

@@ -126,11 +126,6 @@ def solve_inner(lam, weights, p_min, mu, sigma2: float, p_budget: float):
     raise NonConvergenceError("budget multiplier did not settle")
 
 
-def inner_concave_solve(lam: float, weights, p_min, config: SystemConfig) -> PowerAllocation:
-    """Config-shaped wrapper around solve_inner."""
-    return solve_inner(lam, weights, p_min, config.mu, config.sigma2, config.p_budget)
-
-
 def dinkelbach_batch(weights, p_min, mu, sigma2: float, p_budget: float,
                      power_offset: float, epsilon: float, max_iterations: int = 100):
     """Ratio maximization for every row of a (B, K) weight batch at once.
@@ -187,13 +182,3 @@ def dinkelbach_allocation(weights, p_min, mu, sigma2: float, p_budget: float,
     trace = DinkelbachTrace(tuple(float(lam) for lam in lambdas[:, 0]), inners,
                             int(iterations[0]), True)
     return inners[-1], trace
-
-
-def dinkelbach(channels: ChannelSet, phases: PhaseConfig, config: SystemConfig):
-    """Best power allocation for the given phases, with the full iteration trace."""
-    weights = zf_power_weights(channels, phases)
-    offset = config.k * config.p_c + config.n * config.p_n_of_b[config.b]
-    return dinkelbach_allocation(
-        weights, qos_min_powers(config), config.mu, config.sigma2,
-        config.p_budget, offset, config.epsilon,
-    )

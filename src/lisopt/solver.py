@@ -71,22 +71,34 @@ def resolution_tag(b) -> str:
 
 
 def _power_offset(config: SystemConfig) -> float:
+    """Fixed draw of the surface: K link circuits plus N elements at resolution b."""
     return config.k * config.p_c + config.n * config.p_n_of_b[config.b]
 
 
-def _infeasible_report(tag: str, iterations: int = 0) -> SolveReport:
-    return SolveReport(
-        ee=0.0, sum_rate=0.0, total_power=0.0, phases=None, powers=None,
-        outer_iterations=iterations, feasible=False, method_tag=tag,
-    )
+def _link(channels: ChannelSet, config: SystemConfig, phases: PhaseConfig | None) -> tuple:
+    """Effective channel and fixed power draw: the surface at phases, or the relay if None.
+
+    The relay applies gain alpha to every element and swaps the surface's
+    per-element draw for its own transmit power.
+    """
+    if phases is None:
+        return (config.relay.alpha * (channels.h2 @ channels.h1) + channels.h,
+                config.k * config.p_c + config.relay.tx_power_w)
+    return effective_channel(channels, phases), _power_offset(config)
 
 
-def _build_report(channels: ChannelSet, phases: PhaseConfig, powers: PowerAllocation,
-                  config: SystemConfig, iterations: int, tag: str,
-                  power_offset: float) -> SolveReport:
-    precoder = zf_precoder(effective_channel(channels, phases))
-    rate = sum_rate(channels, phases, precoder, powers, config.sigma2)
-    ptot = float(np.dot(config.mu, powers.p)) + power_offset
+def evaluate(channels: ChannelSet, config: SystemConfig, phases: PhaseConfig | None,
+             powers: PowerAllocation, iterations: int, tag: str) -> SolveReport:
+    """Feasible report of an operating point: powers on the surface at phases, or on the relay.
+
+    phases=None selects the relay. The rate is the ZF sum rate of the
+    effective channel; the total power is the amplifier draw mu . p plus the
+    fixed draw. Raises SingularMatrixError when the effective channel is rank
+    deficient.
+    """
+    h_eff, offset = _link(channels, config, phases)
+    rate = sum_rate(h_eff, zf_precoder(h_eff), powers, config.sigma2)
+    ptot = float(np.dot(config.mu, powers.p)) + offset
     return SolveReport(
         ee=rate / ptot, sum_rate=rate, total_power=ptot, phases=phases,
         powers=powers, outer_iterations=iterations, feasible=True, method_tag=tag,
@@ -156,9 +168,8 @@ def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0
 
     trace = AlternatingTrace(tuple(iterates), termination)
     if best is None:
-        return _infeasible_report(tag, len(iterates)), trace
-    report = _build_report(channels, best[1], best[2], config, len(iterates), tag, offset)
-    return report, trace
+        return SolveReport.infeasible(tag, len(iterates)), trace
+    return evaluate(channels, config, best[1], best[2], len(iterates), tag), trace
 
 
 def exhaustive_search(channels: ChannelSet, config: SystemConfig,
@@ -202,14 +213,9 @@ def exhaustive_search(channels: ChannelSet, config: SystemConfig,
         if best is None or lambdas[-1, i] > best[0]:
             best = (lambdas[-1, i], digits[keep][i], powers[-1, i])
     if best is None:
-        return _infeasible_report("exhaustive", total)
+        return SolveReport.infeasible("exhaustive", total)
     phases = PhaseConfig(theta=grid[best[1]], resolution=config.b)
-    return _build_report(channels, phases, PowerAllocation(p=best[2]), config, total,
-                         "exhaustive", offset)
-
-
-def _relay_effective_channel(channels: ChannelSet, config: SystemConfig) -> np.ndarray:
-    return config.relay.alpha * (channels.h2 @ channels.h1) + channels.h
+    return evaluate(channels, config, phases, PowerAllocation(p=best[2]), total, "exhaustive")
 
 
 def relay_baseline(channels: ChannelSet, config: SystemConfig) -> SolveReport:
@@ -221,8 +227,7 @@ def relay_baseline(channels: ChannelSet, config: SystemConfig) -> SolveReport:
     swaps the per-element surface draw for the relay's dedicated transmit
     power.
     """
-    h_eff = _relay_effective_channel(channels, config)
-    offset = config.k * config.p_c + config.relay.tx_power_w
+    h_eff, offset = _link(channels, config, None)
     try:
         weights = channel_power_weights(h_eff)
         alloc, dtrace = dinkelbach_allocation(
@@ -230,31 +235,23 @@ def relay_baseline(channels: ChannelSet, config: SystemConfig) -> SolveReport:
             config.p_budget, offset, config.epsilon,
         )
     except (SingularMatrixError, InfeasibleError):
-        return _infeasible_report("relay")
-    gains = np.abs(h_eff @ zf_precoder(h_eff)) ** 2
-    signal = alloc.p * np.diag(gains)
-    interference = gains @ alloc.p - signal
-    rate = float(np.sum(np.log2(1.0 + signal / (interference + config.sigma2))))
-    ptot = float(np.dot(config.mu, alloc.p)) + offset
-    return SolveReport(
-        ee=rate / ptot, sum_rate=rate, total_power=ptot, phases=None,
-        powers=alloc, outer_iterations=dtrace.iterations, feasible=True,
-        method_tag="relay",
-    )
+        return SolveReport.infeasible("relay")
+    return evaluate(channels, config, None, alloc, dtrace.iterations, "relay")
 
 
-def max_rate_power_fill(channels: ChannelSet, phases_or_relay, config: SystemConfig) -> PowerAllocation:
-    """Budget-exhausting rate maximization for fixed phases (or the relay channel).
+def max_rate_power_fill(channels: ChannelSet, report: SolveReport,
+                        config: SystemConfig) -> SolveReport:
+    """Re-allocate a feasible report's powers to maximize the sum rate.
 
     This is the inner concave solve with no ratio penalty, so the budget
-    constraint is necessarily active. Pass a PhaseConfig, or the string
-    "relay" to use the fixed relay channel.
+    constraint is necessarily active. The phases (None: the relay channel),
+    tag and iteration count are kept; rate, power and efficiency are
+    re-evaluated.
     """
-    if isinstance(phases_or_relay, PhaseConfig):
-        weights = zf_power_weights(channels, phases_or_relay)
-    elif phases_or_relay == "relay":
-        weights = channel_power_weights(_relay_effective_channel(channels, config))
-    else:
-        raise ValueError(f"expected a PhaseConfig or 'relay', got {phases_or_relay!r}")
-    return solve_inner(0.0, weights, qos_min_powers(config), config.mu,
-                       config.sigma2, config.p_budget)
+    if not report.feasible:
+        raise ValueError(f"cannot re-fill an infeasible {report.method_tag} report")
+    weights = channel_power_weights(_link(channels, config, report.phases)[0])
+    alloc = solve_inner(0.0, weights, qos_min_powers(config), config.mu,
+                        config.sigma2, config.p_budget)
+    return evaluate(channels, config, report.phases, alloc, report.outer_iterations,
+                    report.method_tag)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from lisopt import (
     ResultRow,
     Scenario,
+    SolveReport,
     aggregate,
     emit_outputs,
     harness,
@@ -18,6 +20,7 @@ from lisopt import (
     run_scenario,
     scenario_from_pairs,
 )
+from lisopt import cli
 from lisopt.cli import main as cli_main
 from lisopt.harness import AGG_COLUMNS, RAW_COLUMNS, _config_at
 from lisopt.model import SingularMatrixError
@@ -436,3 +439,60 @@ def test_cli_oracle_check_smoke(capsys):
     assert code == 0
     captured = capsys.readouterr()
     assert "median gap" in captured.out
+    counts = re.search(r"instances=(\d+) false-infeasible=(\d+) both-infeasible=(\d+)",
+                       captured.out)
+    assert counts is not None
+    assert sum(int(c) for c in counts.groups()) == 3
+
+
+def test_cli_oracle_check_counts_dropped_instances(monkeypatch, capsys):
+    # (alternating feasible, exhaustive feasible) per instance, in solve order
+    outcomes = iter([(False, True), (False, False), (True, True), (False, True)])
+    exhaustive_feasible = []
+
+    def report(feasible):
+        if not feasible:
+            return SolveReport.infeasible("stub")
+        return SolveReport(ee=1.0, sum_rate=1.0, total_power=1.0, phases=None, powers=None,
+                           outer_iterations=1, feasible=True, method_tag="stub")
+
+    def alternating(channels, cfg, seed):
+        alt, exh = next(outcomes)
+        exhaustive_feasible.append(exh)
+        return report(alt), None
+
+    monkeypatch.setattr(cli, "alternating_ee_max", alternating)
+    monkeypatch.setattr(cli, "exhaustive_search", lambda ch, cfg: report(exhaustive_feasible[-1]))
+    assert cli_main(["oracle-check", "--sizes", "2", "--instances", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "n=  2: instances=1 false-infeasible=2 both-infeasible=1 median gap" in out
+
+
+@pytest.mark.parametrize("text, message", [
+    (SCENARIO_TEXT + "bogus = 1\n", "unknown scenario keys: ['bogus']"),
+    (SCENARIO_TEXT.replace("sweep.p_budget_dbm = -15,-10\n", ""), "exactly one sweep.* key"),
+], ids=["unknown-key", "no-sweep"])
+def test_cli_run_rejects_bad_scenario_file(tmp_path, text, message):
+    path = tmp_path / "bad.scn"
+    path.write_text(text)
+    out = tmp_path / "results"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", str(path), "--out", str(out)])
+    assert isinstance(exc.value.code, str) and exc.value.code.startswith("lisopt: ")
+    assert message in exc.value.code
+    assert not out.exists()
+
+
+def test_cli_run_rejects_missing_file(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", str(tmp_path / "absent.scn"), "--out", str(tmp_path / "results")])
+    assert isinstance(exc.value.code, str)
+    assert exc.value.code.startswith("lisopt: cannot read scenario file")
+
+
+def test_cli_oracle_check_rejects_too_few_elements(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["oracle-check", "--sizes", "1", "--instances", "1"])
+    assert isinstance(exc.value.code, str)
+    assert exc.value.code.startswith("lisopt: ") and "need n >= k" in exc.value.code
+    assert capsys.readouterr().out == ""

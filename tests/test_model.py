@@ -7,15 +7,14 @@ from lisopt import (
     PhaseConfig,
     PowerAllocation,
     SingularMatrixError,
+    RelayParams,
     SolveReport,
-    consumed_power,
     effective_channel,
-    energy_efficiency,
+    evaluate,
     phase_grid,
     sample_channels,
     sinr,
     sum_rate,
-    total_power,
     transmit_power_used,
     zf_precoder,
 )
@@ -231,30 +230,30 @@ def test_sinr_index_out_of_range():
 def test_sum_rate_zero_powers():
     rng = np.random.default_rng(14)
     ch = random_channels(rng, k=2, m=2, n=2)
-    phases = continuous_phases(np.zeros(2))
-    g = zf_precoder(effective_channel(ch, phases))
-    assert sum_rate(ch, phases, g, PowerAllocation(p=np.zeros(2)), 1e-4) == 0.0
+    h_eff = effective_channel(ch, continuous_phases(np.zeros(2)))
+    g = zf_precoder(h_eff)
+    assert sum_rate(h_eff, g, PowerAllocation(p=np.zeros(2)), 1e-4) == 0.0
 
 
 def test_sum_rate_single_user_unit_snr():
     rng = np.random.default_rng(15)
     ch = random_channels(rng, k=1, m=2, n=2)
-    phases = continuous_phases(np.zeros(2))
-    g = zf_precoder(effective_channel(ch, phases))
+    h_eff = effective_channel(ch, continuous_phases(np.zeros(2)))
+    g = zf_precoder(h_eff)
     sigma2 = 1e-4
-    rate = sum_rate(ch, phases, g, PowerAllocation(p=np.array([sigma2])), sigma2)
+    rate = sum_rate(h_eff, g, PowerAllocation(p=np.array([sigma2])), sigma2)
     assert rate == pytest.approx(1.0, rel=1e-9)
 
 
 def test_sum_rate_two_users_reference_value():
     rng = np.random.default_rng(16)
     ch = random_channels(rng, k=2, m=3, n=2)
-    phases = continuous_phases(np.zeros(2))
-    g = zf_precoder(effective_channel(ch, phases))
+    h_eff = effective_channel(ch, continuous_phases(np.zeros(2)))
+    g = zf_precoder(h_eff)
     sigma2 = 1e-4
     powers = PowerAllocation(p=sigma2 * np.array([3.0, 7.0]))
     # log2(4) + log2(8) = 5
-    assert sum_rate(ch, phases, g, powers, sigma2) == pytest.approx(5.0, rel=1e-9)
+    assert sum_rate(h_eff, g, powers, sigma2) == pytest.approx(5.0, rel=1e-9)
 
 
 # --------------------------------------------------------------------- power
@@ -278,22 +277,34 @@ def test_transmit_power_matches_trace_form():
         assert transmit_power_used(powers, g) == pytest.approx(trace_form, rel=1e-12)
 
 
+def evaluate_surface(ch, cfg, phases, powers):
+    return evaluate(ch, cfg, phases, powers, 0, "lis-1bit")
+
+
 def test_consumed_power_arithmetic():
-    # 2 users at 1 W with mu 1.1, no surface elements, 0.5 W circuit each
-    assert consumed_power([1.0, 1.0], [1.1, 1.1], 0.5, 0, 0.0) == pytest.approx(3.2, rel=1e-15)
+    # 2 users at 1 W with mu 1.1, 0.5 W circuit each, a relay that draws nothing
+    cfg = make_config(k=2, m=2, n=2, mu=1.1, p_c=0.5, relay=RelayParams(alpha=0.3, tx_power_w=0.0))
+    ch = sample_channels(cfg, seed=2)
+    report = evaluate(ch, cfg, None, PowerAllocation(p=np.ones(2)), 0, "relay")
+    assert report.total_power == pytest.approx(3.2, rel=1e-15)
 
 
 def test_total_power_offsets_only():
     cfg = make_config(k=1, m=1, n=1)
-    value = total_power(PowerAllocation(p=np.zeros(1)), cfg)
-    assert value == pytest.approx(cfg.p_c + cfg.p_n_of_b[1], rel=1e-15)
+    ch = sample_channels(cfg, seed=1)
+    phases = continuous_phases(np.zeros(1))
+    report = evaluate_surface(ch, cfg, phases, PowerAllocation(p=np.zeros(1)))
+    assert report.total_power == pytest.approx(cfg.p_c + cfg.p_n_of_b[1], rel=1e-15)
 
 
 def test_total_power_missing_resolution_entry():
+    with pytest.raises(ValueError, match="p_n_of_b has no entry"):
+        make_config(p_n_of_b={2: 1.0})
     cfg = make_config()
+    ch = sample_channels(cfg, seed=1)
     cfg.p_n_of_b = {2: 1.0}  # bypass construction-time validation
-    with pytest.raises(ValueError):
-        total_power(PowerAllocation(p=np.zeros(2)), cfg)
+    with pytest.raises(KeyError):
+        evaluate_surface(ch, cfg, continuous_phases(np.zeros(4)), PowerAllocation(p=np.zeros(2)))
 
 
 # ---------------------------------------------------------------- efficiency
@@ -302,7 +313,7 @@ def test_energy_efficiency_zero_powers():
     cfg = make_config(k=2, m=2, n=4)
     ch = sample_channels(cfg, seed=3)
     phases = continuous_phases(np.zeros(4))
-    assert energy_efficiency(ch, phases, PowerAllocation(p=np.zeros(2)), cfg) == 0.0
+    assert evaluate_surface(ch, cfg, phases, PowerAllocation(p=np.zeros(2))).ee == 0.0
 
 
 def test_energy_efficiency_is_rate_over_power():
@@ -311,9 +322,14 @@ def test_energy_efficiency_is_rate_over_power():
     ch = sample_channels(cfg, seed=4)
     phases = continuous_phases(rng.uniform(0, TWO_PI, 4))
     powers = PowerAllocation(p=np.array([1e-3, 2e-3]))
-    g = zf_precoder(effective_channel(ch, phases))
-    expected = sum_rate(ch, phases, g, powers, cfg.sigma2) / total_power(powers, cfg)
-    assert energy_efficiency(ch, phases, powers, cfg) == pytest.approx(expected, rel=1e-12)
+    h_eff = effective_channel(ch, phases)
+    rate = sum_rate(h_eff, zf_precoder(h_eff), powers, cfg.sigma2)
+    consumed = float(np.dot(cfg.mu, powers.p)) + cfg.k * cfg.p_c + cfg.n * cfg.p_n_of_b[1]
+    report = evaluate_surface(ch, cfg, phases, powers)
+    assert report.sum_rate == pytest.approx(rate, rel=1e-12)
+    assert report.total_power == pytest.approx(consumed, rel=1e-12)
+    assert report.ee == pytest.approx(rate / consumed, rel=1e-12)
+    assert report.phases == phases and report.powers == powers and report.feasible
 
 
 def test_energy_efficiency_single_user_toy_ratio():
@@ -326,7 +342,7 @@ def test_energy_efficiency_single_user_toy_ratio():
     ch = sample_channels(cfg, seed=6)
     phases = continuous_phases(np.zeros(1))
     powers = PowerAllocation(p=np.array([sigma2]))  # unit post-ZF SNR
-    assert energy_efficiency(ch, phases, powers, cfg) == pytest.approx(0.5, rel=1e-9)
+    assert evaluate_surface(ch, cfg, phases, powers).ee == pytest.approx(0.5, rel=1e-9)
 
 
 def test_energy_efficiency_circuit_power_scaling():
@@ -334,9 +350,9 @@ def test_energy_efficiency_circuit_power_scaling():
     ch = sample_channels(cfg, seed=5)
     phases = continuous_phases(np.zeros(4))
     powers = PowerAllocation(p=np.array([1e-3, 2e-3]))
-    base = energy_efficiency(ch, phases, powers, cfg)
-    doubled_cfg = make_config(k=2, m=3, n=4, p_c=2 * cfg.p_c)
-    doubled = energy_efficiency(ch, phases, powers, doubled_cfg)
+    base = evaluate_surface(ch, cfg, phases, powers)
+    doubled = evaluate_surface(ch, make_config(k=2, m=3, n=4, p_c=2 * cfg.p_c), phases, powers)
     # same rate; consumption differs by exactly k * p_c
-    ratio = total_power(powers, cfg) / total_power(powers, doubled_cfg)
-    assert doubled == pytest.approx(base * ratio, rel=1e-12)
+    assert doubled.sum_rate == base.sum_rate
+    assert doubled.total_power - base.total_power == pytest.approx(cfg.k * cfg.p_c, rel=1e-12)
+    assert doubled.ee == pytest.approx(base.ee * base.total_power / doubled.total_power, rel=1e-12)

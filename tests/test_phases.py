@@ -10,7 +10,6 @@ from lisopt import (
     PhaseOptimizationError,
     PowerAllocation,
     RelaxedSolveOptions,
-    check_feasibility,
     effective_channel,
     quantize_phases,
     solve_phase_subproblem,
@@ -217,9 +216,10 @@ def test_quantize_rejects_bad_resolution():
 def test_check_feasibility_trivial_cases():
     rng = np.random.default_rng(10)
     ch = random_channels(rng, k=2, m=2, n=3)
-    phases = continuous_phases(np.zeros(3))
-    assert check_feasibility(phases, PowerAllocation(p=np.zeros(2)), ch, 1e-6)
-    assert not check_feasibility(phases, PowerAllocation(p=np.ones(2)), ch, 0.0)
+    quiet = solve_phase_subproblem(ch, PowerAllocation(p=np.zeros(2)), 1, np.zeros(3), 1e-6)
+    assert quiet.feasible
+    loud = solve_phase_subproblem(ch, PowerAllocation(p=np.ones(2)), 1, np.zeros(3), 0.0)
+    assert not loud.feasible
 
 
 def test_check_feasibility_matches_direct_inequality():
@@ -227,11 +227,12 @@ def test_check_feasibility_matches_direct_inequality():
     for seed in range(10):
         ch = random_channels(rng, k=2, m=3, n=3)
         theta = rng.uniform(0, TWO_PI, 3)
-        phases = continuous_phases(theta)
         powers = PowerAllocation(p=rng.uniform(0, 0.1, 2))
         budget = float(rng.uniform(0.01, 2.0))
-        expected = trace_objective(theta, ch, powers) <= budget * (1.0 + 1e-9)
-        assert check_feasibility(phases, powers, ch, budget) == expected
+        outcome = solve_phase_subproblem(ch, powers, 1, theta, budget, seed=seed)
+        objective = trace_objective(outcome.theta_quantized.theta, ch, powers)
+        assert outcome.objective_quantized == objective
+        assert outcome.feasible == (objective <= budget * (1.0 + 1e-9))
 
 
 # ------------------------------------------------------------- subproblem

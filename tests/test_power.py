@@ -8,10 +8,9 @@ from lisopt import (
     NonConvergenceError,
     PhaseConfig,
     PowerAllocation,
-    dinkelbach,
     dinkelbach_allocation,
     effective_channel,
-    inner_concave_solve,
+    evaluate,
     qos_min_powers,
     sample_channels,
     solve_inner,
@@ -203,14 +202,6 @@ def test_inner_solve_deterministic():
     assert np.array_equal(a.p, b.p)
 
 
-def test_inner_concave_solve_config_wrapper():
-    cfg = make_config(k=2, m=2, n=4)
-    weights = np.array([1.0, 2.0])
-    out = inner_concave_solve(1.0, weights, np.zeros(2), cfg)
-    direct = solve_inner(1.0, weights, np.zeros(2), cfg.mu, cfg.sigma2, cfg.p_budget)
-    assert np.array_equal(out.p, direct.p)
-
-
 # ------------------------------------------------------------------ Dinkelbach
 
 def golden_section_max(f, lo, hi, iterations=200):
@@ -307,16 +298,15 @@ def test_dinkelbach_iteration_cap_raises():
                               max_iterations=1)
 
 
-def test_dinkelbach_config_wrapper_consistency():
+def test_dinkelbach_ratio_matches_evaluated_ee():
     cfg = make_config(k=2, m=3, n=4, b=1)
     ch = sample_channels(cfg, seed=21)
     phases = continuous_phases(np.zeros(4))
-    alloc, trace = dinkelbach(ch, phases, cfg)
-    weights = zf_power_weights(ch, phases)
     offset = cfg.k * cfg.p_c + cfg.n * cfg.p_n_of_b[cfg.b]
-    direct_alloc, direct_trace = dinkelbach_allocation(
-        weights, qos_min_powers(cfg), cfg.mu, cfg.sigma2, cfg.p_budget,
-        offset, cfg.epsilon,
+    alloc, trace = dinkelbach_allocation(
+        zf_power_weights(ch, phases), qos_min_powers(cfg), cfg.mu, cfg.sigma2,
+        cfg.p_budget, offset, cfg.epsilon,
     )
-    assert np.array_equal(alloc.p, direct_alloc.p)
-    assert trace.lambdas == direct_trace.lambdas
+    report = evaluate(ch, cfg, phases, alloc, trace.iterations, "lis-continuous")
+    assert report.total_power == pytest.approx(float(np.dot(cfg.mu, alloc.p)) + offset, rel=1e-15)
+    assert report.ee == pytest.approx(trace.lambdas[-1], rel=1e-9)

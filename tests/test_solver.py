@@ -12,8 +12,10 @@ from lisopt import (
     PowerAllocation,
     RelayParams,
     SingularMatrixError,
+    SolveReport,
     alternating_ee_max,
     dinkelbach_allocation,
+    evaluate,
     exhaustive_search,
     max_rate_power_fill,
     phase_grid,
@@ -283,13 +285,18 @@ def test_relay_report_recomposition():
 
 # ---------------------------------------------------------------- rate fill
 
+def rate_filled(ch, phases, cfg):
+    report = evaluate(ch, cfg, phases, PowerAllocation(p=np.zeros(cfg.k)), 0, "lis-1bit")
+    return max_rate_power_fill(ch, report, cfg).powers
+
+
 def test_max_rate_fill_equal_weights_splits_budget():
     cfg = make_config(k=2, m=2, n=3, b=1)
     rng = np.random.default_rng(11)
     ch = random_channels(rng, k=2, m=2, n=3)
     phases = PhaseConfig(theta=np.zeros(3), resolution=1)
     weights = zf_power_weights(ch, phases)
-    alloc = max_rate_power_fill(ch, phases, cfg)
+    alloc = rate_filled(ch, phases, cfg)
     assert float(np.dot(weights, alloc.p)) == pytest.approx(cfg.p_budget, rel=1e-9)
 
 
@@ -298,7 +305,7 @@ def test_max_rate_fill_single_user():
     ch = sample_channels(cfg, seed=12)
     phases = PhaseConfig(theta=np.zeros(2), resolution=1)
     w = zf_power_weights(ch, phases)[0]
-    alloc = max_rate_power_fill(ch, phases, cfg)
+    alloc = rate_filled(ch, phases, cfg)
     assert alloc.p[0] == pytest.approx(cfg.p_budget / w, rel=1e-9)
 
 
@@ -307,7 +314,7 @@ def test_max_rate_fill_matches_grid_oracle():
     ch = sample_channels(cfg, seed=13)
     phases = PhaseConfig(theta=np.zeros(3), resolution=1)
     weights = zf_power_weights(ch, phases)
-    alloc = max_rate_power_fill(ch, phases, cfg)
+    alloc = rate_filled(ch, phases, cfg)
     ours = float(np.sum(np.log2(1.0 + alloc.p / cfg.sigma2)))
 
     lo = np.zeros(2)
@@ -330,15 +337,50 @@ def test_max_rate_fill_matches_grid_oracle():
 def test_max_rate_fill_relay_channel():
     cfg = make_config(k=2, m=3, n=3, b=1)
     ch = sample_channels(cfg, seed=14)
-    alloc = max_rate_power_fill(ch, "relay", cfg)
+    alloc = max_rate_power_fill(ch, relay_baseline(ch, cfg), cfg).powers
     h_eff = cfg.relay.alpha * (ch.h2 @ ch.h1) + ch.h
     g = zf_precoder(h_eff)
     weights = np.sum(np.abs(g) ** 2, axis=0)
     assert float(np.dot(weights, alloc.p)) == pytest.approx(cfg.p_budget, rel=1e-9)
 
 
-def test_max_rate_fill_rejects_bad_selector():
+def assert_rate_filled(before, after, h_eff, fixed_draw, cfg):
+    assert after.feasible
+    assert after.phases == before.phases
+    assert after.method_tag == before.method_tag
+    assert after.outer_iterations == before.outer_iterations
+    radiated = float(np.dot(after.powers.p, np.sum(np.abs(zf_precoder(h_eff)) ** 2, axis=0)))
+    assert radiated == pytest.approx(cfg.p_budget, rel=1e-9)
+    assert after.total_power == pytest.approx(
+        float(np.dot(cfg.mu, after.powers.p)) + fixed_draw, rel=1e-12)
+    assert after.ee == pytest.approx(after.sum_rate / after.total_power, rel=1e-12)
+
+
+def test_max_rate_fill_relay_report():
+    cfg = make_config(k=2, m=3, n=4, b=1, relay=RelayParams(alpha=0.3, tx_power_w=1e-3))
+    ch = sample_channels(cfg, seed=16)
+    report = relay_baseline(ch, cfg)
+    assert report.feasible
+    filled = max_rate_power_fill(ch, report, cfg)
+    h_eff = cfg.relay.alpha * (ch.h2 @ ch.h1) + ch.h
+    assert_rate_filled(report, filled, h_eff, cfg.k * cfg.p_c + cfg.relay.tx_power_w, cfg)
+    assert filled.phases is None
+
+
+@pytest.mark.parametrize("b", [1, 2, CONTINUOUS])
+def test_max_rate_fill_surface_report(b):
+    cfg = make_config(k=2, m=3, n=4, b=b)
+    ch = sample_channels(cfg, seed=17)
+    report, _ = alternating_ee_max(ch, cfg, seed=3)
+    assert report.feasible
+    filled = max_rate_power_fill(ch, report, cfg)
+    h_eff = (ch.h2 * report.phases.phi) @ ch.h1 + ch.h
+    assert_rate_filled(report, filled, h_eff, cfg.k * cfg.p_c + cfg.n * cfg.p_n_of_b[b], cfg)
+    assert filled.sum_rate >= report.sum_rate
+
+
+def test_max_rate_fill_rejects_infeasible_report():
     cfg = make_config(k=2, m=2, n=2, b=1)
     ch = sample_channels(cfg, seed=15)
     with pytest.raises(ValueError):
-        max_rate_power_fill(ch, "surface", cfg)
+        max_rate_power_fill(ch, SolveReport.infeasible("lis-1bit"), cfg)
