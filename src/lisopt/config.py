@@ -129,7 +129,8 @@ class SystemConfig:
                       operating point, override for realistic studies
     p_n_of_b       -- per-element consumption by resolution, W
     r_min          -- per-user minimum rate, bits/s/Hz, scalar or length-k
-    epsilon        -- convergence tolerance of the iterative solvers
+    epsilon        -- Dinkelbach's tolerance on the efficiency ratio, bit/J/Hz:
+                      a power step ends when an update moves the ratio by less
     """
 
     m: int

@@ -26,14 +26,14 @@ class NonConvergenceError(RuntimeError):
 class DinkelbachTrace:
     """Per-iteration ratio parameters and inner maximizers.
 
-    lambdas is non-decreasing after the first iteration; when converged,
-    the last two entries differ by less than the tolerance.
+    lambdas is non-decreasing after the first iteration, and its last
+    update moved the ratio by less than the tolerance (dinkelbach_batch
+    raises NonConvergenceError otherwise).
     """
 
     lambdas: tuple
     inner_solutions: tuple
     iterations: int
-    converged: bool
 
 
 def qos_min_powers(config: SystemConfig) -> np.ndarray:
@@ -180,5 +180,5 @@ def dinkelbach_allocation(weights, p_min, mu, sigma2: float, p_budget: float,
     )
     inners = tuple(PowerAllocation(p=p) for p in powers[:, 0])
     trace = DinkelbachTrace(tuple(float(lam) for lam in lambdas[:, 0]), inners,
-                            int(iterations[0]), True)
+                            int(iterations[0]))
     return inners[-1], trace

@@ -50,16 +50,16 @@ class AlternatingIterate:
     phases: PhaseConfig
     powers: PowerAllocation
     ee: float
-    phase_change: float
-    power_change: float
 
 
 @dataclass(frozen=True)
 class AlternatingTrace:
     """Per-iteration record of the alternating solve.
 
-    termination is one of "converged" (both squared change norms fell below
-    the tolerance), "infeasible", or "iteration-cap".
+    The efficiencies of the iterates rise strictly, except that a
+    "converged" trace ends with the first iterate that did not rise.
+    termination is one of "converged", "infeasible" (a step failed), or
+    "iteration-cap".
     """
 
     iterates: tuple
@@ -111,10 +111,12 @@ def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0
     """Alternate phase design (fixed powers) with power design (fixed phases).
 
     Starts from a uniform power split and zero phases; each phase iterate is
-    gated on the radiated-power budget before the power step runs. Because
-    the phase step optimizes a feasibility surrogate rather than the
-    efficiency itself, the efficiency need not improve monotonically, so the
-    best feasible iterate seen is returned together with the full trace.
+    gated on the radiated-power budget before the power step runs. The phase
+    step optimizes a feasibility surrogate rather than the efficiency, so an
+    outer iteration can lose efficiency: the solve stops as converged at the
+    first iterate whose Dinkelbach ratio is not strictly above the previous
+    iterate's. The rule needs no tolerance. The best iterate (the earlier
+    one on a tie) is returned together with the full trace.
 
     Returns (SolveReport, AlternatingTrace). Infeasibility before any
     feasible iterate yields a report with feasible=False.
@@ -124,12 +126,10 @@ def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0
     rng = np.random.default_rng(seed)
     p_prev = np.full(config.k, config.p_budget / config.k)
     theta_prev = np.zeros(config.n)
-    phi_prev = np.exp(1j * theta_prev)
     p_min = qos_min_powers(config)
 
     iterates = []
     termination = "iteration-cap"
-    best = None  # (ee, phases, powers)
     for _ in range(max_outer):
         sub_seed = int(rng.integers(2 ** 63))
         try:
@@ -154,22 +154,17 @@ def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0
         except (InfeasibleError, SingularMatrixError):
             termination = "infeasible"
             break
-        ee = dtrace.lambdas[-1]
-        phi = np.exp(1j * phases.theta)
-        phase_change = float(np.sum(np.abs(phi - phi_prev) ** 2))
-        power_change = float(np.sum((alloc.p - p_prev) ** 2))
-        iterates.append(AlternatingIterate(phases, alloc, ee, phase_change, power_change))
-        if best is None or ee > best[0]:
-            best = (ee, phases, alloc)
-        if phase_change < config.epsilon and power_change < config.epsilon:
+        iterates.append(AlternatingIterate(phases, alloc, dtrace.lambdas[-1]))
+        if len(iterates) > 1 and iterates[-1].ee <= iterates[-2].ee:
             termination = "converged"
             break
-        p_prev, theta_prev, phi_prev = alloc.p, phases.theta, phi
+        p_prev, theta_prev = alloc.p, phases.theta
 
     trace = AlternatingTrace(tuple(iterates), termination)
-    if best is None:
-        return SolveReport.infeasible(tag, len(iterates)), trace
-    return evaluate(channels, config, best[1], best[2], len(iterates), tag), trace
+    if not iterates:
+        return SolveReport.infeasible(tag), trace
+    best = max(iterates, key=lambda it: it.ee)
+    return evaluate(channels, config, best.phases, best.powers, len(iterates), tag), trace
 
 
 def exhaustive_search(channels: ChannelSet, config: SystemConfig,

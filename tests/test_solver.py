@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,9 +26,12 @@ from lisopt import (
     zf_power_weights,
     zf_precoder,
 )
-from lisopt import solver
+from lisopt import cli, load_scenario, scenario_from_pairs, solver
+from lisopt.harness import _config_at, _method_config
 from lisopt.power import dinkelbach_batch
-from util import make_config, random_channels, unit_pathloss
+from util import assert_stall_trace, make_config, random_channels, unit_pathloss
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 TWO_PI = 2.0 * np.pi
 
@@ -100,6 +104,62 @@ def test_alternating_infeasible_when_budget_hopeless():
     assert not report.feasible
     assert report.ee == 0.0
     assert trace.termination == "infeasible"
+
+
+ORACLE_CHECK_SIZES = (2, 4, 6, 8, 10, 12)
+
+
+def oracle_check_draws(sizes, instances, seed=7):
+    """(config, instance, channel seed, solver seed), drawn as `lisopt oracle-check` draws."""
+    rng = np.random.default_rng(seed)
+    for size in sizes:
+        cfg = scenario_from_pairs({**cli._ORACLE_PAIRS, "n": str(size)}).config
+        for index in range(instances):
+            channel_seed = int(rng.integers(2 ** 63))
+            solver_seed = int(rng.integers(2 ** 63))
+            yield cfg, index, channel_seed, solver_seed
+
+
+@pytest.mark.parametrize("n", [2, 12])
+def test_alternating_stops_when_efficiency_stops_rising(n):
+    # the draws of oracle-check --sizes 2,4,6,8,10,12 --instances 30 --seed 7;
+    # tests on the phase and power change ended 3 of the 30 solves at n=2 and
+    # 3 at n=12 as converged after one iterate
+    for cfg, _, channel_seed, solver_seed in oracle_check_draws(ORACLE_CHECK_SIZES, 30):
+        if cfg.n == n:
+            ch = sample_channels(cfg, channel_seed)
+            assert_stall_trace(*alternating_ee_max(ch, cfg, seed=solver_seed))
+
+
+def test_alternating_continues_past_unmoved_start_phases():
+    # instance 26 at n=12 of the draws above: the first phase step keeps the
+    # zero start phases, where a phase-change test stops (at EE 788.76)
+    cfg, _, channel_seed, solver_seed = next(
+        d for d in oracle_check_draws(ORACLE_CHECK_SIZES, 30) if d[0].n == 12 and d[1] == 26)
+    report, trace = alternating_ee_max(sample_channels(cfg, channel_seed), cfg,
+                                       seed=solver_seed)
+    assert_stall_trace(report, trace)
+    assert not np.any(trace.iterates[0].phases.theta)
+    assert trace.termination == "converged"
+    assert report.ee > trace.iterates[0].ee * 1.1
+
+
+def test_alternating_stall_rule_on_element_sweep_cell():
+    # ee_vs_elements cell n=8, trial 4: lis-1bit reaches an efficiency
+    # plateau, where tests on the phase and power change ran 5 more iterates
+    scenario = load_scenario(SCENARIOS / "ee_vs_elements.scn")
+    index = scenario.values.index(8)
+    ss = np.random.SeedSequence(scenario.master_seed, spawn_key=(index, 4))
+    channel_seed, solver_seed = (int(s) for s in ss.generate_state(2, dtype=np.uint64))
+    cfg = _config_at(scenario, 8)
+    ch = sample_channels(cfg, channel_seed)
+    for method in scenario.methods:
+        report, trace = alternating_ee_max(
+            ch, _method_config(cfg, method), seed=solver_seed,
+            options=scenario.phase_options, max_outer=scenario.max_outer,
+        )
+        assert report.feasible
+        assert_stall_trace(report, trace)
 
 
 # --------------------------------------------------------------- exhaustive

@@ -46,3 +46,23 @@ def random_channels(rng, k, m, n, scale=1.0):
         h2=scale * complex_gaussian(rng, (k, n)),
         h=scale * complex_gaussian(rng, (k, m)),
     )
+
+
+def assert_stall_trace(report, trace):
+    """The alternating solver's stopping rule, read off its report and trace.
+
+    The efficiencies rise strictly up to the last iterate, and a converged
+    trace ends with one no higher than the one before it. A feasible report
+    holds the best iterate.
+    """
+    ees = [it.ee for it in trace.iterates]
+    rising = ees[:-1] if trace.termination == "converged" else ees
+    assert all(b > a for a, b in zip(rising, rising[1:])), ees
+    if trace.termination == "converged":
+        assert len(ees) >= 2 and ees[-1] <= ees[-2], ees
+    assert report.outer_iterations == len(ees)
+    assert report.feasible == bool(ees)
+    if ees:
+        best = max(trace.iterates, key=lambda it: it.ee)
+        assert report.phases == best.phases
+        assert report.powers == best.powers
