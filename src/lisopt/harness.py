@@ -46,6 +46,9 @@ RAW_COLUMNS = ("method", "sweep", "trial", "seed", "ee", "sum_rate",
 AGG_COLUMNS = ("method", "sweep", "mean_ee", "stderr_ee", "mean_rate",
                "stderr_rate", "feas_rate", "trials")
 
+# The surface methods and the phase resolution each runs at; the others keep the base config's.
+_RESOLUTIONS = {"lis-1bit": 1, "lis-2bit": 2, "lis-continuous": CONTINUOUS}
+
 _METHOD_ERRORS = (InfeasibleError, NonConvergenceError, SingularMatrixError,
                   EnumerationCapError, PhaseOptimizationError)
 
@@ -126,11 +129,10 @@ class Scenario:
             raise ValueError(f"power_rule must be 'ee' or 'max-rate', got {self.power_rule!r}")
         if self.r_min_rule not in (None, "fig5"):
             raise ValueError(f"r_min_rule must be None or 'fig5', got {self.r_min_rule!r}")
-        needed_resolution = {"lis-1bit": 1, "lis-2bit": 2, "lis-continuous": CONTINUOUS}
         for method in methods:
-            key = needed_resolution.get(method)
-            if key is not None and key not in self.config.p_n_of_b:
-                raise ValueError(f"{method} needs a p_n_of_b entry for {key!r}")
+            b = _RESOLUTIONS.get(method)
+            if b is not None and b not in self.config.p_n_of_b:
+                raise ValueError(f"{method} needs a p_n_of_b entry for {b!r}")
         if self.axis == "n":
             for v in values:
                 if v != int(v) or int(v) < self.config.k:
@@ -165,18 +167,12 @@ def _config_at(scenario: Scenario, value: float) -> SystemConfig:
 
 
 def _method_config(cfg: SystemConfig, method: str) -> SystemConfig:
-    if method == "lis-1bit":
-        return replace(cfg, b=1)
-    if method == "lis-2bit":
-        return replace(cfg, b=2)
-    if method == "lis-continuous":
-        return replace(cfg, b=CONTINUOUS)
-    return cfg
+    return replace(cfg, b=_RESOLUTIONS[method]) if method in _RESOLUTIONS else cfg
 
 
 def _dispatch(method: str, channels, cfg: SystemConfig, solver_seed: int,
               scenario: Scenario) -> SolveReport:
-    if method in ("lis-1bit", "lis-2bit", "lis-continuous"):
+    if method in _RESOLUTIONS:
         report, _ = alternating_ee_max(
             channels, cfg, seed=solver_seed,
             options=scenario.phase_options, max_outer=scenario.max_outer,
@@ -205,9 +201,7 @@ def _run_cell(scenario: Scenario, sweep_index: int, value: float, trial: int) ->
         wall_ms = (time.perf_counter() - t0) * 1e3
         rows.append(ResultRow(
             method=method, sweep=value, trial=trial, seed=channel_seed,
-            ee=report.ee if report.feasible else 0.0,
-            sum_rate=report.sum_rate if report.feasible else 0.0,
-            total_power=report.total_power if report.feasible else 0.0,
+            ee=report.ee, sum_rate=report.sum_rate, total_power=report.total_power,
             feasible=report.feasible, iters=report.outer_iterations,
             wall_ms=wall_ms,
         ))
@@ -411,9 +405,6 @@ def scenario_from_pairs(pairs: dict) -> Scenario:
         2: dbm_to_watts(float(take("p_n_dbm.2", 15.0))),
         CONTINUOUS: dbm_to_watts(float(take("p_n_dbm.continuous", 45.0))),
     }
-    r_min_rule = take("r_min_rule")
-    if r_min_rule is not None and r_min_rule != "fig5":
-        raise ValueError(f"r_min_rule must be 'fig5', got {r_min_rule!r}")
     r_min_raw = take("r_min", "0")
     r_min = _floats(r_min_raw) if "," in r_min_raw else float(r_min_raw)
 
@@ -469,7 +460,7 @@ def scenario_from_pairs(pairs: dict) -> Scenario:
         trials=int(take("trials", 50)),
         master_seed=int(take("master_seed", 0)),
         power_rule=take("power_rule", "ee"),
-        r_min_rule=r_min_rule,
+        r_min_rule=take("r_min_rule"),
         phase_options=phase_options,
         enumeration_cap=int(take("caps.enumeration", DEFAULT_ENUMERATION_CAP)),
         max_outer=int(take("caps.outer_iterations", DEFAULT_MAX_OUTER)),

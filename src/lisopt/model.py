@@ -25,11 +25,10 @@ class SingularMatrixError(ValueError):
 
 
 def phase_grid(b: int) -> np.ndarray:
-    """The 2^b admissible phase angles for b-bit elements."""
+    """The 2^b admissible phase angles 2*pi*m / 2^b of b-bit elements, m = 0 .. 2^b - 1."""
     if not isinstance(b, (int, np.integer)) or b < 1:
         raise ValueError(f"resolution must be a positive integer, got {b!r}")
-    step = TWO_PI / (1 << b)
-    return step * np.arange(1 << b)
+    return TWO_PI / (1 << b) * np.arange(1 << b)
 
 
 class _ArrayFieldsEq:
@@ -62,14 +61,9 @@ class PhaseConfig(_ArrayFieldsEq):
             raise ValueError("theta contains non-finite entries")
         if np.any(theta < 0.0) or np.any(theta > TWO_PI):
             raise ValueError("phases must lie in [0, 2*pi]")
-        if self.resolution != CONTINUOUS:
-            b = self.resolution
-            if not isinstance(b, (int, np.integer)) or b < 1:
-                raise ValueError(f"resolution must be a positive integer or {CONTINUOUS!r}, got {b!r}")
-            step = TWO_PI / (1 << b)
-            m = np.round(theta / step)
-            if np.any(m >= (1 << b)) or np.any(theta != m * step):
-                raise ValueError("finite-resolution phases must sit exactly on the admissible grid")
+        on_grid = self.resolution == CONTINUOUS or np.isin(theta, phase_grid(self.resolution)).all()
+        if not on_grid:
+            raise ValueError("finite-resolution phases must sit exactly on the admissible grid")
 
     @property
     def phi(self) -> np.ndarray:
@@ -143,27 +137,14 @@ def _rank_threshold(s: np.ndarray, k: int, m: int) -> np.ndarray:
     return max(k, m) * np.finfo(float).eps * s[..., 0]
 
 
-def zf_precoder(h_eff: np.ndarray) -> np.ndarray:
-    """Right pseudo-inverse of the effective channel; columns are per-user beams.
-
-    Raises SingularMatrixError when the smallest singular value falls at or
-    below max(K, M) * machine_eps * s_max.
-    """
-    k, m = _zf_shape(h_eff)
-    u, s, vh = np.linalg.svd(h_eff, full_matrices=False)
-    threshold = _rank_threshold(s, k, m)
-    if s[-1] <= threshold:
-        raise SingularMatrixError(float(s[-1]), float(threshold))
-    return (vh.conj().T / s[None, :]) @ u.conj().T
-
-
 def zf_svd(h_eff: np.ndarray) -> tuple:
     """Reduced SVD U S V^H of a stack of effective channels and its squared ZF beam norms.
 
     h_eff has shape (..., K, M) and is taken as a stack of B channels. Returns
     u (B, K, K), s (B, K), vh (B, K, M) and the beam norms ||g_k||^2 =
-    sum_j |U[k, j]|^2 / s_j^2 of shape (B, K). A channel that zf_precoder
-    rejects as rank deficient gets +inf in every beam norm.
+    sum_j |U[k, j]|^2 / s_j^2 of shape (B, K). A channel is rank deficient
+    when its smallest singular value falls at or below
+    max(K, M) * machine_eps * s_max; it gets +inf in every beam norm.
     """
     h_eff = np.asarray(h_eff)
     k, m = _zf_shape(h_eff)
@@ -172,6 +153,27 @@ def zf_svd(h_eff: np.ndarray) -> tuple:
     norms = np.full(u.shape[:2], np.inf)
     norms[good] = np.einsum("bkj,bj->bk", np.abs(u[good]) ** 2, 1.0 / s[good] ** 2)
     return u, s, vh, norms
+
+
+def zf_factor(h_eff: np.ndarray) -> tuple:
+    """zf_svd of one effective channel (K, M): u (K, K), s (K,), vh (K, M) and beam norms (K,).
+
+    Raises SingularMatrixError when zf_svd finds the channel rank deficient.
+    """
+    k, m = np.shape(h_eff)
+    u, s, vh, norms = zf_svd(h_eff)
+    if not np.isfinite(norms[0, 0]):
+        raise SingularMatrixError(float(s[0, -1]), float(_rank_threshold(s[0], k, m)))
+    return u[0], s[0], vh[0], norms[0]
+
+
+def zf_precoder(h_eff: np.ndarray) -> np.ndarray:
+    """Right pseudo-inverse of the effective channel; columns are per-user beams.
+
+    Raises SingularMatrixError when the channel is rank deficient (see zf_svd).
+    """
+    u, s, vh, _ = zf_factor(h_eff)
+    return (vh.conj().T / s[None, :]) @ u.conj().T
 
 
 def zf_beam_norms(h_eff: np.ndarray) -> np.ndarray:

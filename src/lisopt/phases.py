@@ -9,7 +9,15 @@ from scipy.optimize import minimize
 
 from .channels import ChannelSet
 from .config import CONTINUOUS
-from .model import TWO_PI, PhaseConfig, PowerAllocation, effective_channels, zf_beam_norms, zf_svd
+from .model import (
+    TWO_PI,
+    PhaseConfig,
+    PowerAllocation,
+    effective_channels,
+    phase_grid,
+    zf_beam_norms,
+    zf_svd,
+)
 
 # Stands in for +inf inside line searches so they back off instead of dying.
 _SENTINEL = 1e30
@@ -43,11 +51,13 @@ class RelaxedSolveOptions:
 
 @dataclass(frozen=True)
 class PhaseSolveOutcome:
-    """Relaxed solution, its discretization, and both radiated-power objectives."""
+    """Discretized phases, the radiated power they need at the given powers, and the budget test.
 
-    theta_continuous: np.ndarray
+    theta_quantized is the relaxed solution snapped to the b-bit grid, or the
+    relaxed solution itself for continuous phases.
+    """
+
     theta_quantized: PhaseConfig
-    objective_continuous: float
     objective_quantized: float
     feasible: bool
 
@@ -147,14 +157,12 @@ def quantize_phases(theta: np.ndarray, b: int) -> PhaseConfig:
     Distance is circular; a tie midway between two levels rounds to the
     higher angle, and 2*pi wraps to 0.
     """
-    if not isinstance(b, (int, np.integer)) or b < 1:
-        raise ValueError(f"resolution must be a positive integer, got {b!r}")
+    grid = phase_grid(b)
     theta = np.asarray(theta, dtype=float)
     if np.any(theta < 0.0) or np.any(theta > TWO_PI):
         raise ValueError("angles must lie in [0, 2*pi]")
-    step = TWO_PI / (1 << b)
-    m = np.floor(theta / step + 0.5).astype(int) % (1 << b)
-    return PhaseConfig(theta=m * step, resolution=int(b))
+    m = np.floor(theta / grid[1] + 0.5).astype(int) % grid.size
+    return PhaseConfig(theta=grid[m], resolution=int(b))
 
 
 def solve_phase_subproblem(channels: ChannelSet, powers: PowerAllocation, b,
@@ -166,18 +174,13 @@ def solve_phase_subproblem(channels: ChannelSet, powers: PowerAllocation, b,
     For b == CONTINUOUS the discretization step is the identity.
     """
     theta_c = solve_relaxed(channels, powers, warm_start=warm_start, options=options, seed=seed)
-    objective_c = trace_objective(theta_c, channels, powers)
     if b == CONTINUOUS:
         quantized = PhaseConfig(theta=theta_c, resolution=CONTINUOUS)
-        objective_q = objective_c
     else:
         quantized = quantize_phases(theta_c, b)
-        objective_q = trace_objective(quantized.theta, channels, powers)
-    feasible = objective_q <= p_budget * (1.0 + 1e-9)
+    objective = trace_objective(quantized.theta, channels, powers)
     return PhaseSolveOutcome(
-        theta_continuous=theta_c,
         theta_quantized=quantized,
-        objective_continuous=objective_c,
-        objective_quantized=objective_q,
-        feasible=feasible,
+        objective_quantized=objective,
+        feasible=objective <= p_budget * (1.0 + 1e-9),
     )

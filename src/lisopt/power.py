@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelSet
 from .config import SystemConfig
-from .model import PhaseConfig, PowerAllocation, effective_channel, zf_beam_norms, zf_precoder
+from .model import PowerAllocation, zf_factor
+from .model import zf_precoder  # noqa: F401  not called here; perfbench's instrument() wraps it
 
 LN2 = float(np.log(2.0))
 _NEWTON_ITERATIONS = 100
@@ -24,15 +24,15 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class DinkelbachTrace:
-    """Per-iteration ratio parameters and inner maximizers.
+    """Ratio parameter after each update, and the number of updates.
 
     lambdas is non-decreasing after the first iteration, and its last
     update moved the ratio by less than the tolerance (dinkelbach_batch
-    raises NonConvergenceError otherwise).
+    raises NonConvergenceError otherwise). lambdas[-1] is the efficiency
+    of the returned allocation.
     """
 
     lambdas: tuple
-    inner_solutions: tuple
     iterations: int
 
 
@@ -41,20 +41,12 @@ def qos_min_powers(config: SystemConfig) -> np.ndarray:
     return config.sigma2 * (np.exp2(config.r_min) - 1.0)
 
 
-def zf_power_weights(channels: ChannelSet, phases: PhaseConfig) -> np.ndarray:
-    """Squared beam norms: radiated watts per watt allocated to each user.
+def zf_power_weights(h_eff: np.ndarray) -> np.ndarray:
+    """Radiated watts per watt allocated to each user: the squared ZF beam norms of h_eff (K, M).
 
-    Raises SingularMatrixError when the effective channel is rank deficient.
+    Raises SingularMatrixError when the channel is rank deficient.
     """
-    return channel_power_weights(effective_channel(channels, phases))
-
-
-def channel_power_weights(h_eff: np.ndarray) -> np.ndarray:
-    """zf_beam_norms of one effective channel; SingularMatrixError if rank deficient."""
-    weights = zf_beam_norms(h_eff)
-    if not np.all(np.isfinite(weights)):
-        zf_precoder(h_eff)  # raises SingularMatrixError with the offending singular values
-    return weights
+    return zf_factor(h_eff)[3]
 
 
 def solve_inner(lam, weights, p_min, mu, sigma2: float, p_budget: float):
@@ -133,19 +125,18 @@ def dinkelbach_batch(weights, p_min, mu, sigma2: float, p_budget: float,
     Each row starts its ratio parameter at zero and alternates the concave
     inner solve with ratio updates until consecutive values differ by less
     than epsilon; a settled row is left alone while the others go on.
-    Returns (lambdas, powers, iterations): lambdas of shape (I, B) and
-    powers of shape (I, B, K) hold the ratio and the inner maximizer after
-    each of the I updates, frozen once a row settled, so lambdas[-1] and
-    powers[-1] are the results; iterations (B,) counts each row's updates.
-    The final ratio equals the efficiency of the final powers by
-    construction.
+    Returns (lambdas, powers, iterations): lambdas of shape (I, B) holds
+    the ratio after each of the I updates, frozen once a row settled, so
+    lambdas[-1] is the result; powers (B, K) are the final inner maximizers;
+    iterations (B,) counts each row's updates. The final ratio equals the
+    efficiency of the final powers by construction.
     """
     weights = np.asarray(weights, dtype=float)
     mu = np.asarray(mu, dtype=float)
     lam = np.zeros(weights.shape[0])
     powers = np.zeros(weights.shape)
     iterations = np.zeros(weights.shape[0], dtype=int)
-    lambdas_seen, powers_seen = [], []
+    lambdas_seen = []
     rows = np.arange(weights.shape[0])
     for i in range(max_iterations):
         if rows.size == 0:
@@ -157,13 +148,12 @@ def dinkelbach_batch(weights, p_min, mu, sigma2: float, p_budget: float,
         lam[rows], powers[rows] = lam_next, p
         iterations[rows] = i + 1
         lambdas_seen.append(lam.copy())
-        powers_seen.append(powers.copy())
         rows = rows[~settled]
     if rows.size:
         raise NonConvergenceError(
             f"ratio parameter did not settle within {max_iterations} iterations"
         )
-    return np.array(lambdas_seen), np.array(powers_seen), iterations
+    return np.array(lambdas_seen), powers, iterations
 
 
 def dinkelbach_allocation(weights, p_min, mu, sigma2: float, p_budget: float,
@@ -178,7 +168,5 @@ def dinkelbach_allocation(weights, p_min, mu, sigma2: float, p_budget: float,
         np.asarray(weights, dtype=float)[None, :], p_min, mu, sigma2, p_budget,
         power_offset, epsilon, max_iterations,
     )
-    inners = tuple(PowerAllocation(p=p) for p in powers[:, 0])
-    trace = DinkelbachTrace(tuple(float(lam) for lam in lambdas[:, 0]), inners,
-                            int(iterations[0]))
-    return inners[-1], trace
+    trace = DinkelbachTrace(tuple(float(lam) for lam in lambdas[:, 0]), int(iterations[0]))
+    return PowerAllocation(p=powers[0]), trace

@@ -27,7 +27,6 @@ from .phases import (
 )
 from .power import (
     InfeasibleError,
-    channel_power_weights,
     dinkelbach_allocation,
     dinkelbach_batch,
     qos_min_powers,
@@ -146,7 +145,7 @@ def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0
             termination = "infeasible"
             break
         try:
-            weights = zf_power_weights(channels, phases)
+            weights = zf_power_weights(effective_channel(channels, phases))
             alloc, dtrace = dinkelbach_allocation(
                 weights, p_min, config.mu, config.sigma2, config.p_budget,
                 offset, config.epsilon,
@@ -206,7 +205,7 @@ def exhaustive_search(channels: ChannelSet, config: SystemConfig,
         )
         i = int(np.argmax(lambdas[-1]))
         if best is None or lambdas[-1, i] > best[0]:
-            best = (lambdas[-1, i], digits[keep][i], powers[-1, i])
+            best = (lambdas[-1, i], digits[keep][i], powers[i])
     if best is None:
         return SolveReport.infeasible("exhaustive", total)
     phases = PhaseConfig(theta=grid[best[1]], resolution=config.b)
@@ -224,7 +223,7 @@ def relay_baseline(channels: ChannelSet, config: SystemConfig) -> SolveReport:
     """
     h_eff, offset = _link(channels, config, None)
     try:
-        weights = channel_power_weights(h_eff)
+        weights = zf_power_weights(h_eff)
         alloc, dtrace = dinkelbach_allocation(
             weights, qos_min_powers(config), config.mu, config.sigma2,
             config.p_budget, offset, config.epsilon,
@@ -245,7 +244,7 @@ def max_rate_power_fill(channels: ChannelSet, report: SolveReport,
     """
     if not report.feasible:
         raise ValueError(f"cannot re-fill an infeasible {report.method_tag} report")
-    weights = channel_power_weights(_link(channels, config, report.phases)[0])
+    weights = zf_power_weights(_link(channels, config, report.phases)[0])
     alloc = solve_inner(0.0, weights, qos_min_powers(config), config.mu,
                         config.sigma2, config.p_budget)
     return evaluate(channels, config, report.phases, alloc, report.outer_iterations,

@@ -243,9 +243,10 @@ def test_subproblem_continuous_resolution_is_identity_quantizer():
     powers = PowerAllocation(p=np.array([0.01, 0.02]))
     out = solve_phase_subproblem(ch, powers, CONTINUOUS, warm_start=np.zeros(4),
                                  p_budget=10.0, seed=3)
-    assert np.array_equal(out.theta_quantized.theta, out.theta_continuous)
+    relaxed = solve_relaxed(ch, powers, warm_start=np.zeros(4), seed=3)
+    assert np.array_equal(out.theta_quantized.theta, relaxed)
     assert out.theta_quantized.resolution == CONTINUOUS
-    assert out.objective_quantized == out.objective_continuous
+    assert out.objective_quantized == trace_objective(relaxed, ch, powers)
 
 
 def test_subproblem_one_bit_dominated_by_exhaustive_minimum():

@@ -8,6 +8,7 @@ from lisopt import (
     NonConvergenceError,
     PhaseConfig,
     PowerAllocation,
+    SingularMatrixError,
     dinkelbach_allocation,
     effective_channel,
     evaluate,
@@ -66,7 +67,7 @@ def test_zf_power_weights_unitary_channel():
     q, _ = np.linalg.qr(complex_gaussian(rng, (3, 3)))
     ch = ChannelSet(h1=np.zeros((2, 3), dtype=complex),
                     h2=np.zeros((3, 2), dtype=complex), h=q)
-    weights = zf_power_weights(ch, continuous_phases(np.zeros(2)))
+    weights = zf_power_weights(effective_channel(ch, continuous_phases(np.zeros(2))))
     assert np.allclose(weights, np.ones(3), atol=1e-10)
 
 
@@ -74,21 +75,33 @@ def test_zf_power_weights_scaling():
     rng = np.random.default_rng(1)
     ch = random_channels(rng, k=2, m=3, n=3)
     phases = continuous_phases(rng.uniform(0, TWO_PI, 3))
-    base = zf_power_weights(ch, phases)
+    base = zf_power_weights(effective_channel(ch, phases))
     c = 2.5 - 1.5j
     scaled = ChannelSet(h1=ch.h1, h2=c * ch.h2, h=c * ch.h)
-    assert np.allclose(zf_power_weights(scaled, phases), base / abs(c) ** 2, rtol=1e-10)
+    scaled_weights = zf_power_weights(effective_channel(scaled, phases))
+    assert np.allclose(scaled_weights, base / abs(c) ** 2, rtol=1e-10)
 
 
 def test_zf_power_weights_match_trace_form():
     rng = np.random.default_rng(2)
     ch = random_channels(rng, k=3, m=4, n=3)
     phases = continuous_phases(rng.uniform(0, TWO_PI, 3))
-    weights = zf_power_weights(ch, phases)
+    h_eff = effective_channel(ch, phases)
+    weights = zf_power_weights(h_eff)
     p = rng.uniform(0.1, 1.0, 3)
-    g = zf_precoder(effective_channel(ch, phases))
+    g = zf_precoder(h_eff)
     trace_form = transmit_power_used(PowerAllocation(p=p), g)
     assert float(np.dot(weights, p)) == pytest.approx(trace_form, rel=1e-10)
+
+
+def test_zf_power_weights_rank_deficient_channel_raises():
+    row = np.array([1.0 + 1.0j, 2.0 - 1.0j])
+    h_eff = np.vstack([row, row])
+    with pytest.raises(SingularMatrixError) as excinfo:
+        zf_power_weights(h_eff)
+    assert excinfo.value.smallest_singular_value <= excinfo.value.threshold
+    assert excinfo.value.threshold == pytest.approx(
+        2 * np.finfo(float).eps * np.linalg.norm(row) * np.sqrt(2), rel=1e-12)
 
 
 # ---------------------------------------------------------------- inner solve
@@ -303,8 +316,8 @@ def test_dinkelbach_ratio_matches_evaluated_ee():
     phases = continuous_phases(np.zeros(4))
     offset = cfg.k * cfg.p_c + cfg.n * cfg.p_n_of_b[cfg.b]
     alloc, trace = dinkelbach_allocation(
-        zf_power_weights(ch, phases), qos_min_powers(cfg), cfg.mu, cfg.sigma2,
-        cfg.p_budget, offset, cfg.epsilon,
+        zf_power_weights(effective_channel(ch, phases)), qos_min_powers(cfg), cfg.mu,
+        cfg.sigma2, cfg.p_budget, offset, cfg.epsilon,
     )
     report = evaluate(ch, cfg, phases, alloc, trace.iterations, "lis-continuous")
     assert report.total_power == pytest.approx(float(np.dot(cfg.mu, alloc.p)) + offset, rel=1e-15)

@@ -16,6 +16,7 @@ from lisopt import (
     SolveReport,
     alternating_ee_max,
     dinkelbach_allocation,
+    effective_channel,
     evaluate,
     exhaustive_search,
     max_rate_power_fill,
@@ -52,7 +53,7 @@ def test_alternating_decouples_when_surface_is_dark():
     assert trace.termination == "converged"
     # phases are irrelevant: the result matches the direct-channel allocation
     phases = PhaseConfig(theta=np.zeros(4), resolution=1)
-    weights = zf_power_weights(ch, phases)
+    weights = zf_power_weights(effective_channel(ch, phases))
     offset = cfg.k * cfg.p_c + cfg.n * cfg.p_n_of_b[1]
     alloc, dtrace = dinkelbach_allocation(weights, qos_min_powers(cfg), cfg.mu,
                                           cfg.sigma2, cfg.p_budget, offset, cfg.epsilon)
@@ -77,7 +78,7 @@ def test_alternating_report_satisfies_constraints():
         report, trace = alternating_ee_max(ch, cfg, seed=seed)
         if not report.feasible:
             continue
-        weights = zf_power_weights(ch, report.phases)
+        weights = zf_power_weights(effective_channel(ch, report.phases))
         assert float(np.dot(weights, report.powers.p)) <= cfg.p_budget * (1.0 + 1e-9)
         assert np.all(report.powers.p >= qos_min_powers(cfg) - 1e-12)
         assert report.ee == pytest.approx(report.sum_rate / report.total_power, rel=1e-10)
@@ -225,7 +226,7 @@ def reference_exhaustive(channels, cfg):
     for digits in itertools.product(range(1 << cfg.b), repeat=cfg.n):
         phases = PhaseConfig(theta=grid[list(reversed(digits))], resolution=cfg.b)
         try:
-            weights = zf_power_weights(channels, phases)
+            weights = zf_power_weights(effective_channel(channels, phases))
             alloc, trace = dinkelbach_allocation(weights, qos_min_powers(cfg), cfg.mu,
                                                  cfg.sigma2, cfg.p_budget, offset, cfg.epsilon)
         except (SingularMatrixError, InfeasibleError):
@@ -281,7 +282,8 @@ def test_exhaustive_numbers_candidates_with_element_zero_fastest(monkeypatch):
     grid = phase_grid(2)
     for i, row in enumerate(weights):
         theta = grid[[(i >> (2 * j)) & 3 for j in range(3)]]
-        expected = zf_power_weights(ch, PhaseConfig(theta=theta, resolution=2))
+        phases = PhaseConfig(theta=theta, resolution=2)
+        expected = zf_power_weights(effective_channel(ch, phases))
         np.testing.assert_allclose(row, expected, rtol=1e-9)
 
 
@@ -355,7 +357,7 @@ def test_max_rate_fill_equal_weights_splits_budget():
     rng = np.random.default_rng(11)
     ch = random_channels(rng, k=2, m=2, n=3)
     phases = PhaseConfig(theta=np.zeros(3), resolution=1)
-    weights = zf_power_weights(ch, phases)
+    weights = zf_power_weights(effective_channel(ch, phases))
     alloc = rate_filled(ch, phases, cfg)
     assert float(np.dot(weights, alloc.p)) == pytest.approx(cfg.p_budget, rel=1e-9)
 
@@ -364,7 +366,7 @@ def test_max_rate_fill_single_user():
     cfg = make_config(k=1, m=2, n=2, b=1)
     ch = sample_channels(cfg, seed=12)
     phases = PhaseConfig(theta=np.zeros(2), resolution=1)
-    w = zf_power_weights(ch, phases)[0]
+    w = zf_power_weights(effective_channel(ch, phases))[0]
     alloc = rate_filled(ch, phases, cfg)
     assert alloc.p[0] == pytest.approx(cfg.p_budget / w, rel=1e-9)
 
@@ -373,7 +375,7 @@ def test_max_rate_fill_matches_grid_oracle():
     cfg = make_config(k=2, m=3, n=3, b=1, p_budget_dbm=-17.0)
     ch = sample_channels(cfg, seed=13)
     phases = PhaseConfig(theta=np.zeros(3), resolution=1)
-    weights = zf_power_weights(ch, phases)
+    weights = zf_power_weights(effective_channel(ch, phases))
     alloc = rate_filled(ch, phases, cfg)
     ours = float(np.sum(np.log2(1.0 + alloc.p / cfg.sigma2)))
 

@@ -5,7 +5,10 @@ noise, 0 dBm circuit power) and at paper scale (-100 dBm noise, 100 dBm
 circuit power). Channels are distance-flat unit-variance draws, so the
 uniform start powers can pass the phase step's budget gate. Every feasible
 report is checked against the budget, the QoS floors, its own efficiency,
-the exhaustive oracle and the stopping rule.
+the exhaustive oracle and the stopping rule. The relay baseline and the
+max-rate fill of both are checked against the budget, the floors, their
+efficiency and their power draw, and every surface report against the ZF
+SINR p_k / sigma2.
 """
 
 import numpy as np
@@ -17,10 +20,16 @@ from lisopt import (
     SystemConfig,
     alternating_ee_max,
     dbm_to_watts,
+    effective_channel,
     exhaustive_search,
+    max_rate_power_fill,
     qos_min_powers,
+    relay_baseline,
     sample_channels,
+    sinr,
     trace_objective,
+    zf_power_weights,
+    zf_precoder,
 )
 from util import assert_stall_trace, make_config, unit_pathloss
 
@@ -62,3 +71,32 @@ def test_alternating_solve_properties(scale, data):
     oracle = exhaustive_search(channels, cfg)
     assert oracle.feasible
     assert report.ee <= oracle.ee * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("scale", sorted(SCALES))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_relay_and_rate_fill_properties(scale, data):
+    cfg, channels, seed = data.draw(instances(scale))
+    surface, _ = alternating_ee_max(channels, cfg, seed=seed)
+    relay = relay_baseline(channels, cfg)
+    reports = [r for r in (surface, relay) if r.feasible]
+    reports += [max_rate_power_fill(channels, r, cfg) for r in reports]
+    for report in reports:
+        p = report.powers.p
+        if report.phases is None:
+            h_eff = cfg.relay.alpha * (channels.h2 @ channels.h1) + channels.h
+            fixed = cfg.relay.tx_power_w
+        else:
+            h_eff = effective_channel(channels, report.phases)
+            fixed = cfg.n * cfg.p_n_of_b[cfg.b]
+        assert zf_power_weights(h_eff) @ p <= cfg.p_budget * (1.0 + 1e-9)
+        assert np.all(p >= qos_min_powers(cfg))
+        assert report.ee == pytest.approx(report.sum_rate / report.total_power, rel=1e-12)
+        assert report.total_power == pytest.approx(
+            float(np.dot(cfg.mu, p)) + cfg.k * cfg.p_c + fixed, rel=1e-12)
+        if report.phases is not None:
+            g = zf_precoder(h_eff)
+            for k in range(cfg.k):
+                assert sinr(k, channels, report.phases, g, report.powers, cfg.sigma2) \
+                    == pytest.approx(p[k] / cfg.sigma2, rel=1e-6)
