@@ -20,7 +20,6 @@ from .config import (
     watts_to_dbm,
 )
 from .harness import (
-    AggregateRow,
     ResultRow,
     Scenario,
     aggregate,
@@ -43,7 +42,6 @@ from .model import (
 )
 from .phases import (
     PhaseOptimizationError,
-    PhaseSolveOutcome,
     RelaxedSolveOptions,
     quantize_phases,
     solve_phase_subproblem,
@@ -52,7 +50,6 @@ from .phases import (
     trace_values,
 )
 from .power import (
-    DinkelbachTrace,
     InfeasibleError,
     NonConvergenceError,
     dinkelbach_allocation,
@@ -61,8 +58,6 @@ from .power import (
     zf_power_weights,
 )
 from .solver import (
-    AlternatingIterate,
-    AlternatingTrace,
     EnumerationCapError,
     alternating_ee_max,
     evaluate,
@@ -72,12 +67,8 @@ from .solver import (
 )
 
 __all__ = [
-    "AggregateRow",
-    "AlternatingIterate",
-    "AlternatingTrace",
     "CONTINUOUS",
     "ChannelSet",
-    "DinkelbachTrace",
     "EnumerationCapError",
     "Geometry",
     "InfeasibleError",
@@ -86,7 +77,6 @@ __all__ = [
     "PathlossParams",
     "PhaseConfig",
     "PhaseOptimizationError",
-    "PhaseSolveOutcome",
     "PowerAllocation",
     "RelaxedSolveOptions",
     "RelayParams",

@@ -20,9 +20,9 @@ from .config import (
     CONTINUOUS,
     Geometry,
     PathlossModel,
-    PathlossParams,
     RelayParams,
     SystemConfig,
+    _default_p_n_map,
     dbm_to_watts,
 )
 from .model import SingularMatrixError, SolveReport
@@ -101,8 +101,6 @@ class Scenario:
     power_rule: str = "ee"
     r_min_rule: str | None = None
     phase_options: RelaxedSolveOptions = field(default_factory=RelaxedSolveOptions)
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-    max_outer: int = DEFAULT_MAX_OUTER
     workers: int = 1
 
     def __post_init__(self):
@@ -145,10 +143,10 @@ class Scenario:
             ns = [int(v) for v in values] if self.axis == "n" else [self.config.n]
             for n in ns:
                 count = (1 << self.config.b) ** n
-                if count > self.enumeration_cap:
+                if count > DEFAULT_ENUMERATION_CAP:
                     raise ValueError(
                         f"exhaustive at n={n} needs {count} candidates, "
-                        f"cap is {self.enumeration_cap}"
+                        f"cap is {DEFAULT_ENUMERATION_CAP}"
                     )
 
 
@@ -173,13 +171,11 @@ def _method_config(cfg: SystemConfig, method: str) -> SystemConfig:
 def _dispatch(method: str, channels, cfg: SystemConfig, solver_seed: int,
               scenario: Scenario) -> SolveReport:
     if method in _RESOLUTIONS:
-        report, _ = alternating_ee_max(
-            channels, cfg, seed=solver_seed,
-            options=scenario.phase_options, max_outer=scenario.max_outer,
-        )
+        report, _ = alternating_ee_max(channels, cfg, seed=solver_seed,
+                                       options=scenario.phase_options)
         return report
     if method == "exhaustive":
-        return exhaustive_search(channels, cfg, enumeration_cap=scenario.enumeration_cap)
+        return exhaustive_search(channels, cfg)
     return relay_baseline(channels, cfg)
 
 
@@ -337,7 +333,7 @@ def emit_outputs(rows, aggregates, scenario: Scenario, out_dir) -> dict:
             "methods": list(scenario.methods), "trials": scenario.trials,
             "master_seed": scenario.master_seed, "power_rule": scenario.power_rule,
             "r_min_rule": scenario.r_min_rule, "workers": scenario.workers,
-            "enumeration_cap": scenario.enumeration_cap, "max_outer": scenario.max_outer,
+            "enumeration_cap": DEFAULT_ENUMERATION_CAP, "max_outer": DEFAULT_MAX_OUTER,
             "config": _config_dict(scenario.config),
         },
         "seed_derivation": "SeedSequence(master_seed, spawn_key=(sweep_index, trial_index))",
@@ -383,56 +379,58 @@ def _floats(value: str) -> tuple:
     return tuple(float(part) for part in value.split(","))
 
 
+def _scalar_or_floats(value: str):
+    return _floats(value) if "," in value else float(value)
+
+
+def _dbm(value: str) -> float:
+    return dbm_to_watts(float(value))
+
+
 def scenario_from_pairs(pairs: dict) -> Scenario:
-    """Build a Scenario from flat key-value strings (the scenario-file schema)."""
+    """Build a Scenario from flat key-value strings (the scenario-file schema).
+
+    A key the pairs leave out is not passed on, so each default lives only
+    on the dataclass that owns the field. Only the six SystemConfig inputs
+    without a dataclass default get one here: m = k = 4, n = 8, b = 1, a
+    0 dBm budget and -100 dBm noise.
+    """
     pairs = dict(pairs)
 
     def take(key, default=None):
         return pairs.pop(key, default)
 
-    m = int(take("m", 4))
-    k = int(take("k", 4))
-    n = int(take("n", 8))
+    def given(parse, **keys) -> dict:
+        # {field: parse(value)} for each field whose key the pairs set
+        return {name: parse(pairs.pop(key)) for name, key in keys.items() if key in pairs}
+
     b_raw = take("b", "1")
-    b = CONTINUOUS if b_raw == CONTINUOUS else int(b_raw)
-    sigma2 = dbm_to_watts(float(take("sigma2_dbm", -100.0)))
-    p_budget = dbm_to_watts(float(take("p_budget_dbm", 0.0)))
-    mu_raw = take("mu", "1.1")
-    mu = _floats(mu_raw) if "," in mu_raw else float(mu_raw)
-    p_c = dbm_to_watts(float(take("p_c_dbm", 100.0)))
-    p_n_of_b = {
-        1: dbm_to_watts(float(take("p_n_dbm.1", 5.0))),
-        2: dbm_to_watts(float(take("p_n_dbm.2", 15.0))),
-        CONTINUOUS: dbm_to_watts(float(take("p_n_dbm.continuous", 45.0))),
+    fields = {
+        **given(_scalar_or_floats, mu="mu", r_min="r_min"),
+        **given(_dbm, p_c="p_c_dbm"),
+        **given(float, epsilon="epsilon"),
     }
-    r_min_raw = take("r_min", "0")
-    r_min = _floats(r_min_raw) if "," in r_min_raw else float(r_min_raw)
-
-    geometry = Geometry(
-        bs=_floats(take("geometry.bs", "0,0")),
-        lis=_floats(take("geometry.lis", "100,100")),
-        user_box=_floats(take("geometry.user_box", "95,105,85,95")),
-    )
+    p_n_of_b = {b: _dbm(pairs.pop(f"p_n_dbm.{b}")) for b in (1, 2, CONTINUOUS)
+                if f"p_n_dbm.{b}" in pairs}
+    if p_n_of_b:
+        fields["p_n_of_b"] = {**_default_p_n_map(), **p_n_of_b}
     defaults = PathlossModel()
-    links = {}
-    for link in _PATHLOSS_LINKS:
-        base = defaults.for_link(link)
-        links[link] = PathlossParams(
-            exponent=float(take(f"pathloss.{link}.exponent", base.exponent)),
-            ref_loss_db=float(take(f"pathloss.{link}.ref_loss_db", base.ref_loss_db)),
-            d0=float(take(f"pathloss.{link}.d0", base.d0)),
-        )
-    pathloss = PathlossModel(**links)
-    relay = RelayParams(
-        alpha=float(take("relay.alpha", 0.3)),
-        tx_power_w=dbm_to_watts(float(take("relay.tx_dbm", 60.0))),
-    )
-    epsilon = float(take("epsilon", 0.01))
-
+    pathloss = PathlossModel(**{
+        link: replace(defaults.for_link(link), **given(
+            float, exponent=f"pathloss.{link}.exponent",
+            ref_loss_db=f"pathloss.{link}.ref_loss_db", d0=f"pathloss.{link}.d0"))
+        for link in _PATHLOSS_LINKS
+    })
     config = SystemConfig(
-        m=m, k=k, n=n, b=b, p_budget=p_budget, sigma2=sigma2, mu=mu, p_c=p_c,
-        p_n_of_b=p_n_of_b, r_min=r_min, geometry=geometry, pathloss=pathloss,
-        relay=relay, epsilon=epsilon,
+        m=int(take("m", 4)), k=int(take("k", 4)), n=int(take("n", 8)),
+        b=CONTINUOUS if b_raw == CONTINUOUS else int(b_raw),
+        p_budget=_dbm(take("p_budget_dbm", "0")), sigma2=_dbm(take("sigma2_dbm", "-100")),
+        geometry=Geometry(**given(_floats, bs="geometry.bs", lis="geometry.lis",
+                                  user_box="geometry.user_box")),
+        pathloss=pathloss,
+        relay=RelayParams(**given(float, alpha="relay.alpha"),
+                          **given(_dbm, tx_power_w="relay.tx_dbm")),
+        **fields,
     )
 
     sweeps = {axis: take(f"sweep.{axis}") for axis in SWEEP_AXES}
@@ -447,24 +445,12 @@ def scenario_from_pairs(pairs: dict) -> Scenario:
         raise ValueError("scenario needs a 'methods' key")
     methods = tuple(part.strip() for part in methods_raw.split(","))
 
-    base_options = RelaxedSolveOptions()
-    phase_options = RelaxedSolveOptions(
-        max_iterations=int(take("phase.max_iterations", base_options.max_iterations)),
-        gradient_tolerance=float(take("phase.gradient_tolerance", base_options.gradient_tolerance)),
-        step_tolerance=float(take("phase.step_tolerance", base_options.step_tolerance)),
-        num_restarts=int(take("phase.num_restarts", base_options.num_restarts)),
-    )
-
+    phase_options = RelaxedSolveOptions(**given(
+        int, max_iterations="phase.max_iterations", num_restarts="phase.num_restarts"))
     scenario = Scenario(
-        config=config, axis=axis, values=values, methods=methods,
-        trials=int(take("trials", 50)),
-        master_seed=int(take("master_seed", 0)),
-        power_rule=take("power_rule", "ee"),
-        r_min_rule=take("r_min_rule"),
-        phase_options=phase_options,
-        enumeration_cap=int(take("caps.enumeration", DEFAULT_ENUMERATION_CAP)),
-        max_outer=int(take("caps.outer_iterations", DEFAULT_MAX_OUTER)),
-        workers=int(take("workers", 1)),
+        config=config, axis=axis, values=values, methods=methods, phase_options=phase_options,
+        **given(int, trials="trials", master_seed="master_seed", workers="workers"),
+        **given(str, power_rule="power_rule", r_min_rule="r_min_rule"),
     )
     if pairs:
         raise ValueError(f"unknown scenario keys: {sorted(pairs)}")

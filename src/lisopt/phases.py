@@ -21,6 +21,9 @@ from .model import (
 
 # Stands in for +inf inside line searches so they back off instead of dying.
 _SENTINEL = 1e30
+# L-BFGS-B's projected-gradient (gtol) and relative objective-decrease (ftol) tests.
+_GRADIENT_TOLERANCE = 1e-6
+_STEP_TOLERANCE = 1e-12
 
 
 class PhaseOptimizationError(RuntimeError):
@@ -29,22 +32,19 @@ class PhaseOptimizationError(RuntimeError):
 
 @dataclass(frozen=True)
 class RelaxedSolveOptions:
-    """Knobs for the box-constrained quasi-Newton solve.
+    """Iteration cap and start count of the box-constrained quasi-Newton solve.
 
-    num_restarts counts total starts: the caller's warm start plus
-    num_restarts - 1 seeded random points. step_tolerance maps to the
-    solver's relative objective-decrease test.
+    max_iterations caps each L-BFGS-B run. num_restarts counts total starts:
+    the caller's warm start plus num_restarts - 1 seeded random points. The
+    gradient and objective-decrease tolerances are fixed (1e-6 and 1e-12).
     """
 
     max_iterations: int = 80
-    gradient_tolerance: float = 1e-6
-    step_tolerance: float = 1e-12
     num_restarts: int = 4
 
     def __post_init__(self):
-        for name in ("max_iterations", "gradient_tolerance", "step_tolerance"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.max_iterations <= 0:
+            raise ValueError("max_iterations must be positive")
         if self.num_restarts < 1:
             raise ValueError("num_restarts must be >= 1")
 
@@ -111,9 +111,11 @@ def solve_relaxed(channels: ChannelSet, powers: PowerAllocation,
 
     Runs a projected quasi-Newton solve (L-BFGS-B) from the warm start and
     from num_restarts - 1 seeded random points, with the exact gradient of
-    trace_value_and_grad (one SVD per evaluation). Rank-deficient points
+    trace_value_and_grad (one SVD per evaluation), the gradient tolerance
+    1e-6 and the relative decrease tolerance 1e-12. Rank-deficient points
     evaluate to a large sentinel so line searches step away. The result is
-    never worse than the warm start; ties go to the lowest restart index.
+    never worse than the warm start, because restart 0 starts there and
+    L-BFGS-B never ends above its start; ties go to the lowest restart index.
     """
     options = options or RelaxedSolveOptions()
     n = channels.h1.shape[0]
@@ -130,19 +132,20 @@ def solve_relaxed(channels: ChannelSet, powers: PowerAllocation,
         v = trace_values(theta[None, :], channels, powers)[0]
         return float(v) if np.isfinite(v) else _SENTINEL
 
-    # The raw warm-start point is candidate zero: it guarantees the descent contract.
-    best_f, best_theta = value(warm), warm
+    best_f, best_theta = np.inf, warm
     for x0 in starts:
         res = minimize(
             trace_value_and_grad, x0, args=(channels, powers), jac=True, method="L-BFGS-B",
             bounds=[(0.0, TWO_PI)] * n,
             options={
                 "maxiter": options.max_iterations,
-                "ftol": options.step_tolerance,
-                "gtol": options.gradient_tolerance,
+                "ftol": _STEP_TOLERANCE,
+                "gtol": _GRADIENT_TOLERANCE,
             },
         )
         cand = np.clip(res.x, 0.0, TWO_PI)
+        # Not res.fun: after an abnormal line-search exit (status 2) scipy
+        # returns the restored x with the last trial's objective value.
         f_cand = value(cand)
         if f_cand < best_f:
             best_f, best_theta = f_cand, cand

@@ -41,7 +41,7 @@ _EXHAUSTIVE_CHUNK = 4096
 
 
 class EnumerationCapError(ValueError):
-    """Exhaustive search would exceed the configured enumeration cap."""
+    """Exhaustive search would exceed the enumeration cap of 2^20 candidates."""
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,7 @@ def evaluate(channels: ChannelSet, config: SystemConfig, phases: PhaseConfig | N
 
 
 def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0,
-                       options: RelaxedSolveOptions | None = None,
-                       max_outer: int = DEFAULT_MAX_OUTER):
+                       options: RelaxedSolveOptions | None = None):
     """Alternate phase design (fixed powers) with power design (fixed phases).
 
     Starts from a uniform power split and zero phases; each phase iterate is
@@ -114,8 +113,9 @@ def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0
     step optimizes a feasibility surrogate rather than the efficiency, so an
     outer iteration can lose efficiency: the solve stops as converged at the
     first iterate whose Dinkelbach ratio is not strictly above the previous
-    iterate's. The rule needs no tolerance. The best iterate (the earlier
-    one on a tie) is returned together with the full trace.
+    iterate's. The rule needs no tolerance, and DEFAULT_MAX_OUTER (50)
+    iterations end the solve as "iteration-cap". The best iterate (the
+    earlier one on a tie) is returned together with the full trace.
 
     Returns (SolveReport, AlternatingTrace). Infeasibility before any
     feasible iterate yields a report with feasible=False.
@@ -129,7 +129,7 @@ def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0
 
     iterates = []
     termination = "iteration-cap"
-    for _ in range(max_outer):
+    for _ in range(DEFAULT_MAX_OUTER):
         sub_seed = int(rng.integers(2 ** 63))
         try:
             outcome = solve_phase_subproblem(
@@ -166,8 +166,7 @@ def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0
     return evaluate(channels, config, best.phases, best.powers, len(iterates), tag), trace
 
 
-def exhaustive_search(channels: ChannelSet, config: SystemConfig,
-                      enumeration_cap: int = DEFAULT_ENUMERATION_CAP) -> SolveReport:
+def exhaustive_search(channels: ChannelSet, config: SystemConfig) -> SolveReport:
     """Try every admissible phase vector; keep the efficiency-best feasible one.
 
     Candidates whose effective channel is rank deficient or whose QoS floors
@@ -176,14 +175,16 @@ def exhaustive_search(channels: ChannelSet, config: SystemConfig,
     a time: one stacked SVD for the beam norms, one batched Dinkelbach solve.
     Deterministic: equal efficiencies resolve to the lowest enumeration
     index. outer_iterations reports the number of candidates enumerated.
+    More than DEFAULT_ENUMERATION_CAP (2^20) candidates raise
+    EnumerationCapError before any is scored.
     """
     if config.b == CONTINUOUS:
         raise ValueError("exhaustive enumeration needs a finite resolution")
     levels = 1 << config.b
     total = levels ** config.n
-    if total > enumeration_cap:
+    if total > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"enumeration needs {total} candidates, cap is {enumeration_cap}"
+            f"enumeration needs {total} candidates, cap is {DEFAULT_ENUMERATION_CAP}"
         )
     grid = phase_grid(config.b)
     phi_grid = np.exp(1j * grid)

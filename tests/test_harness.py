@@ -3,17 +3,21 @@ import json
 import os
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lisopt import (
+    CONTINUOUS,
+    RelaxedSolveOptions,
     ResultRow,
     Scenario,
     SolveReport,
+    SystemConfig,
     aggregate,
+    dbm_to_watts,
     emit_outputs,
     harness,
     load_scenario,
@@ -25,6 +29,9 @@ from lisopt.cli import main as cli_main
 from lisopt.harness import AGG_COLUMNS, RAW_COLUMNS, _config_at
 from lisopt.model import SingularMatrixError
 from util import make_config
+
+REPO = Path(__file__).resolve().parent.parent
+SCENARIO_FILES = sorted(REPO.glob("scenarios/*.scn")) + sorted(REPO.glob("perfbench/scenarios/*.scn"))
 
 SCENARIO_TEXT = """
 # tiny round-trip scenario
@@ -84,7 +91,7 @@ def test_scenario_exhaustive_cap_guard():
     cfg = make_config(k=2, m=2, n=24, b=1)
     with pytest.raises(ValueError, match="cap"):
         Scenario(config=cfg, axis="p_budget_dbm", values=(0.0,),
-                 methods=("exhaustive",), trials=1, enumeration_cap=1000)
+                 methods=("exhaustive",), trials=1)
 
 
 def test_scenario_element_sweep_value_guard():
@@ -355,10 +362,42 @@ def test_scenario_from_pairs_rejects_unknown_keys():
                              "k": "2", "frobnicate": "1"})
 
 
-def test_scenario_from_pairs_rejects_removed_finite_difference_step():
-    with pytest.raises(ValueError, match=r"unknown scenario keys: \['phase.finite_difference_step'\]"):
+@pytest.mark.parametrize("key", [
+    "phase.finite_difference_step", "phase.gradient_tolerance", "phase.step_tolerance",
+    "caps.enumeration", "caps.outer_iterations",
+])
+def test_scenario_from_pairs_rejects_removed_keys(key):
+    with pytest.raises(ValueError, match=rf"unknown scenario keys: \['{re.escape(key)}'\]"):
         scenario_from_pairs({"methods": "relay", "sweep.n": "2,4", "m": "4",
-                             "k": "2", "phase.finite_difference_step": "1e-5"})
+                             "k": "2", key: "1e-5"})
+
+
+def test_scenario_from_pairs_leaves_defaults_to_the_dataclasses():
+    sc = scenario_from_pairs({"methods": "relay", "sweep.n": "8"})
+    expected = SystemConfig(m=4, k=4, n=8, b=1, p_budget=dbm_to_watts(0.0),
+                            sigma2=dbm_to_watts(-100.0))
+    for f in fields(SystemConfig):
+        got, want = getattr(sc.config, f.name), getattr(expected, f.name)
+        if f.name in ("mu", "r_min"):
+            assert np.array_equal(got, want), f.name
+        else:
+            assert got == want, f.name
+    defaults = Scenario(config=expected, axis="n", values=(8,), methods=("relay",))
+    for name in ("trials", "master_seed", "power_rule", "r_min_rule", "workers"):
+        assert getattr(sc, name) == getattr(defaults, name), name
+    assert sc.phase_options == RelaxedSolveOptions()
+
+
+def test_scenario_from_pairs_keeps_unset_per_element_powers():
+    sc = scenario_from_pairs({"methods": "relay", "sweep.n": "8", "p_n_dbm.2": "7"})
+    assert sc.config.p_n_of_b == {1: dbm_to_watts(5.0), 2: dbm_to_watts(7.0),
+                                  CONTINUOUS: dbm_to_watts(45.0)}
+
+
+@pytest.mark.parametrize("path", SCENARIO_FILES,
+                         ids=lambda p: "-".join(p.relative_to(REPO).with_suffix("").parts))
+def test_every_shipped_scenario_file_loads(path):
+    assert isinstance(load_scenario(path), Scenario)
 
 
 def test_scenario_from_pairs_requires_exactly_one_sweep():

@@ -157,7 +157,7 @@ def test_alternating_stall_rule_on_element_sweep_cell():
     for method in scenario.methods:
         report, trace = alternating_ee_max(
             ch, _method_config(cfg, method), seed=solver_seed,
-            options=scenario.phase_options, max_outer=scenario.max_outer,
+            options=scenario.phase_options,
         )
         assert report.feasible
         assert_stall_trace(report, trace)
@@ -211,11 +211,16 @@ def test_exhaustive_monotone_under_qos_removal():
             assert without.ee >= with_qos.ee * (1.0 - 1e-9)
 
 
-def test_exhaustive_cap_refusal_names_count():
-    cfg = make_config(k=2, m=2, n=2, b=2)
+def test_exhaustive_cap_refusal_names_count(monkeypatch):
+    cfg = make_config(k=2, m=2, n=11, b=2)
     ch = sample_channels(cfg, seed=7)
-    with pytest.raises(EnumerationCapError, match="16"):
-        exhaustive_search(ch, cfg, enumeration_cap=10)
+
+    def no_scoring(*args):
+        raise AssertionError("a candidate was scored before the cap check")
+
+    monkeypatch.setattr(solver, "zf_beam_norms", no_scoring)
+    with pytest.raises(EnumerationCapError, match="4194304"):
+        exhaustive_search(ch, cfg)
 
 
 def reference_exhaustive(channels, cfg):
