@@ -90,6 +90,7 @@ def _cmd_oracle_check(args) -> int:
     configs = _checked(lambda: [scenario_from_pairs({**_ORACLE_PAIRS, "n": size}).config
                                 for size in args.sizes.split(",")])
     gaps = []
+    false_total = 0
     rng = np.random.default_rng(args.seed)
     for cfg in configs:
         size_gaps = []
@@ -105,6 +106,7 @@ def _cmd_oracle_check(args) -> int:
             if alt.feasible and exh.feasible:
                 size_gaps.append((exh.ee - alt.ee) / exh.ee)
         gaps.extend(size_gaps)
+        false_total += false_infeasible
         dropped = f"false-infeasible={false_infeasible} both-infeasible={both_infeasible}"
         if size_gaps:
             print(f"n={cfg.n:3d}: instances={len(size_gaps)} {dropped} "
@@ -115,10 +117,15 @@ def _cmd_oracle_check(args) -> int:
         print("no paired results")
         return 1
     print(f"overall: median gap={np.median(gaps):.4%} max gap={max(gaps):.4%}")
+    status = 0
     if min(gaps) < -1e-9:
         print("ERROR: alternating solver exceeded the exhaustive oracle", file=sys.stderr)
-        return 1
-    return 0
+        status = 1
+    if false_total:
+        print(f"ERROR: {false_total} instances feasible for the exhaustive oracle "
+              "but not for the alternating solver", file=sys.stderr)
+        status = 1
+    return status
 
 
 def main(argv=None) -> int:

@@ -13,7 +13,6 @@ from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .channels import sample_channels
 from .config import (
@@ -219,7 +218,7 @@ def run_scenario(scenario: Scenario) -> list:
              for t in range(scenario.trials)]
     run_cell = functools.partial(_run_cell, scenario)
     if scenario.workers > 1 and len(cells) > 1 and "fork" in get_all_start_methods():
-        # Not spawn or forkserver: they re-import numpy and scipy, ~0.7 s a pool (fork ~20 ms).
+        # Not spawn or forkserver: they re-import numpy and lisopt, 0.4-0.7 s a pool (fork ~10 ms).
         with ProcessPoolExecutor(min(scenario.workers, len(cells)), get_context("fork")) as pool:
             chunks = list(pool.map(run_cell, *zip(*cells)))
     else:
@@ -327,7 +326,7 @@ def emit_outputs(rows, aggregates, scenario: Scenario, out_dir) -> dict:
 
     manifest = {
         "package": {"name": "lisopt", "version": __version__,
-                    "numpy": np.__version__, "scipy": scipy.__version__},
+                    "numpy": np.__version__},
         "scenario": {
             "axis": scenario.axis, "values": list(scenario.values),
             "methods": list(scenario.methods), "trials": scenario.trials,

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channels import ChannelSet
 from .config import CONTINUOUS
@@ -21,9 +20,14 @@ from .model import (
 
 # Stands in for +inf inside line searches so they back off instead of dying.
 _SENTINEL = 1e30
-# L-BFGS-B's projected-gradient (gtol) and relative objective-decrease (ftol) tests.
+# Stopping tests of the relaxed solve: largest gradient entry, relative objective decrease.
 _GRADIENT_TOLERANCE = 1e-6
 _STEP_TOLERANCE = 1e-12
+# L-BFGS memory (curvature pairs kept), Armijo sufficient-decrease constant, trials per line search.
+_MEMORY = 10
+_ARMIJO = 1e-4
+_MAX_BACKTRACKS = 20
+_EPS = np.finfo(float).eps
 
 
 class PhaseOptimizationError(RuntimeError):
@@ -32,11 +36,12 @@ class PhaseOptimizationError(RuntimeError):
 
 @dataclass(frozen=True)
 class RelaxedSolveOptions:
-    """Iteration cap and start count of the box-constrained quasi-Newton solve.
+    """Iteration cap and start count of the relaxed phase solve.
 
-    max_iterations caps each L-BFGS-B run. num_restarts counts total starts:
-    the caller's warm start plus num_restarts - 1 seeded random points. The
-    gradient and objective-decrease tolerances are fixed (1e-6 and 1e-12).
+    max_iterations caps each start's L-BFGS iterations. num_restarts counts
+    total starts, run in lockstep: the caller's warm start plus
+    num_restarts - 1 seeded random points. The gradient and
+    objective-decrease tolerances are fixed (1e-6 and 1e-12).
     """
 
     max_iterations: int = 80
@@ -81,77 +86,186 @@ def trace_objective(theta: np.ndarray, channels: ChannelSet, powers: PowerAlloca
     return float(trace_values(np.asarray(theta, dtype=float)[None, :], channels, powers)[0])
 
 
-def trace_value_and_grad(theta: np.ndarray, channels: ChannelSet,
+def trace_value_and_grad(thetas: np.ndarray, channels: ChannelSet,
                          powers: PowerAllocation) -> tuple:
-    """Radiated ZF power at phases theta and its exact gradient, from one reduced SVD.
+    """Radiated ZF power at a batch of phase vectors and its exact gradient, one stacked SVD.
 
-    With the effective channel H = U S V^H, the ZF precoder G = V S^-1 U^H and
-    X = (H H^H)^-1 = U S^-2 U^H, tr(P X) has d/d theta_n = 2 Im(phi_n [h1 G P X h2]_nn).
-    The value is trace_objective's. A rank-deficient point gives the sentinel
-    and a zero gradient, so line searches back off.
+    thetas has shape (B, N); returns values (B,) and gradients (B, N). With
+    the effective channel H = U S V^H, the ZF precoder G = V S^-1 U^H and
+    X = (H H^H)^-1 = U S^-2 U^H, tr(P X) has d/d theta_n =
+    2 Im(phi_n [h1 G P X h2]_nn), and h1 G P X h2 = (h1 V S^-1)(U^H P U S^-2)(U^H h2).
+    The values are trace_values' up to rounding. Rank-deficient rows give
+    the sentinel and a zero gradient, so line searches back off. No row's
+    figures depend on the other rows.
     """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.exp(1j * theta)
-    u, s, vh, beam_norms = zf_svd(effective_channels(channels, phi[None, :]))
-    if not np.isfinite(beam_norms[0, 0]):
-        return _SENTINEL, np.zeros_like(theta)
-    u, s, vh, p = u[0], s[0], vh[0], powers.p
-    uh = u.conj().T
-    h1_g = (channels.h1 @ vh.conj().T / s) @ uh
-    px_h2 = p[:, None] * ((u / s ** 2) @ (uh @ channels.h2))
-    grad = 2.0 * np.imag(phi * np.einsum("nk,kn->n", h1_g, px_h2))
-    return float((beam_norms @ p)[0]), grad
+    phi = np.exp(1j * thetas)
+    u, s, vh, beam_norms = zf_svd(effective_channels(channels, phi))
+    values = np.einsum("bk,k->b", beam_norms, powers.p)
+    bad = np.isinf(beam_norms[:, 0])
+    if bad.any():
+        s = np.where(bad[:, None], 1.0, s)
+    uh = u.conj().swapaxes(1, 2)
+    h1_g = (channels.h1 @ vh.conj().swapaxes(1, 2)) / s[:, None, :]
+    px = (uh @ (powers.p[:, None] * u)) / (s * s)[:, None, :]
+    grad = 2.0 * np.imag(phi * np.einsum("bnk,bkn->bn", h1_g @ px, uh @ channels.h2))
+    if bad.any():
+        values[bad], grad[bad] = _SENTINEL, 0.0
+    return values, grad
+
+
+def lbfgs_lockstep(starts: np.ndarray, channels: ChannelSet, powers: PowerAllocation,
+                   max_iterations: int) -> tuple:
+    """Minimize the radiated-power objective from every row of starts (B, N) at once.
+
+    Each row runs its own L-BFGS with a backtracking Armijo line search. The
+    direction is -H g for the inverse Hessian H built from the last _MEMORY
+    curvature pairs (s_i, y_i), in the compact form of the two-loop recursion
+    (Nocedal & Wright, Numerical Optimization, Alg. 7.4; Byrd, Nocedal &
+    Schnabel 1994): H = gamma I + [S Y] M [S Y]^T, where M needs R^-1 (R the
+    upper triangle of S^T Y), Y^T Y and diag(R). All three are updated in
+    place as pairs come and go, so a step solves no linear system. A pair is
+    kept when s^T y > eps * (-g^T s); a skipped pair leaves an empty slot
+    (zero s and y, unit diagonal in R), which drops out of H.
+
+    Until a row keeps its first pair, its first trial moves a distance of 1
+    along d; after that the first trial takes the full step d. A failed
+    trial shrinks the step by safeguarded quadratic interpolation. Angles
+    wrap mod 2*pi, since the objective is 2*pi-periodic in each. A row
+    stops when its gradient's largest entry is at most _GRADIENT_TOLERANCE,
+    when a step lowers its objective by no more than
+    _STEP_TOLERANCE * max(f, 1), when its line search fails, or after
+    max_iterations steps; it then leaves the batch. Each round of trial
+    points, one per searching row, is one stacked trace_value_and_grad call.
+    No row's figures depend on the other rows, so each equals a batch-of-one
+    solve.
+
+    Returns the end points (B, N), in [0, 2*pi], and their objectives (B,),
+    none above its start's.
+    """
+    x = np.mod(np.asarray(starts, dtype=float), TWO_PI)
+    f, g = trace_value_and_grad(x, channels, powers)
+    ends, values = x.copy(), f.copy()
+    rows = np.flatnonzero(np.abs(g).max(axis=1) > _GRADIENT_TOLERANCE)
+    x, f, g = x[rows], f[rows], g[rows]
+    m, n = _MEMORY, x.shape[1]
+    pairs = np.zeros((rows.size, 2, m, n))  # s_i then y_i, oldest first
+    mats = np.zeros((rows.size, 2, m, m))   # R^-1 then Y^T Y
+    mats[:, 0] = np.eye(m)
+    diag = np.ones((rows.size, m))          # diag(R), 1 on empty slots
+    gamma = np.ones((rows.size, 1, 1))
+    fresh = np.ones(rows.size, dtype=bool)
+    for _ in range(max_iterations):
+        if rows.size == 0:
+            break
+        w = pairs.reshape(rows.size, 2 * m, n)
+        r_inv, yy = mats[:, 0], mats[:, 1]
+        wg = w @ g[:, :, None]
+        c = r_inv @ wg[:, :m]
+        v = r_inv.swapaxes(1, 2) @ (diag[:, :, None] * c + gamma * (yy @ c - wg[:, m:]))
+        d = ((gamma * c).swapaxes(1, 2) @ pairs[:, 1] - v.swapaxes(1, 2) @ pairs[:, 0])[:, 0]
+        d -= gamma[:, 0] * g
+        slope = np.einsum("bn,bn->b", g, d)
+        t = np.ones(rows.size)
+        if fresh.any():
+            t[fresh] = 1.0 / np.sqrt(np.einsum("bn,bn->b", d[fresh], d[fresh]))
+
+        x1 = np.mod(x + t[:, None] * d, TWO_PI)
+        f1, g1 = trace_value_and_grad(x1, channels, powers)
+        ok = (f1 - f <= _ARMIJO * t * slope) & (slope < 0.0)
+        if not ok.all():
+            _backtrack((x, f, g), d, t, slope, ok, (x1, f1, g1), channels, powers)
+
+        y = g1 - g
+        small = f - f1 <= _STEP_TOLERANCE * np.maximum(f, 1.0)
+        x, f, g = x1, f1, g1
+        pairs[:, :, :-1] = pairs[:, :, 1:]
+        pairs[:, 0, -1], pairs[:, 1, -1] = t[:, None] * d, y
+        z = (w @ y[:, :, None])[:, :, 0]  # s_i^T y then y_i^T y, the new pair last in each
+        keep = z[:, m - 1] > _EPS * -(t * slope)
+        if keep.all():
+            gamma = (z[:, m - 1] / z[:, -1])[:, None, None]
+        else:
+            gamma[keep, 0, 0] = z[keep, m - 1] / z[keep, -1]
+            pairs[~keep, :, -1] = 0.0
+            z[~keep] = 0.0
+            z[~keep, m - 1] = 1.0
+        fresh &= ~keep
+        mats[:, :, :-1, :-1] = mats[:, :, 1:, 1:]
+        r_inv[:, :-1, -1] = -(r_inv[:, :-1, :-1] @ z[:, :m - 1, None])[:, :, 0] / z[:, m - 1:m]
+        r_inv[:, -1, -1] = 1.0 / z[:, m - 1]
+        yy[:, -1], yy[:, :, -1] = z[:, m:], z[:, m:]
+        diag[:, :-1] = diag[:, 1:]
+        diag[:, -1] = z[:, m - 1]
+
+        # a failed line search restored its row, and a zero decrease is small
+        done = small | (np.abs(g).max(axis=1) <= _GRADIENT_TOLERANCE)
+        if done.any():
+            ends[rows[done]], values[rows[done]] = x[done], f[done]
+            live = ~done
+            rows, x, f, g, fresh = rows[live], x[live], f[live], g[live], fresh[live]
+            pairs, mats, diag, gamma = pairs[live], mats[live], diag[live], gamma[live]
+    ends[rows], values[rows] = x, f
+    return ends, values
+
+
+def _backtrack(start, d, t, slope, ok, trial, channels, powers) -> None:
+    """Shrink the failed first trials of lbfgs_lockstep's line search, in place.
+
+    start is (x, f, g) and trial (x1, f1, g1) at steps t along d; ok marks
+    the rows whose trial passed the Armijo test. Each failed descent row
+    retries at the minimizer of the quadratic through f, the slope and its
+    last trial, kept within [0.1, 0.5] of the last step, up to
+    _MAX_BACKTRACKS trials in all. Rows that pass take their new point into
+    trial; the others get back their start, with t = 0.
+    """
+    (x, f, g), (x1, f1, g1) = start, trial
+    fail = np.flatnonzero(~ok & (slope < 0.0))
+    drop = f1[fail] - f[fail]
+    for _ in range(_MAX_BACKTRACKS - 1):
+        if fail.size == 0:
+            break
+        tf, sf = t[fail], slope[fail]
+        tf = np.fmin(np.fmax(-sf * tf ** 2 / (2.0 * (drop - sf * tf)), 0.1 * tf), 0.5 * tf)
+        t[fail] = tf
+        xf = np.mod(x[fail] + tf[:, None] * d[fail], TWO_PI)
+        ff, gf = trace_value_and_grad(xf, channels, powers)
+        drop = ff - f[fail]
+        hit = drop <= _ARMIJO * tf * sf
+        x1[fail[hit]], f1[fail[hit]], g1[fail[hit]] = xf[hit], ff[hit], gf[hit]
+        ok[fail[hit]] = True
+        fail, drop = fail[~hit], drop[~hit]
+    x1[~ok], f1[~ok], g1[~ok] = x[~ok], f[~ok], g[~ok]
+    t[~ok] = 0.0
 
 
 def solve_relaxed(channels: ChannelSet, powers: PowerAllocation,
                   warm_start: np.ndarray | None = None,
                   options: RelaxedSolveOptions | None = None,
                   seed: int = 0) -> np.ndarray:
-    """Minimize the radiated-power objective over the box [0, 2*pi]^N.
+    """Minimize the radiated-power objective over the phase angles.
 
-    Runs a projected quasi-Newton solve (L-BFGS-B) from the warm start and
-    from num_restarts - 1 seeded random points, with the exact gradient of
-    trace_value_and_grad (one SVD per evaluation), the gradient tolerance
-    1e-6 and the relative decrease tolerance 1e-12. Rank-deficient points
-    evaluate to a large sentinel so line searches step away. The result is
-    never worse than the warm start, because restart 0 starts there and
-    L-BFGS-B never ends above its start; ties go to the lowest restart index.
+    Runs lbfgs_lockstep from the warm start and from num_restarts - 1
+    seeded random points together, with the exact gradient of
+    trace_value_and_grad. Rank-deficient points evaluate to a large
+    sentinel so line searches step away. The result is the lowest end
+    point, ties to the lowest restart, so it is never worse than the warm
+    start, where restart 0 starts and which it never rises above.
     """
     options = options or RelaxedSolveOptions()
     n = channels.h1.shape[0]
     if warm_start is None:
         warm = np.zeros(n)
     else:
-        warm = np.clip(np.asarray(warm_start, dtype=float), 0.0, TWO_PI)
+        warm = np.asarray(warm_start, dtype=float)
         if warm.shape != (n,):
             raise ValueError(f"warm start must have length {n}, got shape {warm.shape}")
     rng = np.random.default_rng(seed)
-    starts = [warm] + [rng.uniform(0.0, TWO_PI, n) for _ in range(options.num_restarts - 1)]
-
-    def value(theta: np.ndarray) -> float:
-        v = trace_values(theta[None, :], channels, powers)[0]
-        return float(v) if np.isfinite(v) else _SENTINEL
-
-    best_f, best_theta = np.inf, warm
-    for x0 in starts:
-        res = minimize(
-            trace_value_and_grad, x0, args=(channels, powers), jac=True, method="L-BFGS-B",
-            bounds=[(0.0, TWO_PI)] * n,
-            options={
-                "maxiter": options.max_iterations,
-                "ftol": _STEP_TOLERANCE,
-                "gtol": _GRADIENT_TOLERANCE,
-            },
-        )
-        cand = np.clip(res.x, 0.0, TWO_PI)
-        # Not res.fun: after an abnormal line-search exit (status 2) scipy
-        # returns the restored x with the last trial's objective value.
-        f_cand = value(cand)
-        if f_cand < best_f:
-            best_f, best_theta = f_cand, cand
-    if best_f >= _SENTINEL:
+    starts = np.vstack([warm, rng.uniform(0.0, TWO_PI, (options.num_restarts - 1, n))])
+    thetas, values = lbfgs_lockstep(starts, channels, powers, options.max_iterations)
+    best = int(np.argmin(values))
+    if values[best] >= _SENTINEL:
         raise PhaseOptimizationError("all restarts ended in rank-deficient regions")
-    return best_theta
+    return thetas[best]
 
 
 def quantize_phases(theta: np.ndarray, b: int) -> PhaseConfig:

@@ -108,8 +108,11 @@ def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0
                        options: RelaxedSolveOptions | None = None):
     """Alternate phase design (fixed powers) with power design (fixed phases).
 
-    Starts from a uniform power split and zero phases; each phase iterate is
-    gated on the radiated-power budget before the power step runs. The phase
+    Starts from a uniform power split and zero phases. The power step
+    re-optimizes the powers of each phase iterate under the budget, so a
+    phase iterate is not tested against the budget at the previous powers;
+    the solve is infeasible only when a step fails (the QoS floors do not
+    fit the budget, or the channel is rank deficient). The phase
     step optimizes a feasibility surrogate rather than the efficiency, so an
     outer iteration can lose efficiency: the solve stops as converged at the
     first iterate whose Dinkelbach ratio is not strictly above the previous
@@ -141,9 +144,6 @@ def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0
             termination = "infeasible"
             break
         phases = outcome.theta_quantized
-        if not outcome.feasible:
-            termination = "infeasible"
-            break
         try:
             weights = zf_power_weights(effective_channel(channels, phases))
             alloc, dtrace = dinkelbach_allocation(

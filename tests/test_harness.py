@@ -2,6 +2,8 @@ import csv
 import json
 import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -502,9 +504,29 @@ def test_cli_oracle_check_counts_dropped_instances(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "alternating_ee_max", alternating)
     monkeypatch.setattr(cli, "exhaustive_search", lambda ch, cfg: report(exhaustive_feasible[-1]))
-    assert cli_main(["oracle-check", "--sizes", "2", "--instances", "4"]) == 0
+    assert cli_main(["oracle-check", "--sizes", "2", "--instances", "4"]) == 1
     out = capsys.readouterr().out
     assert "n=  2: instances=1 false-infeasible=2 both-infeasible=1 median gap" in out
+
+
+def test_cli_oracle_check_fails_on_a_false_infeasible(monkeypatch, capsys):
+    # the alternating solver reports the second instance infeasible; the oracle solves both
+    feasible = SolveReport(ee=1.0, sum_rate=1.0, total_power=1.0, phases=None, powers=None,
+                           outer_iterations=1, feasible=True, method_tag="stub")
+    alternating = iter([feasible, SolveReport.infeasible("stub")])
+    monkeypatch.setattr(cli, "alternating_ee_max", lambda ch, cfg, seed: (next(alternating), None))
+    monkeypatch.setattr(cli, "exhaustive_search", lambda ch, cfg: feasible)
+    assert cli_main(["oracle-check", "--sizes", "2", "--instances", "2"]) == 1
+    captured = capsys.readouterr()
+    assert "false-infeasible=1" in captured.out
+    assert "ERROR: 1 instances feasible for the exhaustive oracle" in captured.err
+
+
+def test_import_loads_no_scipy():
+    code = ("import lisopt, sys; "
+            "assert not [m for m in sys.modules if m.startswith('scipy')]")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 @pytest.mark.parametrize("text, message", [

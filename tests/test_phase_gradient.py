@@ -1,4 +1,4 @@
-"""Property tests of the exact phase-step gradient on random instances.
+"""Property tests of the exact phase-step gradient and the lockstep L-BFGS on random instances.
 
 Instances are drawn at desk scale (unit-ish hops, 1e-4 W noise) and at paper
 scale (hops of 1e-5 to 1e-3 in amplitude, -100 dBm noise), for K <= M users
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from lisopt import ChannelSet, PowerAllocation, dbm_to_watts, trace_objective, trace_values
 from lisopt.model import effective_channels, zf_beam_norms
-from lisopt.phases import _SENTINEL, solve_relaxed, trace_value_and_grad
+from lisopt.phases import _SENTINEL, lbfgs_lockstep, solve_relaxed, trace_value_and_grad
 from util import complex_gaussian
 
 TWO_PI = 2.0 * np.pi
@@ -61,7 +61,7 @@ def test_gradient_matches_central_differences(data, scale):
     channels, powers, theta = data.draw(instances(scale))
     # the finite-difference reference is only accurate away from rank deficiency
     assume(np.linalg.cond(effective_channels(channels, np.exp(1j * theta))) <= 100.0)
-    value, grad = trace_value_and_grad(theta, channels, powers)
+    (value,), (grad,) = trace_value_and_grad(theta[None, :], channels, powers)
     reference = central_difference(theta, channels, powers)
     assert grad.shape == theta.shape
     assert np.max(np.abs(grad - reference)) <= 1e-6 * np.max(np.abs(reference))
@@ -87,13 +87,43 @@ def test_rank_deficient_point_takes_sentinel_path():
                           h2=np.array([[1.0], [0.0]], dtype=complex),
                           h=np.array([[0.0, 2.0], [2.0, 4.0]], dtype=complex))
     powers = PowerAllocation(p=np.array([0.5, 2.0]))
-    value, grad = trace_value_and_grad(np.zeros(1), channels, powers)
+    (value,), (grad,) = trace_value_and_grad(np.zeros((1, 1)), channels, powers)
     assert value == _SENTINEL
     assert np.array_equal(grad, np.zeros(1))
     assert np.isinf(trace_objective(np.zeros(1), channels, powers))
-    value, grad = trace_value_and_grad(np.array([np.pi]), channels, powers)
+    (value,), (grad,) = trace_value_and_grad(np.array([[np.pi]]), channels, powers)
     assert value == trace_objective(np.array([np.pi]), channels, powers)
     assert np.all(np.isfinite(grad))
     # a warm start on the singular point still leaves it for a finite objective
     out = solve_relaxed(channels, powers, warm_start=np.zeros(1), seed=0)
     assert np.isfinite(trace_objective(out, channels, powers))
+
+
+def objective(thetas, channels, powers):
+    """The relaxed solve's own objective: trace_value_and_grad's values."""
+    return trace_value_and_grad(np.atleast_2d(thetas), channels, powers)[0]
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), scale=st.sampled_from(sorted(SCALES)))
+def test_lockstep_rows_match_single_solves(data, scale):
+    channels, powers, theta = data.draw(instances(scale))
+    rng = np.random.default_rng(theta.size)
+    starts = np.vstack([theta, rng.uniform(0.0, TWO_PI, (3, theta.size))])
+    ends, values = lbfgs_lockstep(starts, channels, powers, max_iterations=80)
+    assert np.all((ends >= 0.0) & (ends <= TWO_PI))
+    assert np.array_equal(values, objective(ends, channels, powers))
+    assert np.all(values <= objective(starts, channels, powers))
+    for i, start in enumerate(starts):
+        end, value = lbfgs_lockstep(start[None, :], channels, powers, max_iterations=80)
+        assert np.array_equal(end[0], ends[i])
+        assert value[0] == values[i]
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), scale=st.sampled_from(sorted(SCALES)))
+def test_solve_relaxed_never_above_warm_start(data, scale):
+    channels, powers, theta = data.draw(instances(scale))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    out = solve_relaxed(channels, powers, warm_start=theta, seed=seed)
+    assert objective(out, channels, powers)[0] <= objective(theta, channels, powers)[0]

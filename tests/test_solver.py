@@ -24,6 +24,7 @@ from lisopt import (
     qos_min_powers,
     relay_baseline,
     sample_channels,
+    trace_objective,
     zf_power_weights,
     zf_precoder,
 )
@@ -44,7 +45,7 @@ def zeroed_surface(channels):
 # ------------------------------------------------------------- alternating
 
 def test_alternating_decouples_when_surface_is_dark():
-    # strong direct channel so uniform starting powers pass the budget gate
+    # strong direct channel and a dark surface: the phases cannot matter
     cfg = make_config(k=2, m=6, n=4, b=1, pathloss=unit_pathloss(direct_loss_db=0.0))
     ch = zeroed_surface(sample_channels(cfg, seed=31))
     report, trace = alternating_ee_max(ch, cfg, seed=0)
@@ -97,7 +98,7 @@ def test_alternating_continuous_resolution():
 
 
 def test_alternating_infeasible_when_budget_hopeless():
-    # starving the budget makes the first feasibility gate fail
+    # the QoS floors do not fit the starved budget, so the first power step fails
     cfg = make_config(k=2, m=2, n=2, b=1, p_budget_dbm=-140.0,
                       r_min=5.0)
     ch = sample_channels(cfg, seed=2)
@@ -133,16 +134,43 @@ def test_alternating_stops_when_efficiency_stops_rising(n):
 
 
 def test_alternating_continues_past_unmoved_start_phases():
-    # instance 26 at n=12 of the draws above: the first phase step keeps the
-    # zero start phases, where a phase-change test stops (at EE 788.76)
+    # instance 11 at n=12 of the draws above: the first phase step keeps the
+    # zero start phases (every relaxed angle snaps back to 0), where a
+    # phase-change test stops
     cfg, _, channel_seed, solver_seed = next(
-        d for d in oracle_check_draws(ORACLE_CHECK_SIZES, 30) if d[0].n == 12 and d[1] == 26)
+        d for d in oracle_check_draws(ORACLE_CHECK_SIZES, 30) if d[0].n == 12 and d[1] == 11)
     report, trace = alternating_ee_max(sample_channels(cfg, channel_seed), cfg,
                                        seed=solver_seed)
     assert_stall_trace(report, trace)
     assert not np.any(trace.iterates[0].phases.theta)
     assert trace.termination == "converged"
     assert report.ee > trace.iterates[0].ee * 1.1
+
+
+def test_alternating_feasible_where_the_start_phases_miss_the_budget():
+    # instance 0 at n=2 of the draws above: the first phase iterate needs more
+    # than the budget at the uniform start powers, which a budget gate on the
+    # phase step took for infeasible; the power step fits it into the budget
+    cfg, _, channel_seed, solver_seed = next(oracle_check_draws(ORACLE_CHECK_SIZES, 30))
+    ch = sample_channels(cfg, channel_seed)
+    report, trace = alternating_ee_max(ch, cfg, seed=solver_seed)
+    start_powers = PowerAllocation(p=np.full(cfg.k, cfg.p_budget / cfg.k))
+    assert trace_objective(trace.iterates[0].phases.theta, ch, start_powers) > cfg.p_budget
+    assert report.feasible
+    assert_stall_trace(report, trace)
+    oracle = exhaustive_search(ch, cfg)
+    assert report.ee <= oracle.ee * (1.0 + 1e-9)
+
+
+def test_alternating_paper_default_draw_runs_past_the_first_phase_step():
+    # the parser's defaults: K = M = 4, N = 8, 1-bit, 0 dBm budget, -100 dBm noise
+    cfg = scenario_from_pairs({"sweep.p_budget_dbm": "0", "methods": "lis-1bit"}).config
+    report, trace = alternating_ee_max(sample_channels(cfg, 0), cfg, seed=0)
+    assert (cfg.k, cfg.m, cfg.n, cfg.b) == (4, 4, 8, 1)
+    assert report.feasible
+    assert report.outer_iterations >= 1
+    assert trace.termination != "infeasible"
+    assert_stall_trace(report, trace)
 
 
 def test_alternating_stall_rule_on_element_sweep_cell():

@@ -2,10 +2,10 @@
 
 Instances have K <= M <= 3, N <= 6 and b in {1, 2}, at desk scale (-10 dBm
 noise, 0 dBm circuit power) and at paper scale (-100 dBm noise, 100 dBm
-circuit power). Channels are distance-flat unit-variance draws, so the
-uniform start powers can pass the phase step's budget gate. Every feasible
-report is checked against the budget, the QoS floors, its own efficiency,
-the exhaustive oracle and the stopping rule. The relay baseline and the
+circuit power). Channels are distance-flat unit-variance draws. Every
+feasible report is checked against the budget, the QoS floors, its own
+efficiency, the exhaustive oracle and the stopping rule, and the alternating
+solver must find a feasible point wherever the oracle does. The relay baseline and the
 max-rate fill of both are checked against the budget, the floors, their
 efficiency and their power draw, and every surface report against the ZF
 SINR p_k / sigma2.
@@ -71,6 +71,16 @@ def test_alternating_solve_properties(scale, data):
     oracle = exhaustive_search(channels, cfg)
     assert oracle.feasible
     assert report.ee <= oracle.ee * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("scale", sorted(SCALES))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_oracle_feasible_instances_are_alternating_feasible(scale, data):
+    cfg, channels, seed = data.draw(instances(scale))
+    oracle = exhaustive_search(channels, cfg)
+    report, trace = alternating_ee_max(channels, cfg, seed=seed)
+    assert report.feasible == oracle.feasible, trace.termination
 
 
 @pytest.mark.parametrize("scale", sorted(SCALES))
