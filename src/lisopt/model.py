@@ -121,16 +121,8 @@ def effective_channel(channels: ChannelSet, phases: PhaseConfig) -> np.ndarray:
 
 
 def effective_channels(channels: ChannelSet, phi: np.ndarray) -> np.ndarray:
-    """Composite channels for element responses phi of shape (..., N); shape (..., K, M).
-
-    Each channel's entries are the same, bit for bit, whatever other rows
-    phi stacks with it. h2 is copied per row rather than broadcast: at
-    K = N = 1 a broadcast h2 puts numpy's complex multiply on another loop
-    for a stack than for a single row.
-    """
-    h2 = np.empty(np.shape(phi)[:-1] + channels.h2.shape, dtype=complex)
-    h2[...] = channels.h2
-    return (h2 * phi[..., None, :]) @ channels.h1 + channels.h
+    """Composite channels for element responses phi of shape (..., N); shape (..., K, M)."""
+    return (channels.h2 * phi[..., None, :]) @ channels.h1 + channels.h
 
 
 def _zf_shape(h_eff: np.ndarray) -> tuple:
@@ -157,11 +149,9 @@ def zf_svd(h_eff: np.ndarray) -> tuple:
     h_eff = np.asarray(h_eff)
     k, m = _zf_shape(h_eff)
     u, s, vh = np.linalg.svd(h_eff.reshape(-1, k, m), full_matrices=False)
-    good = s[:, -1] > _rank_threshold(s, k, m)
-    if good.all():  # the common case, without the masked copies below
-        return u, s, vh, np.einsum("bkj,bj->bk", np.abs(u) ** 2, 1.0 / s ** 2)
-    norms = np.full(u.shape[:2], np.inf)
-    norms[good] = np.einsum("bkj,bj->bk", np.abs(u[good]) ** 2, 1.0 / s[good] ** 2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        norms = np.einsum("bkj,bj->bk", np.abs(u) ** 2, 1.0 / s ** 2)
+    norms[s[:, -1] <= _rank_threshold(s, k, m)] = np.inf
     return u, s, vh, norms
 
 

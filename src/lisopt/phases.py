@@ -20,8 +20,11 @@ from .model import (
 
 # Stands in for +inf inside line searches so they back off instead of dying.
 _SENTINEL = 1e30
-# Stopping tests of the relaxed solve: largest gradient entry, relative objective decrease.
+# Stopping tests of the relaxed solve: largest projected-gradient entry, both absolute
+# and per unit of objective (alone, the absolute test stops early on objectives near
+# 1e-5 W); relative objective decrease.
 _GRADIENT_TOLERANCE = 1e-6
+_RELATIVE_GRADIENT_TOLERANCE = 2e-2
 _STEP_TOLERANCE = 1e-12
 # L-BFGS memory (curvature pairs kept), Armijo sufficient-decrease constant, trials per line search.
 _MEMORY = 10
@@ -41,7 +44,8 @@ class RelaxedSolveOptions:
     max_iterations caps each start's L-BFGS iterations. num_restarts counts
     total starts, run in lockstep: the caller's warm start plus
     num_restarts - 1 seeded random points. The gradient and
-    objective-decrease tolerances are fixed (1e-6 and 1e-12).
+    objective-decrease tolerances are fixed (1e-6 and 2e-2 of the
+    objective per radian, and 1e-12).
     """
 
     max_iterations: int = 80
@@ -99,7 +103,10 @@ def trace_value_and_grad(thetas: np.ndarray, channels: ChannelSet,
     figures depend on the other rows.
     """
     phi = np.exp(1j * thetas)
-    u, s, vh, beam_norms = zf_svd(effective_channels(channels, phi))
+    # h2 repeated per row, not broadcast: at K = N = 1 numpy multiplies a broadcast
+    # operand on another loop, and a row's figures would then depend on B
+    h2 = np.repeat(channels.h2[None], thetas.shape[0], axis=0)
+    u, s, vh, beam_norms = zf_svd((h2 * phi[:, None, :]) @ channels.h1 + channels.h)
     values = np.einsum("bk,k->b", beam_norms, powers.p)
     bad = np.isinf(beam_norms[:, 0])
     if bad.any():
@@ -107,46 +114,73 @@ def trace_value_and_grad(thetas: np.ndarray, channels: ChannelSet,
     uh = u.conj().swapaxes(1, 2)
     h1_g = (channels.h1 @ vh.conj().swapaxes(1, 2)) / s[:, None, :]
     px = (uh @ (powers.p[:, None] * u)) / (s * s)[:, None, :]
-    grad = 2.0 * np.imag(phi * np.einsum("bnk,bkn->bn", h1_g @ px, uh @ channels.h2))
+    grad = 2.0 * np.imag(phi * np.einsum("bnk,bkn->bn", h1_g @ px, uh @ h2))
     if bad.any():
         values[bad], grad[bad] = _SENTINEL, 0.0
     return values, grad
 
 
+def _free(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v with the entries zeroed that would push x out of the box [0, 2*pi] along -v."""
+    return np.where(((x <= 0.0) & (v > 0.0)) | ((x >= TWO_PI) & (v < 0.0)), 0.0, v)
+
+
+def _stationary(f: np.ndarray, pg: np.ndarray) -> np.ndarray:
+    """Per row: the projected gradient pg's largest entry passes both gradient tolerances."""
+    tolerance = np.minimum(_GRADIENT_TOLERANCE, _RELATIVE_GRADIENT_TOLERANCE * f)
+    return np.abs(pg).max(axis=1) <= tolerance
+
+
+def _armijo(rise: np.ndarray, g: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Per-row sufficient decrease: the objective rises by at most _ARMIJO * g^T step < 0."""
+    gs = np.einsum("bn,bn->b", g, step)
+    return (rise <= _ARMIJO * gs) & (gs < 0.0)
+
+
 def lbfgs_lockstep(starts: np.ndarray, channels: ChannelSet, powers: PowerAllocation,
                    max_iterations: int) -> tuple:
-    """Minimize the radiated-power objective from every row of starts (B, N) at once.
+    """Minimize the radiated-power objective on [0, 2*pi]^N from every row of starts (B, N).
 
-    Each row runs its own L-BFGS with a backtracking Armijo line search. The
-    direction is -H g for the inverse Hessian H built from the last _MEMORY
-    curvature pairs (s_i, y_i), in the compact form of the two-loop recursion
-    (Nocedal & Wright, Numerical Optimization, Alg. 7.4; Byrd, Nocedal &
-    Schnabel 1994): H = gamma I + [S Y] M [S Y]^T, where M needs R^-1 (R the
-    upper triangle of S^T Y), Y^T Y and diag(R). All three are updated in
-    place as pairs come and go, so a step solves no linear system. A pair is
-    kept when s^T y > eps * (-g^T s); a skipped pair leaves an empty slot
-    (zero s and y, unit diagonal in R), which drops out of H.
+    Each row runs its own projected L-BFGS with a backtracking Armijo line
+    search. The direction is -H g for the inverse Hessian H built from the
+    last _MEMORY curvature pairs (s_i, y_i), in the compact form of the
+    two-loop recursion (Nocedal & Wright, Numerical Optimization, Alg. 7.4;
+    Byrd, Nocedal & Schnabel 1994): H = gamma I + [S Y] M [S Y]^T, where M
+    needs R^-1 (R the upper triangle of S^T Y), Y^T Y and diag(R). All three
+    are updated in place as pairs come and go, so a step solves no linear
+    system. A pair is kept when s^T y > eps * (-g^T s); a skipped pair
+    leaves an empty slot (zero s and y, unit diagonal in R), which drops out
+    of H.
+
+    Angles stay on the box, as L-BFGS-B keeps them. An angle on a bound
+    whose gradient points out of the box is held: its gradient entry is
+    zeroed before H is applied (the projected gradient) and its direction
+    entry after, as is any other direction entry that would leave the box
+    from a bound (a projected quasi-Newton step; Kim, Sra & Dhillon 2010).
+    A direction that then no longer descends becomes minus the projected
+    gradient. Trial points are clipped to the box, and the Armijo test and
+    the curvature pair use the clipped step x1 - x.
 
     Until a row keeps its first pair, its first trial moves a distance of 1
     along d; after that the first trial takes the full step d. A failed
-    trial shrinks the step by safeguarded quadratic interpolation. Angles
-    wrap mod 2*pi, since the objective is 2*pi-periodic in each. A row
-    stops when its gradient's largest entry is at most _GRADIENT_TOLERANCE,
-    when a step lowers its objective by no more than
-    _STEP_TOLERANCE * max(f, 1), when its line search fails, or after
-    max_iterations steps; it then leaves the batch. Each round of trial
-    points, one per searching row, is one stacked trace_value_and_grad call.
-    No row's figures depend on the other rows, so each equals a batch-of-one
-    solve.
+    trial shrinks the step by safeguarded quadratic interpolation. A row
+    stops when its projected gradient's largest entry is at most
+    min(_GRADIENT_TOLERANCE, _RELATIVE_GRADIENT_TOLERANCE * f), when a step
+    lowers its objective by no more than _STEP_TOLERANCE * max(f, 1), when
+    its line search fails, or after max_iterations steps; it then leaves
+    the batch. Each round of trial points, one per searching row, is one
+    stacked trace_value_and_grad call. No row's figures depend on the other
+    rows, so each equals a batch-of-one solve.
 
     Returns the end points (B, N), in [0, 2*pi], and their objectives (B,),
-    none above its start's.
+    none above its start's (clipped to the box).
     """
-    x = np.mod(np.asarray(starts, dtype=float), TWO_PI)
+    x = np.clip(np.asarray(starts, dtype=float), 0.0, TWO_PI)
     f, g = trace_value_and_grad(x, channels, powers)
     ends, values = x.copy(), f.copy()
-    rows = np.flatnonzero(np.abs(g).max(axis=1) > _GRADIENT_TOLERANCE)
-    x, f, g = x[rows], f[rows], g[rows]
+    pg = _free(x, g)
+    rows = np.flatnonzero(~_stationary(f, pg))
+    x, f, g, pg = x[rows], f[rows], g[rows], pg[rows]
     m, n = _MEMORY, x.shape[1]
     pairs = np.zeros((rows.size, 2, m, n))  # s_i then y_i, oldest first
     mats = np.zeros((rows.size, 2, m, m))   # R^-1 then Y^T Y
@@ -159,29 +193,35 @@ def lbfgs_lockstep(starts: np.ndarray, channels: ChannelSet, powers: PowerAlloca
             break
         w = pairs.reshape(rows.size, 2 * m, n)
         r_inv, yy = mats[:, 0], mats[:, 1]
-        wg = w @ g[:, :, None]
+        wg = w @ pg[:, :, None]
         c = r_inv @ wg[:, :m]
         v = r_inv.swapaxes(1, 2) @ (diag[:, :, None] * c + gamma * (yy @ c - wg[:, m:]))
         d = ((gamma * c).swapaxes(1, 2) @ pairs[:, 1] - v.swapaxes(1, 2) @ pairs[:, 0])[:, 0]
-        d -= gamma[:, 0] * g
+        # -H pg, zeroed on held angles and where it would leave the box from a bound
+        d = -np.where(pg != g, 0.0, _free(x, gamma[:, 0] * pg - d))
         slope = np.einsum("bn,bn->b", g, d)
+        uphill = slope >= 0.0
+        if uphill.any():
+            d[uphill] = -pg[uphill]
+            slope[uphill] = np.einsum("bn,bn->b", g[uphill], d[uphill])
         t = np.ones(rows.size)
         if fresh.any():
             t[fresh] = 1.0 / np.sqrt(np.einsum("bn,bn->b", d[fresh], d[fresh]))
 
-        x1 = np.mod(x + t[:, None] * d, TWO_PI)
+        x1 = np.clip(x + t[:, None] * d, 0.0, TWO_PI)
         f1, g1 = trace_value_and_grad(x1, channels, powers)
-        ok = (f1 - f <= _ARMIJO * t * slope) & (slope < 0.0)
+        ok = _armijo(f1 - f, g, x1 - x)
         if not ok.all():
             _backtrack((x, f, g), d, t, slope, ok, (x1, f1, g1), channels, powers)
 
-        y = g1 - g
+        step, y = x1 - x, g1 - g
+        floor = _EPS * -np.einsum("bn,bn->b", g, step)
         small = f - f1 <= _STEP_TOLERANCE * np.maximum(f, 1.0)
-        x, f, g = x1, f1, g1
+        x, f, g, pg = x1, f1, g1, _free(x1, g1)
         pairs[:, :, :-1] = pairs[:, :, 1:]
-        pairs[:, 0, -1], pairs[:, 1, -1] = t[:, None] * d, y
+        pairs[:, 0, -1], pairs[:, 1, -1] = step, y
         z = (w @ y[:, :, None])[:, :, 0]  # s_i^T y then y_i^T y, the new pair last in each
-        keep = z[:, m - 1] > _EPS * -(t * slope)
+        keep = z[:, m - 1] > floor
         if keep.all():
             gamma = (z[:, m - 1] / z[:, -1])[:, None, None]
         else:
@@ -198,11 +238,11 @@ def lbfgs_lockstep(starts: np.ndarray, channels: ChannelSet, powers: PowerAlloca
         diag[:, -1] = z[:, m - 1]
 
         # a failed line search restored its row, and a zero decrease is small
-        done = small | (np.abs(g).max(axis=1) <= _GRADIENT_TOLERANCE)
+        done = small | _stationary(f, pg)
         if done.any():
             ends[rows[done]], values[rows[done]] = x[done], f[done]
             live = ~done
-            rows, x, f, g, fresh = rows[live], x[live], f[live], g[live], fresh[live]
+            rows, x, f, g, pg, fresh = rows[live], x[live], f[live], g[live], pg[live], fresh[live]
             pairs, mats, diag, gamma = pairs[live], mats[live], diag[live], gamma[live]
     ends[rows], values[rows] = x, f
     return ends, values
@@ -211,15 +251,15 @@ def lbfgs_lockstep(starts: np.ndarray, channels: ChannelSet, powers: PowerAlloca
 def _backtrack(start, d, t, slope, ok, trial, channels, powers) -> None:
     """Shrink the failed first trials of lbfgs_lockstep's line search, in place.
 
-    start is (x, f, g) and trial (x1, f1, g1) at steps t along d; ok marks
-    the rows whose trial passed the Armijo test. Each failed descent row
-    retries at the minimizer of the quadratic through f, the slope and its
-    last trial, kept within [0.1, 0.5] of the last step, up to
+    start is (x, f, g) and trial (x1, f1, g1) at steps t along d, clipped to
+    the box; ok marks the rows whose trial passed the Armijo test. Each
+    failed row retries at the minimizer of the quadratic through f, the
+    slope and its last trial, kept within [0.1, 0.5] of the last step, up to
     _MAX_BACKTRACKS trials in all. Rows that pass take their new point into
     trial; the others get back their start, with t = 0.
     """
     (x, f, g), (x1, f1, g1) = start, trial
-    fail = np.flatnonzero(~ok & (slope < 0.0))
+    fail = np.flatnonzero(~ok)
     drop = f1[fail] - f[fail]
     for _ in range(_MAX_BACKTRACKS - 1):
         if fail.size == 0:
@@ -227,10 +267,10 @@ def _backtrack(start, d, t, slope, ok, trial, channels, powers) -> None:
         tf, sf = t[fail], slope[fail]
         tf = np.fmin(np.fmax(-sf * tf ** 2 / (2.0 * (drop - sf * tf)), 0.1 * tf), 0.5 * tf)
         t[fail] = tf
-        xf = np.mod(x[fail] + tf[:, None] * d[fail], TWO_PI)
+        xf = np.clip(x[fail] + tf[:, None] * d[fail], 0.0, TWO_PI)
         ff, gf = trace_value_and_grad(xf, channels, powers)
         drop = ff - f[fail]
-        hit = drop <= _ARMIJO * tf * sf
+        hit = _armijo(drop, g[fail], xf - x[fail])
         x1[fail[hit]], f1[fail[hit]], g1[fail[hit]] = xf[hit], ff[hit], gf[hit]
         ok[fail[hit]] = True
         fail, drop = fail[~hit], drop[~hit]
