@@ -169,20 +169,18 @@ class SystemConfig:
             if not (np.isfinite(value) and value > 0.0):
                 raise ValueError(f"per-element power for resolution {key!r} must be positive")
 
-        mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        if mu.size == 1:
-            mu = np.full(self.k, float(mu[0]))
-        if mu.shape != (self.k,):
-            raise ValueError(f"mu must be scalar or length {self.k}, got shape {mu.shape}")
-        if np.any(mu < 1.0):
+        self.mu = self._per_user("mu")
+        if np.any(self.mu < 1.0):
             raise ValueError("amplifier inefficiency mu must be >= 1")
-        self.mu = mu
-
-        r_min = np.atleast_1d(np.asarray(self.r_min, dtype=float))
-        if r_min.size == 1:
-            r_min = np.full(self.k, float(r_min[0]))
-        if r_min.shape != (self.k,):
-            raise ValueError(f"r_min must be scalar or length {self.k}, got shape {r_min.shape}")
-        if np.any(r_min < 0.0) or not np.all(np.isfinite(r_min)):
+        self.r_min = self._per_user("r_min")
+        if np.any(self.r_min < 0.0) or not np.all(np.isfinite(self.r_min)):
             raise ValueError("minimum rates must be finite and >= 0")
-        self.r_min = r_min
+
+    def _per_user(self, name: str) -> np.ndarray:
+        """Field name as a length-k float vector; a scalar is repeated k times."""
+        v = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+        if v.size == 1:
+            v = np.full(self.k, float(v[0]))
+        if v.shape != (self.k,):
+            raise ValueError(f"{name} must be scalar or length {self.k}, got shape {v.shape}")
+        return v

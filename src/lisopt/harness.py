@@ -8,7 +8,7 @@ import json
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
 
@@ -36,17 +36,13 @@ from .solver import (
     exhaustive_search,
     max_rate_power_fill,
     relay_baseline,
+    resolution_tag,
 )
 
-KNOWN_METHODS = ("lis-1bit", "lis-2bit", "lis-continuous", "exhaustive", "relay")
-SWEEP_AXES = ("p_budget_dbm", "n", "snr_db")
-RAW_COLUMNS = ("method", "sweep", "trial", "seed", "ee", "sum_rate",
-               "total_power", "feasible", "iters", "wall_ms")
-AGG_COLUMNS = ("method", "sweep", "mean_ee", "stderr_ee", "mean_rate",
-               "stderr_rate", "feas_rate", "trials")
-
 # The surface methods and the phase resolution each runs at; the others keep the base config's.
-_RESOLUTIONS = {"lis-1bit": 1, "lis-2bit": 2, "lis-continuous": CONTINUOUS}
+_RESOLUTIONS = {resolution_tag(b): b for b in (1, 2, CONTINUOUS)}
+KNOWN_METHODS = (*_RESOLUTIONS, "exhaustive", "relay")
+SWEEP_AXES = ("p_budget_dbm", "n", "snr_db")
 
 _METHOD_ERRORS = (InfeasibleError, NonConvergenceError, SingularMatrixError,
                   EnumerationCapError, PhaseOptimizationError)
@@ -80,6 +76,10 @@ class AggregateRow:
     stderr_rate: float
     feas_rate: float
     trials: int
+
+
+RAW_COLUMNS = tuple(f.name for f in fields(ResultRow))
+AGG_COLUMNS = tuple(f.name for f in fields(AggregateRow))
 
 
 @dataclass
@@ -268,73 +268,51 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _config_dict(cfg: SystemConfig) -> dict:
-    return {
-        "m": cfg.m, "k": cfg.k, "n": cfg.n, "b": str(cfg.b),
-        "p_budget_w": cfg.p_budget, "sigma2_w": cfg.sigma2,
-        "mu": list(cfg.mu), "p_c_w": cfg.p_c,
-        "p_n_of_b_w": {str(k): v for k, v in cfg.p_n_of_b.items()},
-        "r_min": list(cfg.r_min),
-        "geometry": {"bs": list(cfg.geometry.bs), "lis": list(cfg.geometry.lis),
-                     "user_box": list(cfg.geometry.user_box)},
-        "pathloss": {
-            link: {"exponent": p.exponent, "ref_loss_db": p.ref_loss_db, "d0": p.d0}
-            for link, p in (("bs_user", cfg.pathloss.bs_user),
-                            ("bs_lis", cfg.pathloss.bs_lis),
-                            ("lis_user", cfg.pathloss.lis_user))
-        },
-        "relay": {"alpha": cfg.relay.alpha, "tx_power_w": cfg.relay.tx_power_w},
-        "epsilon": cfg.epsilon,
-    }
+def _jsonable(value):
+    """value with dict keys as str, tuples and arrays as lists, and numpy scalars as Python's."""
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return [_jsonable(v) for v in value]
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def _write_csv(path, header, lines) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in line] for line in lines)
 
 
 def emit_outputs(rows, aggregates, scenario: Scenario, out_dir) -> dict:
     """Write rows.csv, aggregates.csv, curves.csv, and manifest.json.
 
-    Column orders are fixed (RAW_COLUMNS / AGG_COLUMNS); floats are written
-    with shortest round-trip formatting so re-runs are byte-stable except
-    for the wall_ms column. curves.csv is plot-ready long format with one
-    (metric, method) curve per group.
+    Column orders are the field orders of ResultRow and AggregateRow; floats
+    are written with shortest round-trip formatting so re-runs are
+    byte-stable except for the wall_ms column. curves.csv is plot-ready long
+    format with one (metric, method) curve per group. The manifest echoes
+    every Scenario field, in linear units, under its field name.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {name: out / f"{name}.csv" for name in ("rows", "aggregates", "curves")}
     paths["manifest"] = out / "manifest.json"
-
-    with open(paths["rows"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RAW_COLUMNS)
-        for r in rows:
-            writer.writerow([_fmt(getattr(r, col)) for col in RAW_COLUMNS])
-
-    with open(paths["aggregates"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(AGG_COLUMNS)
-        for a in aggregates:
-            writer.writerow([_fmt(getattr(a, col)) for col in AGG_COLUMNS])
-
-    with open(paths["curves"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "method", "sweep", "value", "stderr"])
-        for metric, mean_col, err_col in (("ee", "mean_ee", "stderr_ee"),
-                                          ("sum_rate", "mean_rate", "stderr_rate")):
-            for a in aggregates:
-                writer.writerow([metric, a.method, _fmt(a.sweep),
-                                 _fmt(getattr(a, mean_col)), _fmt(getattr(a, err_col))])
+    _write_csv(paths["rows"], RAW_COLUMNS, ([getattr(r, c) for c in RAW_COLUMNS] for r in rows))
+    _write_csv(paths["aggregates"], AGG_COLUMNS,
+               ([getattr(a, c) for c in AGG_COLUMNS] for a in aggregates))
+    _write_csv(paths["curves"], ("metric", "method", "sweep", "value", "stderr"),
+               ((metric, a.method, a.sweep, getattr(a, mean_col), getattr(a, err_col))
+                for metric, mean_col, err_col in (("ee", "mean_ee", "stderr_ee"),
+                                                  ("sum_rate", "mean_rate", "stderr_rate"))
+                for a in aggregates))
 
     from . import __version__
 
     manifest = {
         "package": {"name": "lisopt", "version": __version__,
                     "numpy": np.__version__},
-        "scenario": {
-            "axis": scenario.axis, "values": list(scenario.values),
-            "methods": list(scenario.methods), "trials": scenario.trials,
-            "master_seed": scenario.master_seed, "power_rule": scenario.power_rule,
-            "r_min_rule": scenario.r_min_rule, "workers": scenario.workers,
-            "enumeration_cap": DEFAULT_ENUMERATION_CAP, "max_outer": DEFAULT_MAX_OUTER,
-            "config": _config_dict(scenario.config),
-        },
+        "scenario": {**_jsonable(asdict(scenario)), "enumeration_cap": DEFAULT_ENUMERATION_CAP,
+                     "max_outer": DEFAULT_MAX_OUTER},
         "seed_derivation": "SeedSequence(master_seed, spawn_key=(sweep_index, trial_index))",
         "notes": [
             "Pathloss is a configurable log-distance model; the defaults are not literature claims.",

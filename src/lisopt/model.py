@@ -10,6 +10,8 @@ from .channels import ChannelSet
 from .config import CONTINUOUS
 
 TWO_PI = 2.0 * np.pi
+# Relative slack of every budget test; the oracle's floor mask must match the power step's.
+BUDGET_SLACK = 1e-9
 
 
 class SingularMatrixError(ValueError):

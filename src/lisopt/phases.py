@@ -9,6 +9,7 @@ import numpy as np
 from .channels import ChannelSet
 from .config import CONTINUOUS
 from .model import (
+    BUDGET_SLACK,
     TWO_PI,
     PhaseConfig,
     PowerAllocation,
@@ -207,12 +208,7 @@ def lbfgs_lockstep(starts: np.ndarray, channels: ChannelSet, powers: PowerAlloca
         t = np.ones(rows.size)
         if fresh.any():
             t[fresh] = 1.0 / np.sqrt(np.einsum("bn,bn->b", d[fresh], d[fresh]))
-
-        x1 = np.clip(x + t[:, None] * d, 0.0, TWO_PI)
-        f1, g1 = trace_value_and_grad(x1, channels, powers)
-        ok = _armijo(f1 - f, g, x1 - x)
-        if not ok.all():
-            _backtrack((x, f, g), d, t, slope, ok, (x1, f1, g1), channels, powers)
+        x1, f1, g1 = _line_search(x, f, g, d, t, slope, channels, powers)
 
         step, y = x1 - x, g1 - g
         floor = _EPS * -np.einsum("bn,bn->b", g, step)
@@ -248,34 +244,30 @@ def lbfgs_lockstep(starts: np.ndarray, channels: ChannelSet, powers: PowerAlloca
     return ends, values
 
 
-def _backtrack(start, d, t, slope, ok, trial, channels, powers) -> None:
-    """Shrink the failed first trials of lbfgs_lockstep's line search, in place.
+def _line_search(x, f, g, d, t, slope, channels, powers, tries=_MAX_BACKTRACKS) -> tuple:
+    """Backtracking Armijo line search of lbfgs_lockstep, per row of the start (x, f, g).
 
-    start is (x, f, g) and trial (x1, f1, g1) at steps t along d, clipped to
-    the box; ok marks the rows whose trial passed the Armijo test. Each
-    failed row retries at the minimizer of the quadratic through f, the
-    slope and its last trial, kept within [0.1, 0.5] of the last step, up to
-    _MAX_BACKTRACKS trials in all. Rows that pass take their new point into
-    trial; the others get back their start, with t = 0.
+    Each row tries step t along d, clipped to the box, in one stacked
+    trace_value_and_grad call. The failed rows retry together at the
+    minimizer of the quadratic through f, the slope and their last trial,
+    kept within [0.1, 0.5] of the last step, up to `tries` trials in all.
+    Returns (x1, f1, g1): each row's first passing trial, or its start when
+    none passed.
     """
-    (x, f, g), (x1, f1, g1) = start, trial
-    fail = np.flatnonzero(~ok)
-    drop = f1[fail] - f[fail]
-    for _ in range(_MAX_BACKTRACKS - 1):
-        if fail.size == 0:
-            break
-        tf, sf = t[fail], slope[fail]
-        tf = np.fmin(np.fmax(-sf * tf ** 2 / (2.0 * (drop - sf * tf)), 0.1 * tf), 0.5 * tf)
-        t[fail] = tf
-        xf = np.clip(x[fail] + tf[:, None] * d[fail], 0.0, TWO_PI)
-        ff, gf = trace_value_and_grad(xf, channels, powers)
-        drop = ff - f[fail]
-        hit = _armijo(drop, g[fail], xf - x[fail])
-        x1[fail[hit]], f1[fail[hit]], g1[fail[hit]] = xf[hit], ff[hit], gf[hit]
-        ok[fail[hit]] = True
-        fail, drop = fail[~hit], drop[~hit]
-    x1[~ok], f1[~ok], g1[~ok] = x[~ok], f[~ok], g[~ok]
-    t[~ok] = 0.0
+    x1 = np.clip(x + t[:, None] * d, 0.0, TWO_PI)
+    f1, g1 = trace_value_and_grad(x1, channels, powers)
+    drop = f1 - f
+    ok = _armijo(drop, g, x1 - x)
+    if not ok.all():
+        miss = ~ok
+        if tries > 1:
+            tm, sm = t[miss], slope[miss]
+            tm = np.fmin(np.fmax(-sm * tm ** 2 / (2.0 * (drop[miss] - sm * tm)), 0.1 * tm), 0.5 * tm)
+            x1[miss], f1[miss], g1[miss] = _line_search(
+                x[miss], f[miss], g[miss], d[miss], tm, sm, channels, powers, tries - 1)
+        else:
+            x1[miss], f1[miss], g1[miss] = x[miss], f[miss], g[miss]
+    return x1, f1, g1
 
 
 def solve_relaxed(channels: ChannelSet, powers: PowerAllocation,
@@ -339,5 +331,5 @@ def solve_phase_subproblem(channels: ChannelSet, powers: PowerAllocation, b,
     return PhaseSolveOutcome(
         theta_quantized=quantized,
         objective_quantized=objective,
-        feasible=objective <= p_budget * (1.0 + 1e-9),
+        feasible=objective <= p_budget * (1.0 + BUDGET_SLACK),
     )

@@ -7,11 +7,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .model import PowerAllocation, zf_factor
+from .model import BUDGET_SLACK, PowerAllocation, zf_factor
 from .model import zf_precoder  # noqa: F401  not called here; perfbench's instrument() wraps it
 
 LN2 = float(np.log(2.0))
 _NEWTON_ITERATIONS = 100
+_DINKELBACH_ITERATIONS = 100
 
 
 class InfeasibleError(ValueError):
@@ -89,7 +90,7 @@ def solve_inner(lam, weights, p_min, mu, sigma2: float, p_budget: float):
         raise ValueError("unbounded: zero-weight user with no ratio penalty")
 
     committed = np.sum(batch * p_min, axis=1)
-    if np.any(committed > p_budget * (1.0 + 1e-9)):
+    if np.any(committed > p_budget * (1.0 + BUDGET_SLACK)):
         raise InfeasibleError(
             f"QoS floors need {committed.max():.6g} W radiated, budget is {p_budget:.6g} W"
         )
@@ -119,12 +120,13 @@ def solve_inner(lam, weights, p_min, mu, sigma2: float, p_budget: float):
 
 
 def dinkelbach_batch(weights, p_min, mu, sigma2: float, p_budget: float,
-                     power_offset: float, epsilon: float, max_iterations: int = 100):
+                     power_offset: float, epsilon: float):
     """Ratio maximization for every row of a (B, K) weight batch at once.
 
     Each row starts its ratio parameter at zero and alternates the concave
     inner solve with ratio updates until consecutive values differ by less
-    than epsilon; a settled row is left alone while the others go on.
+    than epsilon, for at most _DINKELBACH_ITERATIONS updates; a settled row
+    is left alone while the others go on.
     Returns (lambdas, powers, iterations): lambdas of shape (I, B) holds
     the ratio after each of the I updates, frozen once a row settled, so
     lambdas[-1] is the result; powers (B, K) are the final inner maximizers;
@@ -138,7 +140,7 @@ def dinkelbach_batch(weights, p_min, mu, sigma2: float, p_budget: float,
     iterations = np.zeros(weights.shape[0], dtype=int)
     lambdas_seen = []
     rows = np.arange(weights.shape[0])
-    for i in range(max_iterations):
+    for i in range(_DINKELBACH_ITERATIONS):
         if rows.size == 0:
             break
         p = solve_inner(lam[rows], weights[rows], p_min, mu, sigma2, p_budget)
@@ -151,14 +153,13 @@ def dinkelbach_batch(weights, p_min, mu, sigma2: float, p_budget: float,
         rows = rows[~settled]
     if rows.size:
         raise NonConvergenceError(
-            f"ratio parameter did not settle within {max_iterations} iterations"
+            f"ratio parameter did not settle within {_DINKELBACH_ITERATIONS} iterations"
         )
     return np.array(lambdas_seen), powers, iterations
 
 
 def dinkelbach_allocation(weights, p_min, mu, sigma2: float, p_budget: float,
-                          power_offset: float, epsilon: float,
-                          max_iterations: int = 100):
+                          power_offset: float, epsilon: float):
     """Ratio maximization for one weight vector: dinkelbach_batch on a batch of one.
 
     Returns (PowerAllocation, DinkelbachTrace); the final ratio equals the
@@ -166,7 +167,7 @@ def dinkelbach_allocation(weights, p_min, mu, sigma2: float, p_budget: float,
     """
     lambdas, powers, iterations = dinkelbach_batch(
         np.asarray(weights, dtype=float)[None, :], p_min, mu, sigma2, p_budget,
-        power_offset, epsilon, max_iterations,
+        power_offset, epsilon,
     )
     trace = DinkelbachTrace(tuple(float(lam) for lam in lambdas[:, 0]), int(iterations[0]))
     return PowerAllocation(p=powers[0]), trace

@@ -9,6 +9,7 @@ import numpy as np
 from .channels import ChannelSet
 from .config import CONTINUOUS, SystemConfig
 from .model import (
+    BUDGET_SLACK,
     PhaseConfig,
     PowerAllocation,
     SingularMatrixError,
@@ -196,7 +197,7 @@ def exhaustive_search(channels: ChannelSet, config: SystemConfig) -> SolveReport
         digits = np.arange(first, min(first + _EXHAUSTIVE_CHUNK, total))[:, None] // place % levels
         weights = zf_beam_norms(effective_channels(channels, phi_grid[digits]))
         with np.errstate(invalid="ignore"):  # inf * 0 floors of rank-deficient rows
-            fits = np.sum(weights * p_min, axis=1) <= config.p_budget * (1.0 + 1e-9)
+            fits = np.sum(weights * p_min, axis=1) <= config.p_budget * (1.0 + BUDGET_SLACK)
         keep = np.all(np.isfinite(weights), axis=1) & fits
         if not np.any(keep):
             continue

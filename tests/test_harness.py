@@ -5,7 +5,7 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -320,9 +320,44 @@ def test_emit_outputs_headers_and_round_trip(tmp_path):
 def test_emit_outputs_empty_aggregates(tmp_path):
     sc = tiny_scenario(values=(-10.0,), trials=1)
     paths = emit_outputs([], [], sc, tmp_path)
-    assert Path(paths["rows"]).read_text().strip() == ",".join(RAW_COLUMNS)
-    assert Path(paths["aggregates"]).read_text().strip() == ",".join(AGG_COLUMNS)
+    # the README's headers, spelled out, so a reordered ResultRow or AggregateRow field shows here
+    raw = "method,sweep,trial,seed,ee,sum_rate,total_power,feasible,iters,wall_ms"
+    agg = "method,sweep,mean_ee,stderr_ee,mean_rate,stderr_rate,feas_rate,trials"
+    readme = (REPO / "README.md").read_text()
+    assert f"`{raw}`" in readme and f"`{agg}`" in readme
+    assert Path(paths["rows"]).read_text().strip() == raw
+    assert Path(paths["aggregates"]).read_text().strip() == agg
     json.loads(Path(paths["manifest"]).read_text())
+
+
+def field_paths(obj, prefix=()):
+    """Every (nested) dataclass field name path under obj."""
+    for f in fields(obj):
+        yield prefix + (f.name,)
+        if is_dataclass(getattr(obj, f.name)):
+            yield from field_paths(getattr(obj, f.name), prefix + (f.name,))
+
+
+def test_manifest_echoes_every_scenario_field(tmp_path):
+    sc = tiny_scenario(phase_options=RelaxedSolveOptions(max_iterations=7, num_restarts=3))
+    manifest = json.loads(Path(emit_outputs([], [], sc, tmp_path)["manifest"]).read_text())
+    echo = manifest["scenario"]
+    for path in field_paths(sc):
+        node = echo
+        for name in path:
+            assert name in node, ".".join(path)
+            node = node[name]
+    assert echo["phase_options"] == {"max_iterations": 7, "num_restarts": 3}
+    assert echo["config"]["p_budget"] == sc.config.p_budget
+    assert echo["config"]["mu"] == list(sc.config.mu)
+    assert echo["config"]["p_n_of_b"] == {str(b): w for b, w in sc.config.p_n_of_b.items()}
+    assert echo["values"] == list(sc.values)
+
+
+def test_manifests_differ_when_only_phase_options_differ(tmp_path):
+    paths = [emit_outputs([], [], tiny_scenario(phase_options=options), tmp_path / str(i))
+             for i, options in enumerate((RelaxedSolveOptions(60, 2), RelaxedSolveOptions(10, 1)))]
+    assert Path(paths[0]["manifest"]).read_bytes() != Path(paths[1]["manifest"]).read_bytes()
 
 
 def strip_wall_column(path):

@@ -19,6 +19,7 @@ from lisopt import (
     zf_power_weights,
     zf_precoder,
 )
+from lisopt import power
 from util import complex_gaussian, make_config, random_channels
 
 LN2 = np.log(2.0)
@@ -303,11 +304,11 @@ def test_dinkelbach_infeasible_floors_raise():
                               p_budget=0.5, power_offset=1.0, epsilon=0.01)
 
 
-def test_dinkelbach_iteration_cap_raises():
+def test_dinkelbach_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(power, "_DINKELBACH_ITERATIONS", 1)
     with pytest.raises(NonConvergenceError):
         dinkelbach_allocation(np.ones(2), np.zeros(2), np.ones(2), 1e-4,
-                              p_budget=0.05, power_offset=1e-3, epsilon=1e-12,
-                              max_iterations=1)
+                              p_budget=0.05, power_offset=1e-3, epsilon=1e-12)
 
 
 def test_dinkelbach_ratio_matches_evaluated_ee():
