@@ -19,19 +19,17 @@ from .model import (
     zf_svd,
 )
 
-# Stands in for +inf inside line searches so they back off instead of dying.
-_SENTINEL = 1e30
 # Stopping tests of the relaxed solve: largest projected-gradient entry, both absolute
 # and per unit of objective (alone, the absolute test stops early on objectives near
 # 1e-5 W); relative objective decrease.
 _GRADIENT_TOLERANCE = 1e-6
 _RELATIVE_GRADIENT_TOLERANCE = 2e-2
 _STEP_TOLERANCE = 1e-12
-# L-BFGS memory (curvature pairs kept), Armijo sufficient-decrease constant, trials per line search.
-_MEMORY = 10
+# Objectives the nonmonotone line search looks back on, Armijo sufficient-decrease
+# constant, trials per line search.
+_HISTORY = 10
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 20
-_EPS = np.finfo(float).eps
 
 
 class PhaseOptimizationError(RuntimeError):
@@ -42,7 +40,7 @@ class PhaseOptimizationError(RuntimeError):
 class RelaxedSolveOptions:
     """Iteration cap and start count of the relaxed phase solve.
 
-    max_iterations caps each start's L-BFGS iterations. num_restarts counts
+    max_iterations caps each start's iterations. num_restarts counts
     total starts, run in lockstep: the caller's warm start plus
     num_restarts - 1 seeded random points. The gradient and
     objective-decrease tolerances are fixed (1e-6 and 2e-2 of the
@@ -100,8 +98,8 @@ def trace_value_and_grad(thetas: np.ndarray, channels: ChannelSet,
     X = (H H^H)^-1 = U S^-2 U^H, tr(P X) has d/d theta_n =
     2 Im(phi_n [h1 G P X h2]_nn), and h1 G P X h2 = (h1 V S^-1)(U^H P U S^-2)(U^H h2).
     The values are trace_values' up to rounding. Rank-deficient rows give
-    the sentinel and a zero gradient, so line searches back off. No row's
-    figures depend on the other rows.
+    +inf, as in trace_values, and a zero gradient, so line searches back
+    off. No row's figures depend on the other rows.
     """
     phi = np.exp(1j * thetas)
     # h2 repeated per row, not broadcast: at K = N = 1 numpy multiplies a broadcast
@@ -117,7 +115,7 @@ def trace_value_and_grad(thetas: np.ndarray, channels: ChannelSet,
     px = (uh @ (powers.p[:, None] * u)) / (s * s)[:, None, :]
     grad = 2.0 * np.imag(phi * np.einsum("bnk,bkn->bn", h1_g @ px, uh @ h2))
     if bad.any():
-        values[bad], grad[bad] = _SENTINEL, 0.0
+        values[bad], grad[bad] = np.inf, 0.0
     return values, grad
 
 
@@ -138,40 +136,32 @@ def _armijo(rise: np.ndarray, g: np.ndarray, step: np.ndarray) -> np.ndarray:
     return (rise <= _ARMIJO * gs) & (gs < 0.0)
 
 
-def lbfgs_lockstep(starts: np.ndarray, channels: ChannelSet, powers: PowerAllocation,
-                   max_iterations: int) -> tuple:
+def spg_lockstep(starts: np.ndarray, channels: ChannelSet, powers: PowerAllocation,
+                 max_iterations: int) -> tuple:
     """Minimize the radiated-power objective on [0, 2*pi]^N from every row of starts (B, N).
 
-    Each row runs its own projected L-BFGS with a backtracking Armijo line
-    search. The direction is -H g for the inverse Hessian H built from the
-    last _MEMORY curvature pairs (s_i, y_i), in the compact form of the
-    two-loop recursion (Nocedal & Wright, Numerical Optimization, Alg. 7.4;
-    Byrd, Nocedal & Schnabel 1994): H = gamma I + [S Y] M [S Y]^T, where M
-    needs R^-1 (R the upper triangle of S^T Y), Y^T Y and diag(R). All three
-    are updated in place as pairs come and go, so a step solves no linear
-    system. A pair is kept when s^T y > eps * (-g^T s); a skipped pair
-    leaves an empty slot (zero s and y, unit diagonal in R), which drops out
-    of H.
+    Each row runs its own nonmonotone spectral projected gradient (Birgin,
+    Martinez & Raydan 2000). It steps along d = clip(x - alpha g, 0, 2*pi) - x,
+    the projection of a gradient step onto the box. alpha is the
+    Barzilai-Borwein length s^T s / s^T y of the last step s and gradient
+    change y when s^T y > 0; otherwise, and on the first step, it is
+    1 / |pg|, so the step moves a distance of at most 1. Here pg is the
+    projected gradient: g with the entries zeroed whose angle sits on a
+    bound and would leave the box along -g.
 
-    Angles stay on the box, as L-BFGS-B keeps them. An angle on a bound
-    whose gradient points out of the box is held: its gradient entry is
-    zeroed before H is applied (the projected gradient) and its direction
-    entry after, as is any other direction entry that would leave the box
-    from a bound (a projected quasi-Newton step; Kim, Sra & Dhillon 2010).
-    A direction that then no longer descends becomes minus the projected
-    gradient. Trial points are clipped to the box, and the Armijo test and
-    the curvature pair use the clipped step x1 - x.
-
-    Until a row keeps its first pair, its first trial moves a distance of 1
-    along d; after that the first trial takes the full step d. A failed
-    trial shrinks the step by safeguarded quadratic interpolation. A row
-    stops when its projected gradient's largest entry is at most
-    min(_GRADIENT_TOLERANCE, _RELATIVE_GRADIENT_TOLERANCE * f), when a step
-    lowers its objective by no more than _STEP_TOLERANCE * max(f, 1), when
-    its line search fails, or after max_iterations steps; it then leaves
-    the batch. Each round of trial points, one per searching row, is one
-    stacked trace_value_and_grad call. No row's figures depend on the other
-    rows, so each equals a batch-of-one solve.
+    The line search is nonmonotone (Grippo, Lampariello & Lucidi 1986): a
+    trial x1 passes when its objective is at most the largest of the row's
+    last _HISTORY objectives plus _ARMIJO * g^T (x1 - x). Every accepted
+    objective is therefore below the start's. The first trial takes the
+    full step d, and a failed trial shrinks the step by safeguarded
+    quadratic interpolation. A row stops when its projected gradient's
+    largest entry is at most min(_GRADIENT_TOLERANCE,
+    _RELATIVE_GRADIENT_TOLERANCE * f), when a step changes its objective by
+    no more than _STEP_TOLERANCE * max(f, 1), when its line search fails,
+    or after max_iterations steps; it then leaves the batch. Each round of
+    trial points, one per searching row, is one stacked
+    trace_value_and_grad call. No row's figures depend on the other rows,
+    so each equals a batch-of-one solve.
 
     Returns the end points (B, N), in [0, 2*pi], and their objectives (B,),
     none above its start's (clipped to the box).
@@ -182,89 +172,58 @@ def lbfgs_lockstep(starts: np.ndarray, channels: ChannelSet, powers: PowerAlloca
     pg = _free(x, g)
     rows = np.flatnonzero(~_stationary(f, pg))
     x, f, g, pg = x[rows], f[rows], g[rows], pg[rows]
-    m, n = _MEMORY, x.shape[1]
-    pairs = np.zeros((rows.size, 2, m, n))  # s_i then y_i, oldest first
-    mats = np.zeros((rows.size, 2, m, m))   # R^-1 then Y^T Y
-    mats[:, 0] = np.eye(m)
-    diag = np.ones((rows.size, m))          # diag(R), 1 on empty slots
-    gamma = np.ones((rows.size, 1, 1))
-    fresh = np.ones(rows.size, dtype=bool)
-    for _ in range(max_iterations):
+    history = np.repeat(f[:, None], _HISTORY, axis=1)
+    alpha = 1.0 / np.sqrt(np.einsum("bn,bn->b", pg, pg))
+    for i in range(max_iterations):
         if rows.size == 0:
             break
-        w = pairs.reshape(rows.size, 2 * m, n)
-        r_inv, yy = mats[:, 0], mats[:, 1]
-        wg = w @ pg[:, :, None]
-        c = r_inv @ wg[:, :m]
-        v = r_inv.swapaxes(1, 2) @ (diag[:, :, None] * c + gamma * (yy @ c - wg[:, m:]))
-        d = ((gamma * c).swapaxes(1, 2) @ pairs[:, 1] - v.swapaxes(1, 2) @ pairs[:, 0])[:, 0]
-        # -H pg, zeroed on held angles and where it would leave the box from a bound
-        d = -np.where(pg != g, 0.0, _free(x, gamma[:, 0] * pg - d))
+        d = np.clip(x - alpha[:, None] * g, 0.0, TWO_PI) - x
         slope = np.einsum("bn,bn->b", g, d)
-        uphill = slope >= 0.0
-        if uphill.any():
-            d[uphill] = -pg[uphill]
-            slope[uphill] = np.einsum("bn,bn->b", g[uphill], d[uphill])
-        t = np.ones(rows.size)
-        if fresh.any():
-            t[fresh] = 1.0 / np.sqrt(np.einsum("bn,bn->b", d[fresh], d[fresh]))
-        x1, f1, g1 = _line_search(x, f, g, d, t, slope, channels, powers)
-
-        step, y = x1 - x, g1 - g
-        floor = _EPS * -np.einsum("bn,bn->b", g, step)
-        small = f - f1 <= _STEP_TOLERANCE * np.maximum(f, 1.0)
+        x1, f1, g1 = _line_search(x, f, g, d, np.ones(rows.size), slope, history.max(axis=1),
+                                  channels, powers)
+        s = x1 - x
+        sy = np.einsum("bn,bn->b", s, g1 - g)
+        small = np.abs(f - f1) <= _STEP_TOLERANCE * np.maximum(f, 1.0)
         x, f, g, pg = x1, f1, g1, _free(x1, g1)
-        pairs[:, :, :-1] = pairs[:, :, 1:]
-        pairs[:, 0, -1], pairs[:, 1, -1] = step, y
-        z = (w @ y[:, :, None])[:, :, 0]  # s_i^T y then y_i^T y, the new pair last in each
-        keep = z[:, m - 1] > floor
-        if keep.all():
-            gamma = (z[:, m - 1] / z[:, -1])[:, None, None]
-        else:
-            gamma[keep, 0, 0] = z[keep, m - 1] / z[keep, -1]
-            pairs[~keep, :, -1] = 0.0
-            z[~keep] = 0.0
-            z[~keep, m - 1] = 1.0
-        fresh &= ~keep
-        mats[:, :, :-1, :-1] = mats[:, :, 1:, 1:]
-        r_inv[:, :-1, -1] = -(r_inv[:, :-1, :-1] @ z[:, :m - 1, None])[:, :, 0] / z[:, m - 1:m]
-        r_inv[:, -1, -1] = 1.0 / z[:, m - 1]
-        yy[:, -1], yy[:, :, -1] = z[:, m:], z[:, m:]
-        diag[:, :-1] = diag[:, 1:]
-        diag[:, -1] = z[:, m - 1]
+        history[:, i % _HISTORY] = f
 
-        # a failed line search restored its row, and a zero decrease is small
+        # a failed line search restored its row, and a zero change is small
         done = small | _stationary(f, pg)
         if done.any():
             ends[rows[done]], values[rows[done]] = x[done], f[done]
             live = ~done
-            rows, x, f, g, pg, fresh = rows[live], x[live], f[live], g[live], pg[live], fresh[live]
-            pairs, mats, diag, gamma = pairs[live], mats[live], diag[live], gamma[live]
+            rows, x, f, g, pg = rows[live], x[live], f[live], g[live], pg[live]
+            history, s, sy = history[live], s[live], sy[live]
+        alpha = np.divide(np.einsum("bn,bn->b", s, s), sy,
+                          out=1.0 / np.sqrt(np.einsum("bn,bn->b", pg, pg)), where=sy > 0.0)
     ends[rows], values[rows] = x, f
     return ends, values
 
 
-def _line_search(x, f, g, d, t, slope, channels, powers, tries=_MAX_BACKTRACKS) -> tuple:
-    """Backtracking Armijo line search of lbfgs_lockstep, per row of the start (x, f, g).
+def _line_search(x, f, g, d, t, slope, reference, channels, powers,
+                 tries=_MAX_BACKTRACKS) -> tuple:
+    """Backtracking Armijo line search of spg_lockstep, per row of the start (x, f, g).
 
     Each row tries step t along d, clipped to the box, in one stacked
-    trace_value_and_grad call. The failed rows retry together at the
-    minimizer of the quadratic through f, the slope and their last trial,
-    kept within [0.1, 0.5] of the last step, up to `tries` trials in all.
-    Returns (x1, f1, g1): each row's first passing trial, or its start when
-    none passed.
+    trace_value_and_grad call. A trial passes when its objective exceeds
+    the row's reference value by at most _ARMIJO * g^T (x1 - x) < 0. The
+    failed rows retry together at the minimizer of the quadratic through
+    f, the slope and their last trial, kept within [0.1, 0.5] of the last
+    step, up to `tries` trials in all. Returns (x1, f1, g1): each row's
+    first passing trial, or its start when none passed.
     """
     x1 = np.clip(x + t[:, None] * d, 0.0, TWO_PI)
     f1, g1 = trace_value_and_grad(x1, channels, powers)
-    drop = f1 - f
-    ok = _armijo(drop, g, x1 - x)
+    ok = _armijo(f1 - reference, g, x1 - x)
     if not ok.all():
         miss = ~ok
         if tries > 1:
             tm, sm = t[miss], slope[miss]
-            tm = np.fmin(np.fmax(-sm * tm ** 2 / (2.0 * (drop[miss] - sm * tm)), 0.1 * tm), 0.5 * tm)
+            drop = f1[miss] - f[miss]
+            tm = np.fmin(np.fmax(-sm * tm ** 2 / (2.0 * (drop - sm * tm)), 0.1 * tm), 0.5 * tm)
             x1[miss], f1[miss], g1[miss] = _line_search(
-                x[miss], f[miss], g[miss], d[miss], tm, sm, channels, powers, tries - 1)
+                x[miss], f[miss], g[miss], d[miss], tm, sm, reference[miss], channels, powers,
+                tries - 1)
         else:
             x1[miss], f1[miss], g1[miss] = x[miss], f[miss], g[miss]
     return x1, f1, g1
@@ -276,10 +235,10 @@ def solve_relaxed(channels: ChannelSet, powers: PowerAllocation,
                   seed: int = 0) -> np.ndarray:
     """Minimize the radiated-power objective over the phase angles.
 
-    Runs lbfgs_lockstep from the warm start and from num_restarts - 1
+    Runs spg_lockstep from the warm start and from num_restarts - 1
     seeded random points together, with the exact gradient of
-    trace_value_and_grad. Rank-deficient points evaluate to a large
-    sentinel so line searches step away. The result is the lowest end
+    trace_value_and_grad. Rank-deficient points evaluate to +inf so line
+    searches step away. The result is the lowest end
     point, ties to the lowest restart, so it is never worse than the warm
     start, where restart 0 starts and which it never rises above.
     """
@@ -293,9 +252,9 @@ def solve_relaxed(channels: ChannelSet, powers: PowerAllocation,
             raise ValueError(f"warm start must have length {n}, got shape {warm.shape}")
     rng = np.random.default_rng(seed)
     starts = np.vstack([warm, rng.uniform(0.0, TWO_PI, (options.num_restarts - 1, n))])
-    thetas, values = lbfgs_lockstep(starts, channels, powers, options.max_iterations)
+    thetas, values = spg_lockstep(starts, channels, powers, options.max_iterations)
     best = int(np.argmin(values))
-    if values[best] >= _SENTINEL:
+    if not np.isfinite(values[best]):
         raise PhaseOptimizationError("all restarts ended in rank-deficient regions")
     return thetas[best]
 

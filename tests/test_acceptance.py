@@ -29,7 +29,7 @@ from lisopt import (
     transmit_power_used,
     zf_precoder,
 )
-from util import make_config, random_channels
+from util import make_config, random_channels, strip_wall_column
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 TWO_PI = 2.0 * np.pi
@@ -318,13 +318,6 @@ def test_criterion_8_rate_ordering_by_resolution(snr_sweep_results):
 
 
 # --------------------------------------------------------------- criterion 9
-
-def strip_wall_column(path):
-    lines = []
-    for line in Path(path).read_text().splitlines():
-        lines.append(",".join(line.split(",")[:-1]))
-    return "\n".join(lines)
-
 
 def test_criterion_9_scenario_determinism(tmp_path):
     scenario_text = (SCENARIOS / "ee_vs_budget.scn").read_text()

@@ -30,7 +30,7 @@ from lisopt import cli
 from lisopt.cli import main as cli_main
 from lisopt.harness import AGG_COLUMNS, RAW_COLUMNS, _config_at
 from lisopt.model import SingularMatrixError
-from util import make_config
+from util import make_config, strip_wall_column
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIO_FILES = sorted(REPO.glob("scenarios/*.scn")) + sorted(REPO.glob("perfbench/scenarios/*.scn"))
@@ -358,14 +358,6 @@ def test_manifests_differ_when_only_phase_options_differ(tmp_path):
     paths = [emit_outputs([], [], tiny_scenario(phase_options=options), tmp_path / str(i))
              for i, options in enumerate((RelaxedSolveOptions(60, 2), RelaxedSolveOptions(10, 1)))]
     assert Path(paths[0]["manifest"]).read_bytes() != Path(paths[1]["manifest"]).read_bytes()
-
-
-def strip_wall_column(path):
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            out.append(",".join(line.rstrip("\n").split(",")[:-1]))
-    return "\n".join(out)
 
 
 def test_emitted_csv_bytes_stable_across_reruns(tmp_path):

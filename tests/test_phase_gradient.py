@@ -1,4 +1,4 @@
-"""Property tests of the exact phase-step gradient and the lockstep L-BFGS on random instances.
+"""Property tests of the exact phase-step gradient and the lockstep SPG solve on random instances.
 
 Instances are drawn at desk scale (unit-ish hops, 1e-4 W noise) and at paper
 scale (hops of 1e-5 to 1e-3 in amplitude, -100 dBm noise), for K <= M users
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from lisopt import ChannelSet, PowerAllocation, dbm_to_watts, trace_objective, trace_values
 from lisopt.model import effective_channels, zf_beam_norms
-from lisopt.phases import _SENTINEL, lbfgs_lockstep, solve_relaxed, trace_value_and_grad
+from lisopt.phases import solve_relaxed, spg_lockstep, trace_value_and_grad
 from util import complex_gaussian
 
 TWO_PI = 2.0 * np.pi
@@ -80,7 +80,7 @@ def test_trace_values_equal_beam_norms_times_powers(data, scale):
     assert np.array_equal(trace_values(thetas, channels, powers), beam_norms @ powers.p)
 
 
-def test_rank_deficient_point_takes_sentinel_path():
+def test_rank_deficient_point_evaluates_to_inf():
     # H(theta) = h2 diag(e^{j theta}) h1 + h is the rank-one [[1, 2], [2, 4]] at theta = 0
     # (exact in floating point) and full rank at theta = pi
     channels = ChannelSet(h1=np.array([[1.0, 0.0]], dtype=complex),
@@ -88,7 +88,7 @@ def test_rank_deficient_point_takes_sentinel_path():
                           h=np.array([[0.0, 2.0], [2.0, 4.0]], dtype=complex))
     powers = PowerAllocation(p=np.array([0.5, 2.0]))
     (value,), (grad,) = trace_value_and_grad(np.zeros((1, 1)), channels, powers)
-    assert value == _SENTINEL
+    assert value == np.inf
     assert np.array_equal(grad, np.zeros(1))
     assert np.isinf(trace_objective(np.zeros(1), channels, powers))
     (value,), (grad,) = trace_value_and_grad(np.array([[np.pi]]), channels, powers)
@@ -110,12 +110,12 @@ def test_lockstep_rows_match_single_solves(data, scale):
     channels, powers, theta = data.draw(instances(scale))
     rng = np.random.default_rng(theta.size)
     starts = np.vstack([theta, rng.uniform(0.0, TWO_PI, (3, theta.size))])
-    ends, values = lbfgs_lockstep(starts, channels, powers, max_iterations=80)
+    ends, values = spg_lockstep(starts, channels, powers, max_iterations=80)
     assert np.all((ends >= 0.0) & (ends <= TWO_PI))
     assert np.array_equal(values, objective(ends, channels, powers))
     assert np.all(values <= objective(starts, channels, powers))
     for i, start in enumerate(starts):
-        end, value = lbfgs_lockstep(start[None, :], channels, powers, max_iterations=80)
+        end, value = spg_lockstep(start[None, :], channels, powers, max_iterations=80)
         assert np.array_equal(end[0], ends[i])
         assert value[0] == values[i]
 

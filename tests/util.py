@@ -1,4 +1,6 @@
-"""Shared test fixtures: normalized configs and geometry-free channel draws."""
+"""Shared test fixtures: normalized configs, geometry-free channel draws, CSV readers."""
+
+import csv
 
 import numpy as np
 
@@ -46,6 +48,14 @@ def random_channels(rng, k, m, n, scale=1.0):
         h2=scale * complex_gaussian(rng, (k, n)),
         h=scale * complex_gaussian(rng, (k, m)),
     )
+
+
+def strip_wall_column(path):
+    """The records of a rows.csv file with the wall_ms column dropped, found by its header."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    wall = rows[0].index("wall_ms")
+    return [row[:wall] + row[wall + 1:] for row in rows]
 
 
 def assert_stall_trace(report, trace):
