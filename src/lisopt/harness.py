@@ -24,7 +24,7 @@ from .config import (
     _default_p_n_map,
     dbm_to_watts,
 )
-from .model import SingularMatrixError, SolveReport
+from .model import PhaseConfig, SingularMatrixError, SolveReport
 from .model import zf_precoder  # noqa: F401  not called here; perfbench's instrument() wraps it
 from .phases import PhaseOptimizationError, RelaxedSolveOptions
 from .power import InfeasibleError, NonConvergenceError
@@ -168,14 +168,16 @@ def _method_config(cfg: SystemConfig, method: str) -> SystemConfig:
 
 
 def _dispatch(method: str, channels, cfg: SystemConfig, solver_seed: int,
-              scenario: Scenario) -> SolveReport:
+              scenario: Scenario, first_step: PhaseConfig | None) -> tuple:
+    """(report, the cell's shared first phase step: first_step, or the one this solve made)."""
     if method in _RESOLUTIONS:
-        report, _ = alternating_ee_max(channels, cfg, seed=solver_seed,
-                                       options=scenario.phase_options)
-        return report
+        report, trace = alternating_ee_max(channels, cfg, seed=solver_seed,
+                                           options=scenario.phase_options,
+                                           first_step=first_step)
+        return report, trace.first_step
     if method == "exhaustive":
-        return exhaustive_search(channels, cfg)
-    return relay_baseline(channels, cfg)
+        return exhaustive_search(channels, cfg), first_step
+    return relay_baseline(channels, cfg), first_step
 
 
 def _run_cell(scenario: Scenario, sweep_index: int, value: float, trial: int) -> list:
@@ -184,11 +186,13 @@ def _run_cell(scenario: Scenario, sweep_index: int, value: float, trial: int) ->
     cfg = _config_at(scenario, value)
     channels = sample_channels(cfg, channel_seed)
     rows = []
+    first_step = None  # solved by the cell's first surface row, reused by the later ones
     for method in scenario.methods:
         mcfg = _method_config(cfg, method)
         t0 = time.perf_counter()
         try:
-            report = _dispatch(method, channels, mcfg, solver_seed, scenario)
+            report, first_step = _dispatch(method, channels, mcfg, solver_seed, scenario,
+                                           first_step)
             if scenario.power_rule == "max-rate" and report.feasible:
                 report = max_rate_power_fill(channels, report, mcfg)
         except _METHOD_ERRORS:
@@ -208,7 +212,11 @@ def run_scenario(scenario: Scenario) -> list:
 
     Child seeds derive deterministically from (master_seed, sweep index,
     trial index), so the full output is reproducible end to end. Rows come
-    back ordered by (method order, sweep index, trial).
+    back ordered by (method order, sweep index, trial). A cell's surface
+    methods also share the first phase step of alternating_ee_max: the
+    first surface row solves it, its time counts in that row's wall_ms, and
+    the later surface rows quantize the same relaxed phases. Every row
+    equals the one its method gives when run alone.
 
     With workers > 1, up to `workers` forked processes run one cell each; rows
     equal the serial run's except wall_ms. One cell, or a platform without

@@ -24,6 +24,7 @@ from .model import (
 from .phases import (
     PhaseOptimizationError,
     RelaxedSolveOptions,
+    quantize_phases,
     solve_phase_subproblem,
 )
 from .power import (
@@ -59,11 +60,13 @@ class AlternatingTrace:
     The efficiencies of the iterates rise strictly, except that a
     "converged" trace ends with the first iterate that did not rise.
     termination is one of "converged", "infeasible" (a step failed), or
-    "iteration-cap".
+    "iteration-cap". first_step holds the continuous phases of the first
+    phase step, before quantization, or None if that step failed.
     """
 
     iterates: tuple
     termination: str
+    first_step: PhaseConfig | None
 
 
 def resolution_tag(b) -> str:
@@ -106,10 +109,18 @@ def evaluate(channels: ChannelSet, config: SystemConfig, phases: PhaseConfig | N
 
 
 def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0,
-                       options: RelaxedSolveOptions | None = None):
+                       options: RelaxedSolveOptions | None = None,
+                       first_step: PhaseConfig | None = None):
     """Alternate phase design (fixed powers) with power design (fixed phases).
 
-    Starts from a uniform power split and zero phases. The power step
+    Starts from a uniform power split and zero phases. Nothing in the first
+    phase step depends on b (its powers, start, seed and options are the
+    same at every resolution), so it solves the continuous problem and
+    quantizes that solution to b. The trace returns the continuous solution
+    as first_step. A solve at another resolution with the same channels,
+    budget, seed and options may pass it in as first_step: it then skips
+    that solve and returns an equal report and trace. The harness shares
+    a cell's first step among its surface methods this way. The power step
     re-optimizes the powers of each phase iterate under the budget, so a
     phase iterate is not tested against the budget at the previous powers;
     the solve is infeasible only when a step fails (the QoS floors do not
@@ -135,16 +146,22 @@ def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0
     termination = "iteration-cap"
     for _ in range(DEFAULT_MAX_OUTER):
         sub_seed = int(rng.integers(2 ** 63))
+        first = not iterates
         try:
-            outcome = solve_phase_subproblem(
-                channels, PowerAllocation(p=p_prev), config.b,
-                warm_start=theta_prev, p_budget=config.p_budget,
-                options=options, seed=sub_seed,
-            )
+            if not first or first_step is None:
+                phases = solve_phase_subproblem(
+                    channels, PowerAllocation(p=p_prev), CONTINUOUS if first else config.b,
+                    warm_start=theta_prev, p_budget=config.p_budget,
+                    options=options, seed=sub_seed,
+                ).theta_quantized
         except PhaseOptimizationError:
             termination = "infeasible"
             break
-        phases = outcome.theta_quantized
+        if first:
+            if first_step is None:
+                first_step = phases
+            phases = (first_step if config.b == CONTINUOUS
+                      else quantize_phases(first_step.theta, config.b))
         try:
             weights = zf_power_weights(effective_channel(channels, phases))
             alloc, dtrace = dinkelbach_allocation(
@@ -160,7 +177,7 @@ def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0
             break
         p_prev, theta_prev = alloc.p, phases.theta
 
-    trace = AlternatingTrace(tuple(iterates), termination)
+    trace = AlternatingTrace(tuple(iterates), termination, first_step)
     if not iterates:
         return SolveReport.infeasible(tag), trace
     best = max(iterates, key=lambda it: it.ee)

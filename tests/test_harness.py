@@ -23,6 +23,7 @@ from lisopt import (
     emit_outputs,
     harness,
     load_scenario,
+    phases,
     run_scenario,
     scenario_from_pairs,
 )
@@ -30,6 +31,7 @@ from lisopt import cli
 from lisopt.cli import main as cli_main
 from lisopt.harness import AGG_COLUMNS, RAW_COLUMNS, _config_at
 from lisopt.model import SingularMatrixError
+from lisopt.phases import PhaseOptimizationError
 from util import make_config, strip_wall_column
 
 REPO = Path(__file__).resolve().parent.parent
@@ -225,6 +227,66 @@ def test_workers_run_serially_without_fork(no_process_pool, monkeypatch):
     monkeypatch.setattr(harness, "get_all_start_methods", lambda: ["spawn"])
     sc = tiny_scenario(workers=2)
     assert comparable(run_scenario(sc)) == comparable(run_scenario(replace(sc, workers=1)))
+
+
+SURFACE_METHODS = ("lis-1bit", "lis-2bit", "lis-continuous")
+
+
+def rows_csv(scenario, out_dir):
+    """run_scenario's rows as written to rows.csv, without the wall_ms column."""
+    rows = run_scenario(scenario)
+    emit_outputs(rows, aggregate(rows), scenario, out_dir)
+    return strip_wall_column(Path(out_dir) / "rows.csv")
+
+
+@pytest.mark.parametrize("power_rule", ["ee", "max-rate"])
+def test_rows_do_not_depend_on_the_other_methods_of_the_cell(power_rule, tmp_path):
+    sc = tiny_scenario(methods=(*SURFACE_METHODS, "relay"), power_rule=power_rule)
+    together = rows_csv(sc, tmp_path / "together")
+    alone = []
+    for method in sc.methods:
+        header, *rows = rows_csv(replace(sc, methods=(method,)), tmp_path / method)
+        alone += rows
+    assert together == [header, *alone]
+    assert {row[0] for row in alone} == set(sc.methods)
+
+
+def counted_relaxed_solves(monkeypatch, solve):
+    """Route phases.solve_relaxed through solve; the list gets one entry per call."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("seed"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(phases, "solve_relaxed", counting)
+    return calls
+
+
+def test_a_cell_solves_its_first_phase_step_once(monkeypatch):
+    calls = counted_relaxed_solves(monkeypatch, phases.solve_relaxed)
+    sc = tiny_scenario(methods=(*SURFACE_METHODS, "relay"), values=(-10.0,), trials=1)
+    run_scenario(sc)
+    together = len(calls)
+    calls.clear()
+    for method in sc.methods:
+        run_scenario(replace(sc, methods=(method,)))
+    assert len(calls) - together == len(SURFACE_METHODS) - 1
+
+
+def test_failed_first_phase_step_gives_every_surface_row_the_infeasible_row(monkeypatch):
+    def rank_deficient(*args, **kwargs):
+        raise PhaseOptimizationError("all restarts ended in rank-deficient regions")
+
+    calls = counted_relaxed_solves(monkeypatch, rank_deficient)
+    sc = tiny_scenario(methods=(*SURFACE_METHODS, "relay"), values=(-10.0,), trials=2)
+    rows = run_scenario(sc)
+    surface = [r for r in rows if r.method in SURFACE_METHODS]
+    assert len(surface) == 6
+    assert all(not r.feasible and (r.ee, r.sum_rate, r.iters) == (0.0, 0.0, 0) for r in surface)
+    assert all(r.feasible for r in rows if r.method == "relay")
+    # no step was shared, so each surface row tried its own, with its cell's first seed
+    assert len(calls) == 6 and len(set(calls)) == 2
 
 
 def test_run_scenario_exhaustive_dominates_alternating_per_row():

@@ -8,8 +8,11 @@ efficiency, the exhaustive oracle and the stopping rule, and the alternating
 solver must find a feasible point wherever the oracle does. The relay baseline and the
 max-rate fill of both are checked against the budget, the floors, their
 efficiency and their power draw, and every surface report against the ZF
-SINR p_k / sigma2.
+SINR p_k / sigma2. A solve handed another resolution's first phase step
+equals the solve that makes its own.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lisopt import (
+    CONTINUOUS,
     SystemConfig,
     alternating_ee_max,
     dbm_to_watts,
@@ -110,3 +114,46 @@ def test_relay_and_rate_fill_properties(scale, data):
             for k in range(cfg.k):
                 assert sinr(k, channels, report.phases, g, report.powers, cfg.sigma2) \
                     == pytest.approx(p[k] / cfg.sigma2, rel=1e-6)
+
+
+def assert_shared_first_step_is_invisible(cfg, channels, seed):
+    """Each resolution's solve equals itself when handed another resolution's first step."""
+    solves = {b: alternating_ee_max(channels, replace(cfg, b=b), seed=seed)
+              for b in (1, 2, CONTINUOUS)}
+    for b, solve in solves.items():
+        for other, (_, other_trace) in solves.items():
+            if other != b:
+                shared = alternating_ee_max(channels, replace(cfg, b=b), seed=seed,
+                                            first_step=other_trace.first_step)
+                assert shared == solve, (b, other)
+    _, continuous = solves[CONTINUOUS]
+    if continuous.iterates:
+        assert continuous.iterates[0].phases == continuous.first_step
+    return solves
+
+
+# nine solves an example, three of them continuous, which take the most outer steps
+@pytest.mark.parametrize("scale", sorted(SCALES))
+@settings(PROPERTY_SETTINGS, max_examples=15)
+@given(data=st.data())
+def test_shared_first_step_is_invisible(scale, data):
+    cfg, channels, seed = data.draw(instances(scale))
+    assert_shared_first_step_is_invisible(cfg, channels, seed)
+
+
+# Draws whose QoS floors exceed the budget after the first phase step at one
+# resolution only: 2-bit at desk scale, 1-bit at paper scale.
+FLOOR_SPLIT_DRAWS = {
+    "desk": (dict(k=3, m=3, n=5, p_budget_dbm=-8.52, r_min=1.8), 52),
+    "paper": (dict(k=2, m=3, n=5, p_budget_dbm=-17.12, r_min=28.72), 1),
+}
+
+
+@pytest.mark.parametrize("scale", sorted(FLOOR_SPLIT_DRAWS))
+def test_one_resolutions_failed_power_step_does_not_leak(scale):
+    fields, seed = FLOOR_SPLIT_DRAWS[scale]
+    cfg = SCALES[scale](b=1, **fields)
+    solves = assert_shared_first_step_is_invisible(cfg, sample_channels(cfg, seed), seed)
+    outer = {b: len(trace.iterates) for b, (_, trace) in solves.items()}
+    assert min(outer.values()) == 0 < max(outer.values()), outer
+    assert all(trace.first_step is not None for _, trace in solves.values())
