@@ -5,9 +5,11 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields, replace
 from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
@@ -207,6 +209,33 @@ def _run_cell(scenario: Scenario, sweep_index: int, value: float, trial: int) ->
     return rows
 
 
+_pool = None  # (process count, executor) of the kept workers; see run_scenario
+
+
+def _close_workers() -> None:
+    """Join the kept workers and drop them; the next parallel run forks new ones."""
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown(wait=True)
+        _pool = None
+
+
+def _forget_workers() -> None:
+    global _pool
+    _pool = None  # a forked child's copy of the pool is its parent's, not its own
+
+
+os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _workers(count: int) -> ProcessPoolExecutor:
+    global _pool
+    if _pool is None or _pool[0] != count:
+        _close_workers()  # so that no manager thread of ours runs while the new pool forks
+        _pool = (count, ProcessPoolExecutor(count, get_context("fork")))
+    return _pool[1]
+
+
 def run_scenario(scenario: Scenario) -> list:
     """Run every (sweep value, trial) cell; all methods in a cell share channels.
 
@@ -218,17 +247,31 @@ def run_scenario(scenario: Scenario) -> list:
     the later surface rows quantize the same relaxed phases. Every row
     equals the one its method gives when run alone.
 
-    With workers > 1, up to `workers` forked processes run one cell each; rows
-    equal the serial run's except wall_ms. One cell, or a platform without
-    fork, runs serially (Python 3.12+ warns when a threaded process forks).
+    With workers > 1, min(workers, cells) forked processes run one cell each;
+    rows equal the serial run's except wall_ms. One cell, or a platform
+    without fork, runs serially (Python 3.12+ warns when a threaded process
+    forks). The processes are forked at the first parallel run and kept for
+    later runs that need the same count; a run that needs another count joins
+    them and forks new ones. So the workers run the code as it was at their
+    fork, and a patch made later does not reach them. While they live, this
+    process has one more thread, which a caller's own fork sees; a forked
+    child starts with no workers. A run that finds a worker dead raises
+    BrokenProcessPool, and the next run forks new ones. concurrent.futures
+    joins the workers at interpreter exit. A process that ends through
+    os._exit, as a multiprocessing child does, skips that hook: it calls
+    _close_workers() first, or it waits on them forever.
     """
     cells = [(si, v, t) for si, v in enumerate(scenario.values)
              for t in range(scenario.trials)]
     run_cell = functools.partial(_run_cell, scenario)
     if scenario.workers > 1 and len(cells) > 1 and "fork" in get_all_start_methods():
-        # Not spawn or forkserver: they re-import numpy and lisopt, 0.4-0.7 s a pool (fork ~10 ms).
-        with ProcessPoolExecutor(min(scenario.workers, len(cells)), get_context("fork")) as pool:
-            chunks = list(pool.map(run_cell, *zip(*cells)))
+        # Not spawn or forkserver: they re-import numpy and lisopt, 0.4-0.7 s a pool. Kept across
+        # runs: a fresh pool added 35-48 ms to each 8-cell elements_fanout.scn run (2 cores).
+        try:
+            chunks = list(_workers(min(scenario.workers, len(cells))).map(run_cell, *zip(*cells)))
+        except BrokenProcessPool:
+            _close_workers()
+            raise
     else:
         chunks = [run_cell(*cell) for cell in cells]
     rows = [row for chunk in chunks for row in chunk]

@@ -2,10 +2,14 @@ import csv
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import textwrap
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields, is_dataclass, replace
+from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -177,7 +181,16 @@ def test_run_scenario_workers_match_serial():
             assert parallel == serial, (power_rule, workers)
 
 
-def test_method_error_in_worker_gives_the_serial_infeasible_row(monkeypatch, tmp_path):
+@pytest.fixture
+def fresh_workers():
+    """Fork the test's workers after its patches, and keep them from later tests."""
+    harness._close_workers()
+    yield
+    harness._close_workers()
+
+
+def test_method_error_in_worker_gives_the_serial_infeasible_row(fresh_workers, monkeypatch,
+                                                                 tmp_path):
     pids = tmp_path / "pids"
 
     def singular_relay(channels, cfg):
@@ -198,13 +211,138 @@ def test_method_error_in_worker_gives_the_serial_infeasible_row(monkeypatch, tmp
     assert worker_pids and str(os.getpid()) not in worker_pids
 
 
-def test_non_method_error_in_worker_propagates(monkeypatch):
+def test_non_method_error_in_worker_propagates(fresh_workers, monkeypatch):
     def broken_draw(cfg, seed):
         raise RuntimeError("channel draw failed")
 
     monkeypatch.setattr(harness, "sample_channels", broken_draw)
     with pytest.raises(RuntimeError, match="channel draw failed"):
         run_scenario(tiny_scenario(workers=2))
+
+
+def record_relay_pids(monkeypatch, path):
+    relay = harness.relay_baseline
+
+    def recording(channels, cfg):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return relay(channels, cfg)
+
+    monkeypatch.setattr(harness, "relay_baseline", recording)
+
+
+def taken_pids(path):
+    """The pids recorded since the last call, as ints; the file starts empty again."""
+    pids = {int(pid) for pid in path.read_text().split()}
+    path.unlink()
+    assert pids and os.getpid() not in pids
+    return pids
+
+
+def is_alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_parallel_runs_reuse_the_forked_workers(fresh_workers, monkeypatch, tmp_path):
+    pids = tmp_path / "pids"
+    record_relay_pids(monkeypatch, pids)
+    sc = tiny_scenario(workers=2)
+    serial = comparable(run_scenario(replace(sc, workers=1)))
+    pids.unlink()
+    assert comparable(run_scenario(sc)) == serial
+    first = taken_pids(pids)
+    assert comparable(run_scenario(sc)) == serial
+    assert taken_pids(pids) <= first
+
+
+def test_another_process_count_joins_the_kept_workers(fresh_workers, monkeypatch, tmp_path):
+    pids = tmp_path / "pids"
+    record_relay_pids(monkeypatch, pids)
+    sc = tiny_scenario()
+    serial = comparable(run_scenario(sc))
+    pids.unlink()
+    assert comparable(run_scenario(replace(sc, workers=2))) == serial
+    first = taken_pids(pids)
+    assert all(is_alive(pid) for pid in first)
+    assert comparable(run_scenario(replace(sc, workers=3))) == serial
+    assert taken_pids(pids).isdisjoint(first)
+    assert not any(is_alive(pid) for pid in first)
+
+
+def test_dead_worker_raises_and_the_next_run_forks_new_workers(fresh_workers, monkeypatch,
+                                                                tmp_path):
+    parent = os.getpid()
+
+    def dying_relay(channels, cfg):
+        if os.getpid() != parent:
+            os._exit(1)
+        raise AssertionError("the relay ran in the test process")
+
+    monkeypatch.setattr(harness, "relay_baseline", dying_relay)
+    sc = tiny_scenario(workers=2)
+    with pytest.raises(BrokenProcessPool):
+        run_scenario(sc)
+    monkeypatch.undo()
+    pids = tmp_path / "pids"
+    record_relay_pids(monkeypatch, pids)
+    serial = comparable(run_scenario(replace(sc, workers=1)))
+    pids.unlink()
+    assert comparable(run_scenario(sc)) == serial
+    renewed = taken_pids(pids)
+    assert comparable(run_scenario(sc)) == serial
+    assert taken_pids(pids) <= renewed
+
+
+def test_forked_child_forks_workers_of_its_own(fresh_workers):
+    sc = tiny_scenario(workers=2)
+    serial = comparable(run_scenario(replace(sc, workers=1)))
+    run_scenario(sc)  # this process now keeps two workers
+
+    def child():
+        try:
+            assert comparable(run_scenario(sc)) == serial
+        finally:
+            harness._close_workers()  # a multiprocessing child leaves through os._exit
+
+    process = get_context("fork").Process(target=child)
+    process.start()
+    process.join(30)
+    if process.is_alive():
+        process.kill()
+        process.join()
+    assert process.exitcode == 0
+
+
+def test_exiting_interpreter_leaves_no_worker_alive(tmp_path):
+    path = tmp_path / "tiny.scn"
+    path.write_text(SCENARIO_TEXT)
+    pids = tmp_path / "pids"
+    code = textwrap.dedent(f"""
+        import os
+        from dataclasses import replace
+        from lisopt import harness, load_scenario, run_scenario
+        relay = harness.relay_baseline
+
+        def recording(channels, cfg):
+            with open({str(pids)!r}, "a") as fh:
+                fh.write(f"{{os.getpid()}}\\n")
+            return relay(channels, cfg)
+
+        harness.relay_baseline = recording
+        scenario = replace(load_scenario({str(path)!r}), workers=2)
+        run_scenario(scenario)
+        run_scenario(scenario)
+    """)
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+    left = [pid for pid in taken_pids(pids) if is_alive(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert not left
 
 
 @pytest.fixture
