@@ -8,7 +8,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from .channels import sample_channels
 from .harness import (
     Scenario,
     aggregate,
@@ -17,12 +16,11 @@ from .harness import (
     run_scenario,
     scenario_from_pairs,
 )
-from .solver import alternating_ee_max, exhaustive_search
 
 _AXIS_KEYS = {"p": "sweep.p_budget_dbm", "n": "sweep.n", "snr": "sweep.snr_db"}
 
-# Normalized tiny setup for paired alternating-vs-exhaustive checks: unit-ish
-# channels so efficiencies are well away from zero at desk scale.
+# The oracle-check scenario, less the sweep.n, trials and master_seed its flags set: a
+# normalized tiny setup, unit-ish channels so efficiencies are well away from zero.
 _ORACLE_PAIRS = {
     "k": "2", "m": "2", "b": "1",
     "sigma2_dbm": "-10", "p_budget_dbm": "-10",
@@ -31,7 +29,6 @@ _ORACLE_PAIRS = {
     "pathloss.bs_lis.exponent": "0", "pathloss.bs_lis.ref_loss_db": "0",
     "pathloss.lis_user.exponent": "0", "pathloss.lis_user.ref_loss_db": "0",
     "methods": "lis-1bit,exhaustive",
-    "sweep.p_budget_dbm": "-10",
 }
 
 
@@ -87,32 +84,27 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    configs = _checked(lambda: [scenario_from_pairs({**_ORACLE_PAIRS, "n": size}).config
-                                for size in args.sizes.split(",")])
+    scenario = _checked(lambda: scenario_from_pairs({
+        **_ORACLE_PAIRS, "sweep.n": args.sizes, "trials": str(args.instances),
+        "master_seed": str(args.seed)}))
+    rows = {(r.method, r.sweep, r.trial): r for r in run_scenario(scenario)}
     gaps = []
     false_total = 0
-    rng = np.random.default_rng(args.seed)
-    for cfg in configs:
-        size_gaps = []
-        false_infeasible = both_infeasible = 0
-        for _ in range(args.instances):
-            channel_seed = int(rng.integers(2 ** 63))
-            solver_seed = int(rng.integers(2 ** 63))
-            channels = sample_channels(cfg, channel_seed)
-            alt, _ = alternating_ee_max(channels, cfg, seed=solver_seed)
-            exh = exhaustive_search(channels, cfg)
-            false_infeasible += exh.feasible and not alt.feasible
-            both_infeasible += not (exh.feasible or alt.feasible)
-            if alt.feasible and exh.feasible:
-                size_gaps.append((exh.ee - alt.ee) / exh.ee)
+    for n in scenario.values:
+        size_pairs = [(rows["lis-1bit", n, t], rows["exhaustive", n, t])
+                      for t in range(scenario.trials)]
+        false_infeasible = sum(exh.feasible and not alt.feasible for alt, exh in size_pairs)
+        both_infeasible = sum(not (exh.feasible or alt.feasible) for alt, exh in size_pairs)
+        size_gaps = [(exh.ee - alt.ee) / exh.ee for alt, exh in size_pairs
+                     if alt.feasible and exh.feasible]
         gaps.extend(size_gaps)
         false_total += false_infeasible
         dropped = f"false-infeasible={false_infeasible} both-infeasible={both_infeasible}"
         if size_gaps:
-            print(f"n={cfg.n:3d}: instances={len(size_gaps)} {dropped} "
+            print(f"n={int(n):3d}: instances={len(size_gaps)} {dropped} "
                   f"median gap={np.median(size_gaps):.4%} max gap={max(size_gaps):.4%}")
         else:
-            print(f"n={cfg.n:3d}: no feasible paired instances, {dropped}")
+            print(f"n={int(n):3d}: no feasible paired instances, {dropped}")
     if not gaps:
         print("no paired results")
         return 1

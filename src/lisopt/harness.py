@@ -35,6 +35,7 @@ from .solver import (
     DEFAULT_MAX_OUTER,
     EnumerationCapError,
     alternating_ee_max,
+    enumeration_count,
     exhaustive_search,
     max_rate_power_fill,
     relay_baseline,
@@ -132,23 +133,13 @@ class Scenario:
             b = _RESOLUTIONS.get(method)
             if b is not None and b not in self.config.p_n_of_b:
                 raise ValueError(f"{method} needs a p_n_of_b entry for {b!r}")
-        if self.axis == "n":
-            for v in values:
-                if v != int(v) or int(v) < self.config.k:
-                    raise ValueError(
-                        f"n sweep values must be integers >= k={self.config.k}, got {v}"
-                    )
+        ns = [int(v) for v in values] if self.axis == "n" else [self.config.n]
+        if self.axis == "n" and (ns != list(values) or min(ns) < self.config.k):
+            raise ValueError(f"n sweep values must be integers, need n >= k={self.config.k}, "
+                             f"got {values}")
         if "exhaustive" in methods:
-            if self.config.b == CONTINUOUS:
-                raise ValueError("exhaustive method needs a finite base resolution")
-            ns = [int(v) for v in values] if self.axis == "n" else [self.config.n]
             for n in ns:
-                count = (1 << self.config.b) ** n
-                if count > DEFAULT_ENUMERATION_CAP:
-                    raise ValueError(
-                        f"exhaustive at n={n} needs {count} candidates, "
-                        f"cap is {DEFAULT_ENUMERATION_CAP}"
-                    )
+                enumeration_count(n, self.config.b)
 
 
 def _config_at(scenario: Scenario, value: float) -> SystemConfig:

@@ -123,8 +123,15 @@ def effective_channel(channels: ChannelSet, phases: PhaseConfig) -> np.ndarray:
 
 
 def effective_channels(channels: ChannelSet, phi: np.ndarray) -> np.ndarray:
-    """Composite channels for element responses phi of shape (..., N); shape (..., K, M)."""
-    return (channels.h2 * phi[..., None, :]) @ channels.h1 + channels.h
+    """Composite channels H2 diag(phi) H1 + H for element responses phi (..., N); shape (..., K, M).
+
+    h2 is repeated per row, not broadcast: at K = N = 1 numpy multiplies a
+    broadcast operand on another loop, and a row's figures would then depend
+    on the rows beside it. Each row equals the batch-of-one build.
+    """
+    h2 = np.empty(phi.shape[:-1] + channels.h2.shape, dtype=channels.h2.dtype)
+    h2[...] = channels.h2
+    return (h2 * phi[..., None, :]) @ channels.h1 + channels.h
 
 
 def _zf_shape(h_eff: np.ndarray) -> tuple:
@@ -176,12 +183,6 @@ def zf_precoder(h_eff: np.ndarray) -> np.ndarray:
     """
     u, s, vh, _ = zf_factor(h_eff)
     return (vh.conj().T / s[None, :]) @ u.conj().T
-
-
-def zf_beam_norms(h_eff: np.ndarray) -> np.ndarray:
-    """Squared ZF beam norms (..., K) of effective channels (..., K, M), as zf_svd gives them."""
-    h_eff = np.asarray(h_eff)
-    return zf_svd(h_eff)[3].reshape(h_eff.shape[:-1])
 
 
 def sinr(k: int, channels: ChannelSet, phases: PhaseConfig, precoder: np.ndarray,

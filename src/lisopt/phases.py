@@ -15,7 +15,6 @@ from .model import (
     PowerAllocation,
     effective_channels,
     phase_grid,
-    zf_beam_norms,
     zf_svd,
 )
 
@@ -70,18 +69,26 @@ class PhaseSolveOutcome:
     feasible: bool
 
 
+def _radiated(beam_norms: np.ndarray, powers: PowerAllocation) -> tuple:
+    """sum_k p_k ||g_k||^2 per row of zf_svd's beam norms (B, K), +inf on rank-deficient rows.
+
+    Returns the values (B,) and the rank-deficient rows (B,).
+    """
+    bad = np.isinf(beam_norms[:, 0])
+    values = np.einsum("bk,k->b", beam_norms, powers.p)
+    values[bad] = np.inf  # inf * 0 of a zero-power user is nan
+    return values, bad
+
+
 def trace_values(thetas: np.ndarray, channels: ChannelSet, powers: PowerAllocation) -> np.ndarray:
     """Radiated ZF power for a batch of phase vectors; +inf where rank deficient.
 
-    thetas has shape (B, N); returns shape (B,). The beam norms of the whole
-    batch come from one stacked zf_beam_norms call.
+    thetas has shape (B, N); returns shape (B,), equal bit for bit to
+    trace_value_and_grad's values. The beam norms of the whole batch come
+    from one stacked zf_svd call.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    beam_norms = zf_beam_norms(effective_channels(channels, np.exp(1j * thetas)))
-    good = np.all(np.isfinite(beam_norms), axis=1)
-    out = np.full(thetas.shape[0], np.inf)
-    out[good] = beam_norms[good] @ powers.p
-    return out
+    return _radiated(zf_svd(effective_channels(channels, np.exp(1j * thetas)))[3], powers)[0]
 
 
 def trace_objective(theta: np.ndarray, channels: ChannelSet, powers: PowerAllocation) -> float:
@@ -97,25 +104,20 @@ def trace_value_and_grad(thetas: np.ndarray, channels: ChannelSet,
     the effective channel H = U S V^H, the ZF precoder G = V S^-1 U^H and
     X = (H H^H)^-1 = U S^-2 U^H, tr(P X) has d/d theta_n =
     2 Im(phi_n [h1 G P X h2]_nn), and h1 G P X h2 = (h1 V S^-1)(U^H P U S^-2)(U^H h2).
-    The values are trace_values' up to rounding. Rank-deficient rows give
+    The values are trace_values' bit for bit. Rank-deficient rows give
     +inf, as in trace_values, and a zero gradient, so line searches back
     off. No row's figures depend on the other rows.
     """
     phi = np.exp(1j * thetas)
-    # h2 repeated per row, not broadcast: at K = N = 1 numpy multiplies a broadcast
-    # operand on another loop, and a row's figures would then depend on B
-    h2 = np.repeat(channels.h2[None], thetas.shape[0], axis=0)
-    u, s, vh, beam_norms = zf_svd((h2 * phi[:, None, :]) @ channels.h1 + channels.h)
-    values = np.einsum("bk,k->b", beam_norms, powers.p)
-    bad = np.isinf(beam_norms[:, 0])
+    u, s, vh, beam_norms = zf_svd(effective_channels(channels, phi))
+    values, bad = _radiated(beam_norms, powers)
     if bad.any():
         s = np.where(bad[:, None], 1.0, s)
     uh = u.conj().swapaxes(1, 2)
     h1_g = (channels.h1 @ vh.conj().swapaxes(1, 2)) / s[:, None, :]
     px = (uh @ (powers.p[:, None] * u)) / (s * s)[:, None, :]
-    grad = 2.0 * np.imag(phi * np.einsum("bnk,bkn->bn", h1_g @ px, uh @ h2))
-    if bad.any():
-        values[bad], grad[bad] = np.inf, 0.0
+    grad = 2.0 * np.imag(phi * np.einsum("bnk,bkn->bn", h1_g @ px, uh @ channels.h2))
+    grad[bad] = 0.0
     return values, grad
 
 

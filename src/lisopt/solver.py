@@ -18,8 +18,8 @@ from .model import (
     effective_channels,
     phase_grid,
     sum_rate,
-    zf_beam_norms,
     zf_precoder,
+    zf_svd,
 )
 from .phases import (
     PhaseOptimizationError,
@@ -90,6 +90,34 @@ def _link(channels: ChannelSet, config: SystemConfig, phases: PhaseConfig | None
     return effective_channel(channels, phases), _power_offset(config)
 
 
+def _power_step(channels: ChannelSet, config: SystemConfig,
+                phases: PhaseConfig | None) -> tuple:
+    """Dinkelbach powers on the surface at phases, or on the relay if None: (allocation, trace).
+
+    Raises SingularMatrixError when the effective channel is rank deficient
+    and InfeasibleError when the QoS floors do not fit the budget.
+    """
+    h_eff, offset = _link(channels, config, phases)
+    return dinkelbach_allocation(zf_power_weights(h_eff), qos_min_powers(config), config.mu,
+                                 config.sigma2, config.p_budget, offset, config.epsilon)
+
+
+def enumeration_count(n: int, b) -> int:
+    """Candidates (2^b)^n of an exhaustive search over n elements at resolution b.
+
+    Raises ValueError for continuous b, and EnumerationCapError when the
+    count exceeds DEFAULT_ENUMERATION_CAP.
+    """
+    if b == CONTINUOUS:
+        raise ValueError("exhaustive enumeration needs a finite resolution")
+    total = (1 << b) ** n
+    if total > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"exhaustive at n={n} needs {total} candidates, cap is {DEFAULT_ENUMERATION_CAP}"
+        )
+    return total
+
+
 def evaluate(channels: ChannelSet, config: SystemConfig, phases: PhaseConfig | None,
              powers: PowerAllocation, iterations: int, tag: str) -> SolveReport:
     """Feasible report of an operating point: powers on the surface at phases, or on the relay.
@@ -136,11 +164,9 @@ def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0
     feasible iterate yields a report with feasible=False.
     """
     tag = resolution_tag(config.b)
-    offset = _power_offset(config)
     rng = np.random.default_rng(seed)
     p_prev = np.full(config.k, config.p_budget / config.k)
     theta_prev = np.zeros(config.n)
-    p_min = qos_min_powers(config)
 
     iterates = []
     termination = "iteration-cap"
@@ -163,11 +189,7 @@ def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0
             phases = (first_step if config.b == CONTINUOUS
                       else quantize_phases(first_step.theta, config.b))
         try:
-            weights = zf_power_weights(effective_channel(channels, phases))
-            alloc, dtrace = dinkelbach_allocation(
-                weights, p_min, config.mu, config.sigma2, config.p_budget,
-                offset, config.epsilon,
-            )
+            alloc, dtrace = _power_step(channels, config, phases)
         except (InfeasibleError, SingularMatrixError):
             termination = "infeasible"
             break
@@ -196,14 +218,8 @@ def exhaustive_search(channels: ChannelSet, config: SystemConfig) -> SolveReport
     More than DEFAULT_ENUMERATION_CAP (2^20) candidates raise
     EnumerationCapError before any is scored.
     """
-    if config.b == CONTINUOUS:
-        raise ValueError("exhaustive enumeration needs a finite resolution")
+    total = enumeration_count(config.n, config.b)
     levels = 1 << config.b
-    total = levels ** config.n
-    if total > DEFAULT_ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"enumeration needs {total} candidates, cap is {DEFAULT_ENUMERATION_CAP}"
-        )
     grid = phase_grid(config.b)
     phi_grid = np.exp(1j * grid)
     place = levels ** np.arange(config.n)
@@ -212,7 +228,7 @@ def exhaustive_search(channels: ChannelSet, config: SystemConfig) -> SolveReport
     best = None  # (ee, digits, powers)
     for first in range(0, total, _EXHAUSTIVE_CHUNK):
         digits = np.arange(first, min(first + _EXHAUSTIVE_CHUNK, total))[:, None] // place % levels
-        weights = zf_beam_norms(effective_channels(channels, phi_grid[digits]))
+        weights = zf_svd(effective_channels(channels, phi_grid[digits]))[3]
         with np.errstate(invalid="ignore"):  # inf * 0 floors of rank-deficient rows
             fits = np.sum(weights * p_min, axis=1) <= config.p_budget * (1.0 + BUDGET_SLACK)
         keep = np.all(np.isfinite(weights), axis=1) & fits
@@ -240,13 +256,8 @@ def relay_baseline(channels: ChannelSet, config: SystemConfig) -> SolveReport:
     swaps the per-element surface draw for the relay's dedicated transmit
     power.
     """
-    h_eff, offset = _link(channels, config, None)
     try:
-        weights = zf_power_weights(h_eff)
-        alloc, dtrace = dinkelbach_allocation(
-            weights, qos_min_powers(config), config.mu, config.sigma2,
-            config.p_budget, offset, config.epsilon,
-        )
+        alloc, dtrace = _power_step(channels, config, None)
     except (SingularMatrixError, InfeasibleError):
         return SolveReport.infeasible("relay")
     return evaluate(channels, config, None, alloc, dtrace.iterations, "relay")

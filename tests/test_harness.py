@@ -36,6 +36,7 @@ from lisopt.cli import main as cli_main
 from lisopt.harness import AGG_COLUMNS, RAW_COLUMNS, _config_at
 from lisopt.model import SingularMatrixError
 from lisopt.phases import PhaseOptimizationError
+from lisopt.solver import AlternatingTrace
 from util import make_config, strip_wall_column
 
 REPO = Path(__file__).resolve().parent.parent
@@ -713,24 +714,26 @@ def test_cli_oracle_check_smoke(capsys):
     assert sum(int(c) for c in counts.groups()) == 3
 
 
+def stub_report(feasible):
+    if not feasible:
+        return SolveReport.infeasible("stub")
+    return SolveReport(ee=1.0, sum_rate=1.0, total_power=1.0, phases=None, powers=None,
+                       outer_iterations=1, feasible=True, method_tag="stub")
+
+
+def stub_alternating(reports):
+    """A harness alternating_ee_max that returns the next of reports, with no first step."""
+    trace = AlternatingTrace(iterates=(), termination="converged", first_step=None)
+    return lambda channels, cfg, seed, options, first_step: (next(reports), trace)
+
+
 def test_cli_oracle_check_counts_dropped_instances(monkeypatch, capsys):
     # (alternating feasible, exhaustive feasible) per instance, in solve order
-    outcomes = iter([(False, True), (False, False), (True, True), (False, True)])
-    exhaustive_feasible = []
-
-    def report(feasible):
-        if not feasible:
-            return SolveReport.infeasible("stub")
-        return SolveReport(ee=1.0, sum_rate=1.0, total_power=1.0, phases=None, powers=None,
-                           outer_iterations=1, feasible=True, method_tag="stub")
-
-    def alternating(channels, cfg, seed):
-        alt, exh = next(outcomes)
-        exhaustive_feasible.append(exh)
-        return report(alt), None
-
-    monkeypatch.setattr(cli, "alternating_ee_max", alternating)
-    monkeypatch.setattr(cli, "exhaustive_search", lambda ch, cfg: report(exhaustive_feasible[-1]))
+    outcomes = [(False, True), (False, False), (True, True), (False, True)]
+    monkeypatch.setattr(harness, "alternating_ee_max",
+                        stub_alternating(stub_report(alt) for alt, _ in outcomes))
+    exhaustive = iter([stub_report(exh) for _, exh in outcomes])
+    monkeypatch.setattr(harness, "exhaustive_search", lambda ch, cfg: next(exhaustive))
     assert cli_main(["oracle-check", "--sizes", "2", "--instances", "4"]) == 1
     out = capsys.readouterr().out
     assert "n=  2: instances=1 false-infeasible=2 both-infeasible=1 median gap" in out
@@ -738,15 +741,44 @@ def test_cli_oracle_check_counts_dropped_instances(monkeypatch, capsys):
 
 def test_cli_oracle_check_fails_on_a_false_infeasible(monkeypatch, capsys):
     # the alternating solver reports the second instance infeasible; the oracle solves both
-    feasible = SolveReport(ee=1.0, sum_rate=1.0, total_power=1.0, phases=None, powers=None,
-                           outer_iterations=1, feasible=True, method_tag="stub")
-    alternating = iter([feasible, SolveReport.infeasible("stub")])
-    monkeypatch.setattr(cli, "alternating_ee_max", lambda ch, cfg, seed: (next(alternating), None))
-    monkeypatch.setattr(cli, "exhaustive_search", lambda ch, cfg: feasible)
+    feasible = stub_report(True)
+    monkeypatch.setattr(harness, "alternating_ee_max",
+                        stub_alternating(iter([feasible, SolveReport.infeasible("stub")])))
+    monkeypatch.setattr(harness, "exhaustive_search", lambda ch, cfg: feasible)
     assert cli_main(["oracle-check", "--sizes", "2", "--instances", "2"]) == 1
     captured = capsys.readouterr()
     assert "false-infeasible=1" in captured.out
     assert "ERROR: 1 instances feasible for the exhaustive oracle" in captured.err
+
+
+def test_cli_oracle_check_counts_equal_run_scenario_rows(capsys):
+    scenario = scenario_from_pairs({**cli._ORACLE_PAIRS, "sweep.n": "2,4", "trials": "6",
+                                    "master_seed": "3"})
+    rows = run_scenario(scenario)
+    expected = []
+    for n in (2.0, 4.0):
+        alt = {r.trial: r for r in rows if r.method == "lis-1bit" and r.sweep == n}
+        exh = {r.trial: r for r in rows if r.method == "exhaustive" and r.sweep == n}
+        pairs = [(alt[t], exh[t]) for t in range(6)]
+        expected.append((int(n), sum(a.feasible and e.feasible for a, e in pairs),
+                         sum(e.feasible and not a.feasible for a, e in pairs),
+                         sum(not (a.feasible or e.feasible) for a, e in pairs)))
+    cli_main(["oracle-check", "--sizes", "2,4", "--instances", "6", "--seed", "3"])
+    found = re.findall(r"n= *(\d+): instances=(\d+) false-infeasible=(\d+) "
+                       r"both-infeasible=(\d+)", capsys.readouterr().out)
+    assert [tuple(int(c) for c in line) for line in found] == expected
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--sizes", "4,2", "--instances", "1"], "strictly increasing"),
+    (["--sizes", "2", "--instances", "0"], "trials must be >= 1"),
+], ids=["decreasing-sizes", "no-instances"])
+def test_cli_oracle_check_rejects_bad_flags(flags, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["oracle-check", *flags])
+    assert isinstance(exc.value.code, str) and exc.value.code.startswith("lisopt: ")
+    assert message in exc.value.code
+    assert capsys.readouterr().out == ""
 
 
 def test_import_loads_no_scipy():

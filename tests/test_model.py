@@ -18,6 +18,7 @@ from lisopt import (
     transmit_power_used,
     zf_precoder,
 )
+from lisopt.model import effective_channels
 from util import complex_gaussian, make_config, random_channels
 
 TWO_PI = 2.0 * np.pi
@@ -111,6 +112,18 @@ def test_effective_channel_matches_triple_loop():
                 acc += ch.h2[kk, nn] * np.exp(1j * theta[nn]) * ch.h1[nn, mm]
             oracle[kk, mm] = acc
     assert np.max(np.abs(out - oracle)) < 1e-12
+
+
+@pytest.mark.parametrize("k, m, n", [(1, 1, 1), (4, 4, 8)], ids=["k1-n1", "workload"])
+def test_effective_channels_rows_equal_batch_of_one_builds(k, m, n):
+    rng = np.random.default_rng(11)
+    ch = random_channels(rng, k=k, m=m, n=n)
+    phis = np.exp(1j * rng.uniform(0, TWO_PI, (6, n)))
+    batch = effective_channels(ch, phis)
+    assert batch.shape == (6, k, m)
+    for i, phi in enumerate(phis):
+        assert np.array_equal(batch[i], effective_channels(ch, phis[i:i + 1])[0])
+        assert np.array_equal(batch[i], effective_channels(ch, phi))
 
 
 def test_effective_channel_dimension_mismatch():

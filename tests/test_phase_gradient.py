@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lisopt import ChannelSet, PowerAllocation, dbm_to_watts, trace_objective, trace_values
-from lisopt.model import effective_channels, zf_beam_norms
+from lisopt.model import effective_channels
 from lisopt.phases import solve_relaxed, spg_lockstep, trace_value_and_grad
 from util import complex_gaussian
 
@@ -71,13 +71,27 @@ def test_gradient_matches_central_differences(data, scale):
 
 @PROPERTY_SETTINGS
 @given(data=st.data(), scale=st.sampled_from(sorted(SCALES)))
-def test_trace_values_equal_beam_norms_times_powers(data, scale):
+def test_trace_values_equal_value_and_grad_values(data, scale):
     channels, powers, theta = data.draw(instances(scale))
     rng = np.random.default_rng(theta.size)
     thetas = np.vstack([theta, rng.uniform(0.0, TWO_PI, (4, theta.size))])
-    beam_norms = zf_beam_norms(effective_channels(channels, np.exp(1j * thetas)))
-    assume(np.all(np.isfinite(beam_norms)))
-    assert np.array_equal(trace_values(thetas, channels, powers), beam_norms @ powers.p)
+    idle = PowerAllocation(p=np.where(np.arange(powers.p.size) == 0, 0.0, powers.p))
+    for p in (powers, idle):
+        assert np.array_equal(trace_values(thetas, channels, p),
+                              trace_value_and_grad(thetas, channels, p)[0])
+
+
+def test_trace_values_equal_value_and_grad_values_on_rank_deficient_rows():
+    # the channel of test_rank_deficient_point_evaluates_to_inf: rank one at theta = 0
+    channels = ChannelSet(h1=np.array([[1.0, 0.0]], dtype=complex),
+                          h2=np.array([[1.0], [0.0]], dtype=complex),
+                          h=np.array([[0.0, 2.0], [2.0, 4.0]], dtype=complex))
+    thetas = np.array([[0.0], [np.pi], [0.0]])
+    for p in ([0.5, 2.0], [0.0, 2.0], [0.0, 0.0]):
+        powers = PowerAllocation(p=np.array(p))
+        values = trace_values(thetas, channels, powers)
+        assert values[0] == values[2] == np.inf and np.isfinite(values[1])
+        assert np.array_equal(values, trace_value_and_grad(thetas, channels, powers)[0])
 
 
 def test_rank_deficient_point_evaluates_to_inf():
