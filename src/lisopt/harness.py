@@ -133,7 +133,7 @@ class Scenario:
             b = _RESOLUTIONS.get(method)
             if b is not None and b not in self.config.p_n_of_b:
                 raise ValueError(f"{method} needs a p_n_of_b entry for {b!r}")
-        ns = [int(v) for v in values] if self.axis == "n" else [self.config.n]
+        ns = [int(v) for v in values if np.isfinite(v)] if self.axis == "n" else [self.config.n]
         if self.axis == "n" and (ns != list(values) or min(ns) < self.config.k):
             raise ValueError(f"n sweep values must be integers, need n >= k={self.config.k}, "
                              f"got {values}")

@@ -59,12 +59,12 @@ class PhaseConfig(_ArrayFieldsEq):
         object.__setattr__(self, "theta", theta)
         if theta.ndim != 1:
             raise ValueError(f"theta must be a vector, got shape {theta.shape}")
-        if not np.all(np.isfinite(theta)):
+        if np.count_nonzero(np.isfinite(theta)) != theta.size:
             raise ValueError("theta contains non-finite entries")
-        if np.any(theta < 0.0) or np.any(theta > TWO_PI):
+        if np.count_nonzero((theta < 0.0) | (theta > TWO_PI)):
             raise ValueError("phases must lie in [0, 2*pi]")
-        on_grid = self.resolution == CONTINUOUS or np.isin(theta, phase_grid(self.resolution)).all()
-        if not on_grid:
+        if self.resolution != CONTINUOUS and np.count_nonzero(  # the levels are distinct
+                theta[:, None] == phase_grid(self.resolution)) != theta.size:
             raise ValueError("finite-resolution phases must sit exactly on the admissible grid")
 
     @property

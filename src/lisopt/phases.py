@@ -111,25 +111,24 @@ def trace_value_and_grad(thetas: np.ndarray, channels: ChannelSet,
     phi = np.exp(1j * thetas)
     u, s, vh, beam_norms = zf_svd(effective_channels(channels, phi))
     values, bad = _radiated(beam_norms, powers)
-    if bad.any():
-        s = np.where(bad[:, None], 1.0, s)
+    s[bad] = 1.0
     uh = u.conj().swapaxes(1, 2)
     h1_g = (channels.h1 @ vh.conj().swapaxes(1, 2)) / s[:, None, :]
     px = (uh @ (powers.p[:, None] * u)) / (s * s)[:, None, :]
-    grad = 2.0 * np.imag(phi * np.einsum("bnk,bkn->bn", h1_g @ px, uh @ channels.h2))
+    grad = 2.0 * (phi * np.einsum("bnk,bkn->bn", h1_g @ px, uh @ channels.h2)).imag
     grad[bad] = 0.0
     return values, grad
 
 
-def _free(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """v with the entries zeroed that would push x out of the box [0, 2*pi] along -v."""
-    return np.where(((x <= 0.0) & (v > 0.0)) | ((x >= TWO_PI) & (v < 0.0)), 0.0, v)
+def _projected(x: np.ndarray, f: np.ndarray, v: np.ndarray) -> tuple:
+    """Projected gradient magnitudes and spg_lockstep's gradient stopping test, per row.
 
-
-def _stationary(f: np.ndarray, pg: np.ndarray) -> np.ndarray:
-    """Per row: the projected gradient pg's largest entry passes both gradient tolerances."""
-    tolerance = np.minimum(_GRADIENT_TOLERANCE, _RELATIVE_GRADIENT_TOLERANCE * f)
-    return np.abs(pg).max(axis=1) <= tolerance
+    Returns |v| with the entries zeroed that would push x out of [0, 2*pi]
+    along -v, and whether each row's largest entry passes both tolerances.
+    """
+    apg = np.abs(v)
+    apg[((x <= 0.0) & (v > 0.0)) | ((x >= TWO_PI) & (v < 0.0))] = 0.0
+    return apg, apg.max(axis=1) <= np.minimum(_GRADIENT_TOLERANCE, _RELATIVE_GRADIENT_TOLERANCE * f)
 
 
 def _armijo(rise: np.ndarray, g: np.ndarray, step: np.ndarray) -> np.ndarray:
@@ -168,67 +167,67 @@ def spg_lockstep(starts: np.ndarray, channels: ChannelSet, powers: PowerAllocati
     Returns the end points (B, N), in [0, 2*pi], and their objectives (B,),
     none above its start's (clipped to the box).
     """
-    x = np.clip(np.asarray(starts, dtype=float), 0.0, TWO_PI)
+    x = np.asarray(starts, dtype=float).clip(0.0, TWO_PI)
     f, g = trace_value_and_grad(x, channels, powers)
     ends, values = x.copy(), f.copy()
-    pg = _free(x, g)
-    rows = np.flatnonzero(~_stationary(f, pg))
-    x, f, g, pg = x[rows], f[rows], g[rows], pg[rows]
+    apg, stationary = _projected(x, f, g)
+    rows = (~stationary).nonzero()[0]
+    x, f, g, apg = x[rows], f[rows], g[rows], apg[rows]
     history = np.repeat(f[:, None], _HISTORY, axis=1)
-    alpha = 1.0 / np.sqrt(np.einsum("bn,bn->b", pg, pg))
+    alpha = 1.0 / np.sqrt(np.einsum("bn,bn->b", apg, apg))
     for i in range(max_iterations):
         if rows.size == 0:
             break
-        d = np.clip(x - alpha[:, None] * g, 0.0, TWO_PI) - x
-        slope = np.einsum("bn,bn->b", g, d)
-        x1, f1, g1 = _line_search(x, f, g, d, np.ones(rows.size), slope, history.max(axis=1),
-                                  channels, powers)
-        s = x1 - x
+        d = (x - alpha[:, None] * g).clip(0.0, TWO_PI) - x
+        x1, f1, g1, s = _line_search(x, f, g, d, history.max(axis=1), channels, powers)
         sy = np.einsum("bn,bn->b", s, g1 - g)
         small = np.abs(f - f1) <= _STEP_TOLERANCE * np.maximum(f, 1.0)
-        x, f, g, pg = x1, f1, g1, _free(x1, g1)
+        x, f, g = x1, f1, g1
+        apg, stationary = _projected(x, f, g)
         history[:, i % _HISTORY] = f
 
         # a failed line search restored its row, and a zero change is small
-        done = small | _stationary(f, pg)
-        if done.any():
+        done = small | stationary
+        if np.count_nonzero(done):
             ends[rows[done]], values[rows[done]] = x[done], f[done]
             live = ~done
-            rows, x, f, g, pg = rows[live], x[live], f[live], g[live], pg[live]
+            rows, x, f, g, apg = rows[live], x[live], f[live], g[live], apg[live]
             history, s, sy = history[live], s[live], sy[live]
-        alpha = np.divide(np.einsum("bn,bn->b", s, s), sy,
-                          out=1.0 / np.sqrt(np.einsum("bn,bn->b", pg, pg)), where=sy > 0.0)
+        fallback = None if (sy > 0.0).all() else 1.0 / np.sqrt(np.einsum("bn,bn->b", apg, apg))
+        alpha = np.divide(np.einsum("bn,bn->b", s, s), sy, out=fallback, where=sy > 0.0)
     ends[rows], values[rows] = x, f
     return ends, values
 
 
-def _line_search(x, f, g, d, t, slope, reference, channels, powers,
-                 tries=_MAX_BACKTRACKS) -> tuple:
+def _line_search(x, f, g, d, reference, channels, powers) -> tuple:
     """Backtracking Armijo line search of spg_lockstep, per row of the start (x, f, g).
 
-    Each row tries step t along d, clipped to the box, in one stacked
-    trace_value_and_grad call. A trial passes when its objective exceeds
+    Each row first tries the full step d, clipped to the box, in one stacked
+    trace_value_and_grad call. A trial x1 passes when its objective exceeds
     the row's reference value by at most _ARMIJO * g^T (x1 - x) < 0. The
-    failed rows retry together at the minimizer of the quadratic through
-    f, the slope and their last trial, kept within [0.1, 0.5] of the last
-    step, up to `tries` trials in all. Returns (x1, f1, g1): each row's
-    first passing trial, or its start when none passed.
+    failed rows retry together at the minimizer of the quadratic through f,
+    the slope g^T d and their last trial, kept within [0.1, 0.5] of the last
+    step, up to _MAX_BACKTRACKS trials in all. Returns (x1, f1, g1, x1 - x):
+    each row's first passing trial, or its start and a zero step if none did.
     """
-    x1 = np.clip(x + t[:, None] * d, 0.0, TWO_PI)
+    x1 = (x + d).clip(0.0, TWO_PI)
     f1, g1 = trace_value_and_grad(x1, channels, powers)
-    ok = _armijo(f1 - reference, g, x1 - x)
-    if not ok.all():
-        miss = ~ok
-        if tries > 1:
-            tm, sm = t[miss], slope[miss]
-            drop = f1[miss] - f[miss]
-            tm = np.fmin(np.fmax(-sm * tm ** 2 / (2.0 * (drop - sm * tm)), 0.1 * tm), 0.5 * tm)
-            x1[miss], f1[miss], g1[miss] = _line_search(
-                x[miss], f[miss], g[miss], d[miss], tm, sm, reference[miss], channels, powers,
-                tries - 1)
-        else:
-            x1[miss], f1[miss], g1[miss] = x[miss], f[miss], g[miss]
-    return x1, f1, g1
+    s = x1 - x
+    rows = (~_armijo(f1 - reference, g, s)).nonzero()[0]
+    if rows.size:
+        t, slope = np.ones(rows.size), np.einsum("bn,bn->b", g[rows], d[rows])
+        for _ in range(_MAX_BACKTRACKS - 1):
+            drop = f1[rows] - f[rows]
+            t = np.fmin(np.fmax(-slope * t ** 2 / (2.0 * (drop - slope * t)), 0.1 * t), 0.5 * t)
+            x1[rows] = (x[rows] + t[:, None] * d[rows]).clip(0.0, TWO_PI)
+            f1[rows], g1[rows] = trace_value_and_grad(x1[rows], channels, powers)
+            s[rows] = x1[rows] - x[rows]
+            miss = ~_armijo(f1[rows] - reference[rows], g[rows], s[rows])
+            rows, t, slope = rows[miss], t[miss], slope[miss]
+            if rows.size == 0:
+                return x1, f1, g1, s
+        x1[rows], f1[rows], g1[rows], s[rows] = x[rows], f[rows], g[rows], 0.0
+    return x1, f1, g1, s
 
 
 def solve_relaxed(channels: ChannelSet, powers: PowerAllocation,

@@ -80,42 +80,42 @@ def solve_inner(lam, weights, p_min, mu, sigma2: float, p_budget: float):
     lam = np.zeros(batch.shape[0]) + lam
     p_min = np.asarray(p_min, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    if np.any(lam < 0.0):
+    if np.count_nonzero(lam < 0.0):
         raise ValueError(f"ratio parameter must be >= 0, got {lam.min()}")
     if not np.isfinite(p_budget) or p_budget <= 0.0:
         raise ValueError(f"budget must be finite and positive, got {p_budget}")
-    if not np.all((batch >= 0.0) & (batch < np.inf)):
+    if np.count_nonzero((batch >= 0.0) & (batch < np.inf)) != batch.size:
         raise ValueError("radiated-power weights must be finite and non-negative")
-    if np.any((lam == 0.0) & np.any(batch == 0.0, axis=1)):
+    if np.count_nonzero((batch == 0.0) & (lam == 0.0)[:, None]):
         raise ValueError("unbounded: zero-weight user with no ratio penalty")
 
-    committed = np.sum(batch * p_min, axis=1)
-    if np.any(committed > p_budget * (1.0 + BUDGET_SLACK)):
+    committed = (batch * p_min).sum(axis=1)
+    if np.count_nonzero(committed > p_budget * (1.0 + BUDGET_SLACK)):
         raise InfeasibleError(
             f"QoS floors need {committed.max():.6g} W radiated, budget is {p_budget:.6g} W"
         )
-    p = np.broadcast_to(p_min, batch.shape).copy()
+    p = np.full(batch.shape, p_min)
     unsettled = committed < p_budget * (1.0 - 1e-12)
     a0 = LN2 * lam[:, None] * mu
     lw = LN2 * batch
-    target = p_budget + sigma2 * np.sum(batch, axis=1)
-    nu = np.count_nonzero(a0 == 0.0, axis=1) / (LN2 * target)
+    target = p_budget + sigma2 * batch.sum(axis=1)
+    nu = (a0 == 0.0).sum(axis=1) / (LN2 * target)
     with np.errstate(divide="ignore", invalid="ignore"):  # settled rows may divide by zero
         for _ in range(_NEWTON_ITERATIONS):
             level = 1.0 / (a0 + nu[:, None] * lw)  # p_k + sigma2 at multiplier nu
             p_nu = np.maximum(level - sigma2, p_min)
-            excess = np.sum(batch * p_nu, axis=1) - p_budget
+            excess = (batch * p_nu).sum(axis=1) - p_budget
             fits = unsettled & (excess <= 0.0)
-            p[fits] = p_nu[fits]
+            np.copyto(p, p_nu, where=fits[:, None])
             unsettled &= ~fits
-            if not unsettled.any():
+            if not np.count_nonzero(unsettled):
                 return p if weights.ndim == 2 else PowerAllocation(p=p[0])
             free_wl = batch * level * (p_nu > p_min)
-            slope = LN2 * np.sum(free_wl * free_wl, axis=1)  # -dS/dnu
+            slope = LN2 * (free_wl * free_wl).sum(axis=1)  # -dS/dnu
             # Newton on 1/(S + sigma2 sum w) is the Newton step on S lengthened by
             # (S + sigma2 sum w)/target; at least one ulp, so rounding cannot stall a row
             step = excess * (excess + target) / (target * slope)
-            nu = np.where(unsettled, np.maximum(nu + step, np.nextafter(nu, np.inf)), nu)
+            np.copyto(nu, np.maximum(nu + step, np.nextafter(nu, np.inf)), where=unsettled)
     raise NonConvergenceError("budget multiplier did not settle")
 
 
@@ -139,18 +139,19 @@ def dinkelbach_batch(weights, p_min, mu, sigma2: float, p_budget: float,
     powers = np.zeros(weights.shape)
     iterations = np.zeros(weights.shape[0], dtype=int)
     lambdas_seen = []
-    rows = np.arange(weights.shape[0])
+    rows, live_weights = np.arange(weights.shape[0]), weights  # the rows still updating
     for i in range(_DINKELBACH_ITERATIONS):
         if rows.size == 0:
             break
-        p = solve_inner(lam[rows], weights[rows], p_min, mu, sigma2, p_budget)
-        rate = np.sum(np.log2(1.0 + p / sigma2), axis=1)
-        lam_next = rate / (np.sum(mu * p, axis=1) + power_offset)
+        p = solve_inner(lam[rows], live_weights, p_min, mu, sigma2, p_budget)
+        rate = np.log2(1.0 + p / sigma2).sum(axis=1)
+        lam_next = rate / ((mu * p).sum(axis=1) + power_offset)
         settled = np.abs(lam_next - lam[rows]) < epsilon
-        lam[rows], powers[rows] = lam_next, p
-        iterations[rows] = i + 1
+        lam[rows] = lam_next
         lambdas_seen.append(lam.copy())
-        rows = rows[~settled]
+        if np.count_nonzero(settled):
+            powers[rows[settled]], iterations[rows[settled]] = p[settled], i + 1
+            rows, live_weights = rows[~settled], live_weights[~settled]
     if rows.size:
         raise NonConvergenceError(
             f"ratio parameter did not settle within {_DINKELBACH_ITERATIONS} iterations"

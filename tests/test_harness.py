@@ -816,3 +816,18 @@ def test_cli_oracle_check_rejects_too_few_elements(capsys):
     assert isinstance(exc.value.code, str)
     assert exc.value.code.startswith("lisopt: ") and "need n >= k" in exc.value.code
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--axis", "n", "--values", "inf", "--methods", "relay"],
+    ["oracle-check", "--sizes", "2,inf"],
+    ["oracle-check", "--sizes", "2,nan"],
+], ids=["sweep-inf", "oracle-check-inf", "oracle-check-nan"])
+def test_cli_rejects_non_finite_element_counts(argv, tmp_path, capsys):
+    out = tmp_path / "results"
+    with pytest.raises(SystemExit) as exc:
+        cli_main([*argv, *(["--out", str(out)] if argv[0] == "sweep" else [])])
+    assert isinstance(exc.value.code, str)
+    assert exc.value.code.startswith("lisopt: n sweep values must be integers, need n >= k=")
+    assert capsys.readouterr().out == ""
+    assert not out.exists()

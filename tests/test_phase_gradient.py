@@ -6,14 +6,31 @@ and antennas and N = 1..16 surface elements. The direct link is kept within
 a decade of the surface path, so the phases move the objective.
 """
 
+import itertools
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lisopt import ChannelSet, PowerAllocation, dbm_to_watts, trace_objective, trace_values
-from lisopt.model import effective_channels
+from lisopt import (
+    ChannelSet,
+    PhaseConfig,
+    PowerAllocation,
+    SingularMatrixError,
+    dbm_to_watts,
+    evaluate,
+    exhaustive_search,
+    phase_grid,
+    trace_objective,
+    trace_values,
+)
+from lisopt import phases
+from lisopt.model import effective_channels, zf_svd
 from lisopt.phases import solve_relaxed, spg_lockstep, trace_value_and_grad
-from util import complex_gaussian
+from lisopt.solver import _power_step
+from util import complex_gaussian, make_config, random_channels
 
 TWO_PI = 2.0 * np.pi
 
@@ -111,6 +128,89 @@ def test_rank_deficient_point_evaluates_to_inf():
     # a warm start on the singular point still leaves it for a finite objective
     out = solve_relaxed(channels, powers, warm_start=np.zeros(1), seed=0)
     assert np.isfinite(trace_objective(out, channels, powers))
+
+
+# K = M = N = 2 channels with exactly rank-deficient points on the 1-bit grid.
+# H(theta) = [[e^{j theta_1} + e^{j theta_2} - 1, 2], [2, 4]] is rank one at theta = (0, 0).
+# H(theta) = diag(e^{j theta_1} - 1, e^{j theta_2} - 1) is the zero matrix at (0, 0), and
+# rank one at (pi, 0) and (0, pi): its smallest singular value is exactly zero there.
+RANK_DEFICIENT = {
+    "rank-one": ChannelSet(h1=np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex),
+                           h2=np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex),
+                           h=np.array([[-1.0, 2.0], [2.0, 4.0]], dtype=complex)),
+    "zero": ChannelSet(h1=np.eye(2, dtype=complex), h2=np.eye(2, dtype=complex),
+                       h=-np.eye(2, dtype=complex)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK_DEFICIENT))
+def test_rank_deficient_rows_raise_no_warnings_and_leave_healthy_rows_alone(name):
+    channels = RANK_DEFICIENT[name]
+    grid = phase_grid(1)
+    thetas = np.vstack([grid[list(c)] for c in itertools.product(range(2), repeat=2)]
+                       + [np.random.default_rng(3).uniform(0.0, TWO_PI, (2, 2))])
+    powers = PowerAllocation(p=np.array([0.0, 2.0]))  # an idle user: inf * 0 on bad rows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, grads = trace_value_and_grad(thetas, channels, powers)
+        svd = zf_svd(effective_channels(channels, np.exp(1j * thetas)))
+        bad = np.isinf(svd[3][:, 0])
+        assert bad[0] and not bad.all()
+        assert np.array_equal(trace_values(thetas, channels, powers), values)
+        assert np.all(values[bad] == np.inf) and np.all(np.isinf(svd[3][bad]))
+        assert np.array_equal(grads[bad], np.zeros_like(grads[bad]))
+        for i in np.flatnonzero(~bad):
+            (value,), (grad,) = trace_value_and_grad(thetas[i:i + 1], channels, powers)
+            assert value == values[i] and np.isfinite(value)
+            assert np.array_equal(grad, grads[i])
+            for stacked, single in zip(svd, zf_svd(effective_channels(
+                    channels, np.exp(1j * thetas[i:i + 1])))):
+                assert np.array_equal(stacked[i], single[0])
+
+        # the oracle skips the rank-deficient candidates and solves the others as alone
+        config = make_config(k=2, m=2, n=2, b=1)
+        healthy = []
+        for theta in thetas[:4]:
+            candidate = PhaseConfig(theta=theta, resolution=1)
+            try:
+                alloc, _ = _power_step(channels, config, candidate)
+            except SingularMatrixError:
+                continue
+            healthy.append(evaluate(channels, config, candidate, alloc, 4, "exhaustive"))
+        assert 0 < len(healthy) < 4
+        assert exhaustive_search(channels, config) == max(healthy, key=lambda r: r.ee)
+
+
+def leave_iteration(start, channels, powers, max_iterations=80):
+    """Steps a batch-of-one solve from start takes: the smallest cap giving its final end point."""
+    final = spg_lockstep(start[None, :], channels, powers, max_iterations)[0]
+    return next(i for i in range(1, max_iterations + 1) if np.array_equal(
+        spg_lockstep(start[None, :], channels, powers, i)[0], final))
+
+
+def test_lockstep_rows_that_backtrack_and_leave_apart_match_single_solves(monkeypatch):
+    rng = np.random.default_rng(5)
+    channels = random_channels(rng, 2, 2, 4)
+    powers = PowerAllocation(p=np.array([1e-3, 2e-3]))
+    starts = rng.uniform(0.0, TWO_PI, (2, 4))
+    sizes = []
+
+    def recorded(thetas, *args):
+        sizes.append(thetas.shape[0])
+        return trace_value_and_grad(thetas, *args)
+
+    monkeypatch.setattr(phases, "trace_value_and_grad", recorded)
+    ends, values = spg_lockstep(starts, channels, powers, max_iterations=80)
+    # a one-row call between two-row calls is a backtrack of one row while the other
+    # passed its first trial
+    assert (1, 2) in zip(sizes, sizes[1:])
+    monkeypatch.undo()
+    leaves = [leave_iteration(start, channels, powers) for start in starts]
+    assert leaves[0] != leaves[1] and max(leaves) < 80
+    for i, start in enumerate(starts):
+        end, value = spg_lockstep(start[None, :], channels, powers, max_iterations=80)
+        assert np.array_equal(end[0], ends[i])
+        assert value[0] == values[i]
 
 
 def objective(thetas, channels, powers):

@@ -311,6 +311,25 @@ def test_dinkelbach_iteration_cap_raises(monkeypatch):
                               p_budget=0.05, power_offset=1e-3, epsilon=1e-12)
 
 
+def test_dinkelbach_batch_rows_settling_at_different_updates_match_single_solves():
+    weights = np.array([[1.0, 2.0, 0.5], [40.0, 0.1, 3.0], [0.02, 0.05, 0.01], [5.0, 5.0, 5.0]])
+    p_min, mu = np.array([0.0, 1e-4, 0.0]), np.array([1.1, 1.3, 1.0])
+    args = (p_min, mu, 1e-4, 0.002, 5e-3, 1e-9)
+    lambdas, powers, iterations = power.dinkelbach_batch(weights, *args)
+    # a row that settles is frozen while the others go on; the budget binds on all
+    # rows but the third, so each row's figures depend on its own weights
+    assert len(set(iterations.tolist())) == weights.shape[0]
+    assert len(set(lambdas[-1].tolist())) == weights.shape[0]
+    assert lambdas.shape == (iterations.max(), weights.shape[0])
+    for i, w in enumerate(weights):
+        alloc, trace = dinkelbach_allocation(w, *args)
+        n = trace.iterations
+        assert iterations[i] == n
+        assert np.array_equal(lambdas[:n, i], trace.lambdas)
+        assert np.all(lambdas[n:, i] == trace.lambdas[-1])
+        assert np.array_equal(powers[i], alloc.p)
+
+
 def test_dinkelbach_ratio_matches_evaluated_ee():
     cfg = make_config(k=2, m=3, n=4, b=1)
     ch = sample_channels(cfg, seed=21)
