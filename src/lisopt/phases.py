@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelSet
-from .config import CONTINUOUS
 from .model import (
     BUDGET_SLACK,
     TWO_PI,
@@ -58,14 +57,10 @@ class RelaxedSolveOptions:
 
 @dataclass(frozen=True)
 class PhaseSolveOutcome:
-    """Discretized phases, the radiated power they need at the given powers, and the budget test.
+    """Relaxed (continuous) phases, the radiated power they need at given powers, the budget test."""
 
-    theta_quantized is the relaxed solution snapped to the b-bit grid, or the
-    relaxed solution itself for continuous phases.
-    """
-
-    theta_quantized: PhaseConfig
-    objective_quantized: float
+    phases: PhaseConfig
+    objective: float
     feasible: bool
 
 
@@ -233,7 +228,7 @@ def _line_search(x, f, g, d, reference, channels, powers) -> tuple:
 def solve_relaxed(channels: ChannelSet, powers: PowerAllocation,
                   warm_start: np.ndarray | None = None,
                   options: RelaxedSolveOptions | None = None,
-                  seed: int = 0) -> np.ndarray:
+                  seed: int = 0) -> tuple:
     """Minimize the radiated-power objective over the phase angles.
 
     Runs spg_lockstep from the warm start and from num_restarts - 1
@@ -242,6 +237,9 @@ def solve_relaxed(channels: ChannelSet, powers: PowerAllocation,
     searches step away. The result is the lowest end
     point, ties to the lowest restart, so it is never worse than the warm
     start, where restart 0 starts and which it never rises above.
+
+    Returns (theta, objective): the angles (N,) and their objective, the
+    SPG's own value of that end point, equal bit for bit to trace_objective.
     """
     options = options or RelaxedSolveOptions()
     n = channels.h1.shape[0]
@@ -257,7 +255,7 @@ def solve_relaxed(channels: ChannelSet, powers: PowerAllocation,
     best = int(np.argmin(values))
     if not np.isfinite(values[best]):
         raise PhaseOptimizationError("all restarts ended in rank-deficient regions")
-    return thetas[best]
+    return thetas[best], float(values[best])
 
 
 def quantize_phases(theta: np.ndarray, b: int) -> PhaseConfig:
@@ -274,22 +272,15 @@ def quantize_phases(theta: np.ndarray, b: int) -> PhaseConfig:
     return PhaseConfig(theta=grid[m], resolution=int(b))
 
 
-def solve_phase_subproblem(channels: ChannelSet, powers: PowerAllocation, b,
+def solve_phase_subproblem(channels: ChannelSet, powers: PowerAllocation,
                            warm_start: np.ndarray | None, p_budget: float,
                            options: RelaxedSolveOptions | None = None,
                            seed: int = 0) -> PhaseSolveOutcome:
-    """Relax, solve, then discretize (finite b) and test the caller's budget.
-
-    For b == CONTINUOUS the discretization step is the identity.
-    """
-    theta_c = solve_relaxed(channels, powers, warm_start=warm_start, options=options, seed=seed)
-    if b == CONTINUOUS:
-        quantized = PhaseConfig(theta=theta_c, resolution=CONTINUOUS)
-    else:
-        quantized = quantize_phases(theta_c, b)
-    objective = trace_objective(quantized.theta, channels, powers)
+    """Solve the relaxed phase problem and test its objective against the caller's budget."""
+    theta, objective = solve_relaxed(channels, powers, warm_start=warm_start,
+                                     options=options, seed=seed)
     return PhaseSolveOutcome(
-        theta_quantized=quantized,
-        objective_quantized=objective,
+        phases=PhaseConfig(theta=theta),
+        objective=objective,
         feasible=objective <= p_budget * (1.0 + BUDGET_SLACK),
     )

@@ -60,8 +60,8 @@ class AlternatingTrace:
     The efficiencies of the iterates rise strictly, except that a
     "converged" trace ends with the first iterate that did not rise.
     termination is one of "converged", "infeasible" (a step failed), or
-    "iteration-cap". first_step holds the continuous phases of the first
-    phase step, before quantization, or None if that step failed.
+    "iteration-cap". first_step holds the relaxed phases the first phase
+    step returned, before quantization, or None if that step failed.
     """
 
     iterates: tuple
@@ -141,11 +141,12 @@ def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0
                        first_step: PhaseConfig | None = None):
     """Alternate phase design (fixed powers) with power design (fixed phases).
 
-    Starts from a uniform power split and zero phases. Nothing in the first
-    phase step depends on b (its powers, start, seed and options are the
-    same at every resolution), so it solves the continuous problem and
-    quantizes that solution to b. The trace returns the continuous solution
-    as first_step. A solve at another resolution with the same channels,
+    Starts from a uniform power split and zero phases. Every phase step
+    solves the relaxed (continuous) problem, warm-started at the previous
+    phases, and the loop quantizes its solution to b in one place. Nothing in
+    the first phase step depends on b (its powers, start, seed and options are
+    the same at every resolution), and the trace returns its relaxed
+    solution as first_step. A solve at another resolution with the same channels,
     budget, seed and options may pass it in as first_step: it then skips
     that solve and returns an equal report and trace. The harness shares
     a cell's first step among its surface methods this way. The power step
@@ -172,22 +173,16 @@ def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0
     termination = "iteration-cap"
     for _ in range(DEFAULT_MAX_OUTER):
         sub_seed = int(rng.integers(2 ** 63))
-        first = not iterates
         try:
-            if not first or first_step is None:
-                phases = solve_phase_subproblem(
-                    channels, PowerAllocation(p=p_prev), CONTINUOUS if first else config.b,
-                    warm_start=theta_prev, p_budget=config.p_budget,
-                    options=options, seed=sub_seed,
-                ).theta_quantized
+            relaxed = (first_step if not iterates and first_step is not None else
+                       solve_phase_subproblem(channels, PowerAllocation(p=p_prev), theta_prev,
+                                              config.p_budget, options=options,
+                                              seed=sub_seed).phases)
         except PhaseOptimizationError:
             termination = "infeasible"
             break
-        if first:
-            if first_step is None:
-                first_step = phases
-            phases = (first_step if config.b == CONTINUOUS
-                      else quantize_phases(first_step.theta, config.b))
+        first_step = first_step or relaxed
+        phases = relaxed if config.b == CONTINUOUS else quantize_phases(relaxed.theta, config.b)
         try:
             alloc, dtrace = _power_step(channels, config, phases)
         except (InfeasibleError, SingularMatrixError):

@@ -126,8 +126,8 @@ def test_rank_deficient_point_evaluates_to_inf():
     assert value == trace_objective(np.array([np.pi]), channels, powers)
     assert np.all(np.isfinite(grad))
     # a warm start on the singular point still leaves it for a finite objective
-    out = solve_relaxed(channels, powers, warm_start=np.zeros(1), seed=0)
-    assert np.isfinite(trace_objective(out, channels, powers))
+    out, value = solve_relaxed(channels, powers, warm_start=np.zeros(1), seed=0)
+    assert np.isfinite(value) and value == trace_objective(out, channels, powers)
 
 
 # K = M = N = 2 channels with exactly rank-deficient points on the 1-bit grid.
@@ -239,5 +239,6 @@ def test_lockstep_rows_match_single_solves(data, scale):
 def test_solve_relaxed_never_above_warm_start(data, scale):
     channels, powers, theta = data.draw(instances(scale))
     seed = data.draw(st.integers(0, 2 ** 32 - 1))
-    out = solve_relaxed(channels, powers, warm_start=theta, seed=seed)
-    assert objective(out, channels, powers)[0] <= objective(theta, channels, powers)[0]
+    out, value = solve_relaxed(channels, powers, warm_start=theta, seed=seed)
+    assert value == trace_objective(out, channels, powers)
+    assert value <= objective(theta, channels, powers)[0]

@@ -97,7 +97,7 @@ def test_solve_relaxed_flat_landscape_returns_warm_start():
     ch = ChannelSet(h1=ch.h1, h2=np.zeros_like(ch.h2), h=ch.h)
     warm = rng.uniform(0, TWO_PI, 4)
     powers = PowerAllocation(p=np.array([0.1, 0.2]))
-    out = solve_relaxed(ch, powers, warm_start=warm, seed=0)
+    out, _ = solve_relaxed(ch, powers, warm_start=warm, seed=0)
     assert np.array_equal(out, warm)
 
 
@@ -107,17 +107,15 @@ def test_solve_relaxed_descent_contract():
         ch = random_channels(rng, k=2, m=2, n=4)
         powers = PowerAllocation(p=np.array([0.3, 0.4]))
         warm = rng.uniform(0, TWO_PI, 4)
-        out = solve_relaxed(ch, powers, warm_start=warm, seed=seed)
-        assert (trace_objective(out, ch, powers)
-                <= trace_objective(warm, ch, powers) + 1e-12)
+        out, value = solve_relaxed(ch, powers, warm_start=warm, seed=seed)
+        assert value <= trace_objective(warm, ch, powers) + 1e-12
 
 
 def test_solve_relaxed_scalar_instance_matches_grid_scan():
     rng = np.random.default_rng(7)
     ch = random_channels(rng, k=1, m=1, n=1)
     powers = PowerAllocation(p=np.array([0.5]))
-    out = solve_relaxed(ch, powers, warm_start=np.zeros(1), seed=1)
-    got = trace_objective(out, ch, powers)
+    _, got = solve_relaxed(ch, powers, warm_start=np.zeros(1), seed=1)
     grid = np.linspace(0.0, TWO_PI, 10_000)
     best = trace_values(grid[:, None], ch, powers).min()
     assert got <= best + 1e-4 * abs(best)
@@ -216,37 +214,39 @@ def test_quantize_rejects_bad_resolution():
 def test_check_feasibility_trivial_cases():
     rng = np.random.default_rng(10)
     ch = random_channels(rng, k=2, m=2, n=3)
-    quiet = solve_phase_subproblem(ch, PowerAllocation(p=np.zeros(2)), 1, np.zeros(3), 1e-6)
+    quiet = solve_phase_subproblem(ch, PowerAllocation(p=np.zeros(2)), np.zeros(3), 1e-6)
     assert quiet.feasible
-    loud = solve_phase_subproblem(ch, PowerAllocation(p=np.ones(2)), 1, np.zeros(3), 0.0)
+    loud = solve_phase_subproblem(ch, PowerAllocation(p=np.ones(2)), np.zeros(3), 0.0)
     assert not loud.feasible
 
 
 def test_check_feasibility_matches_direct_inequality():
+    # the reported objectives are the relaxed point's trace_objective bit for bit
     rng = np.random.default_rng(11)
-    for seed in range(10):
-        ch = random_channels(rng, k=2, m=3, n=3)
-        theta = rng.uniform(0, TWO_PI, 3)
-        powers = PowerAllocation(p=rng.uniform(0, 0.1, 2))
+    for seed, (k, m, n) in enumerate([(2, 3, 3)] * 10 + [(1, 1, 1)] * 3):
+        ch = random_channels(rng, k=k, m=m, n=n)
+        theta = rng.uniform(0, TWO_PI, n)
+        powers = PowerAllocation(p=rng.uniform(0, 0.1, k))
         budget = float(rng.uniform(0.01, 2.0))
-        outcome = solve_phase_subproblem(ch, powers, 1, theta, budget, seed=seed)
-        objective = trace_objective(outcome.theta_quantized.theta, ch, powers)
-        assert outcome.objective_quantized == objective
+        outcome = solve_phase_subproblem(ch, powers, theta, budget, seed=seed)
+        objective = trace_objective(outcome.phases.theta, ch, powers)
+        assert outcome.objective == objective
+        relaxed, value = solve_relaxed(ch, powers, warm_start=theta, seed=seed)
+        assert value == trace_objective(relaxed, ch, powers) == objective
         assert outcome.feasible == (objective <= budget * (1.0 + 1e-9))
 
 
 # ------------------------------------------------------------- subproblem
 
-def test_subproblem_continuous_resolution_is_identity_quantizer():
+def test_subproblem_returns_the_relaxed_solution():
     rng = np.random.default_rng(12)
     ch = random_channels(rng, k=2, m=2, n=4)
     powers = PowerAllocation(p=np.array([0.01, 0.02]))
-    out = solve_phase_subproblem(ch, powers, CONTINUOUS, warm_start=np.zeros(4),
-                                 p_budget=10.0, seed=3)
-    relaxed = solve_relaxed(ch, powers, warm_start=np.zeros(4), seed=3)
-    assert np.array_equal(out.theta_quantized.theta, relaxed)
-    assert out.theta_quantized.resolution == CONTINUOUS
-    assert out.objective_quantized == trace_objective(relaxed, ch, powers)
+    out = solve_phase_subproblem(ch, powers, warm_start=np.zeros(4), p_budget=10.0, seed=3)
+    relaxed, value = solve_relaxed(ch, powers, warm_start=np.zeros(4), seed=3)
+    assert np.array_equal(out.phases.theta, relaxed)
+    assert out.phases.resolution == CONTINUOUS
+    assert out.objective == value == trace_objective(relaxed, ch, powers)
 
 
 def test_subproblem_one_bit_dominated_by_exhaustive_minimum():
@@ -254,11 +254,12 @@ def test_subproblem_one_bit_dominated_by_exhaustive_minimum():
     for seed in range(5):
         ch = random_channels(rng, k=2, m=2, n=2)
         powers = PowerAllocation(p=np.array([0.05, 0.03]))
-        out = solve_phase_subproblem(ch, powers, 1, warm_start=np.zeros(2),
+        out = solve_phase_subproblem(ch, powers, warm_start=np.zeros(2),
                                      p_budget=10.0, seed=seed)
+        quantized = trace_objective(quantize_phases(out.phases.theta, 1).theta, ch, powers)
         candidates = np.array(list(itertools.product([0.0, np.pi], repeat=2)))
         oracle = trace_values(candidates, ch, powers).min()
-        assert out.objective_quantized >= oracle - 1e-12
+        assert quantized >= oracle - 1e-12
 
 
 def test_subproblem_zero_surface_feasibility_from_direct_channel():
@@ -267,10 +268,10 @@ def test_subproblem_zero_surface_feasibility_from_direct_channel():
     ch = ChannelSet(h1=ch.h1, h2=np.zeros_like(ch.h2), h=ch.h)
     powers = PowerAllocation(p=np.array([0.02, 0.04]))
     direct_power = trace_objective(np.zeros(4), ch, powers)
-    out = solve_phase_subproblem(ch, powers, 1, warm_start=np.zeros(4),
+    out = solve_phase_subproblem(ch, powers, warm_start=np.zeros(4),
                                  p_budget=2.0 * direct_power, seed=0)
     assert out.feasible
-    tight = solve_phase_subproblem(ch, powers, 1, warm_start=np.zeros(4),
+    tight = solve_phase_subproblem(ch, powers, warm_start=np.zeros(4),
                                    p_budget=0.5 * direct_power, seed=0)
     assert not tight.feasible
 
@@ -280,8 +281,9 @@ def test_exhaustive_trace_enumeration_lower_bounds_quantized_objective():
     n = 6
     ch = random_channels(rng, k=2, m=2, n=n)
     powers = PowerAllocation(p=np.array([0.05, 0.02]))
-    out = solve_phase_subproblem(ch, powers, 1, warm_start=np.zeros(n),
+    out = solve_phase_subproblem(ch, powers, warm_start=np.zeros(n),
                                  p_budget=10.0, seed=4)
+    quantized = trace_objective(quantize_phases(out.phases.theta, 1).theta, ch, powers)
     candidates = np.array(list(itertools.product([0.0, np.pi], repeat=n)))
     oracle = trace_values(candidates, ch, powers).min()
-    assert oracle <= out.objective_quantized + 1e-9
+    assert oracle <= quantized + 1e-9

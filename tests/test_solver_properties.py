@@ -87,6 +87,18 @@ def test_oracle_feasible_instances_are_alternating_feasible(scale, data):
     assert report.feasible == oracle.feasible, trace.termination
 
 
+@pytest.mark.xfail(strict=True, reason="false infeasible: the alternating solve gives up where "
+                                       "the QoS floors bind (ROADMAP item 4)")
+def test_binding_floors_draw_is_alternating_feasible():
+    # the desk draw the property above finds at max_examples=400; solver seeds 0-3 all fail
+    cfg = make_config(k=3, m=3, n=3, b=1, p_budget_dbm=0.0, r_min=1.25)
+    channels = sample_channels(cfg, 3)
+    oracle = exhaustive_search(channels, cfg)
+    assert oracle.feasible and oracle.ee == pytest.approx(902.55, rel=1e-4)
+    report, trace = alternating_ee_max(channels, cfg, seed=1)
+    assert report.feasible, trace.termination
+
+
 @pytest.mark.parametrize("scale", sorted(SCALES))
 @PROPERTY_SETTINGS
 @given(data=st.data())
