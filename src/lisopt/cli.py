@@ -89,33 +89,38 @@ def _cmd_oracle_check(args) -> int:
         "master_seed": str(args.seed)}))
     rows = {(r.method, r.sweep, r.trial): r for r in run_scenario(scenario)}
     gaps = []
-    false_total = 0
+    false_infeasible = []
     for n in scenario.values:
         size_pairs = [(rows["lis-1bit", n, t], rows["exhaustive", n, t])
                       for t in range(scenario.trials)]
-        false_infeasible = sum(exh.feasible and not alt.feasible for alt, exh in size_pairs)
+        size_false = [t for t, (alt, exh) in enumerate(size_pairs)
+                      if exh.feasible and not alt.feasible]
         both_infeasible = sum(not (exh.feasible or alt.feasible) for alt, exh in size_pairs)
         size_gaps = [(exh.ee - alt.ee) / exh.ee for alt, exh in size_pairs
                      if alt.feasible and exh.feasible]
         gaps.extend(size_gaps)
-        false_total += false_infeasible
-        dropped = f"false-infeasible={false_infeasible} both-infeasible={both_infeasible}"
+        false_infeasible += [(n, t) for t in size_false]
+        dropped = f"false-infeasible={len(size_false)} both-infeasible={both_infeasible}"
         if size_gaps:
             print(f"n={int(n):3d}: instances={len(size_gaps)} {dropped} "
-                  f"median gap={np.median(size_gaps):.4%} max gap={max(size_gaps):.4%}")
+                  f"median gap={np.median(size_gaps):.4%} max gap={max(size_gaps):.4%} "
+                  f"mean gap={np.mean(size_gaps):.4%}")
         else:
             print(f"n={int(n):3d}: no feasible paired instances, {dropped}")
     if not gaps:
         print("no paired results")
         return 1
-    print(f"overall: median gap={np.median(gaps):.4%} max gap={max(gaps):.4%}")
+    print(f"overall: median gap={np.median(gaps):.4%} max gap={max(gaps):.4%} "
+          f"mean gap={np.mean(gaps):.4%}")
     status = 0
     if min(gaps) < -1e-9:
         print("ERROR: alternating solver exceeded the exhaustive oracle", file=sys.stderr)
         status = 1
-    if false_total:
-        print(f"ERROR: {false_total} instances feasible for the exhaustive oracle "
-              "but not for the alternating solver", file=sys.stderr)
+    if false_infeasible:
+        print(f"ERROR: {len(false_infeasible)} instances feasible for the exhaustive oracle "
+              "but not for the alternating solver:", file=sys.stderr)
+        for n, t in false_infeasible:
+            print(f"  n={int(n)}, trial={t}", file=sys.stderr)
         status = 1
     return status
 

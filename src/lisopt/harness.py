@@ -235,8 +235,10 @@ def run_scenario(scenario: Scenario) -> list:
     back ordered by (method order, sweep index, trial). A cell's surface
     methods also share the first phase step of alternating_ee_max: the
     first surface row solves it, its time counts in that row's wall_ms, and
-    the later surface rows quantize the same relaxed phases. Every row
-    equals the one its method gives when run alone.
+    the later surface rows start from the same relaxed phases (a finite-b
+    row quantizes them and searches the grid from there; a continuous row
+    starts its alternating loop there). Every row equals the one its method
+    gives when run alone.
 
     With workers > 1, min(workers, cells) forked processes run one cell each;
     rows equal the serial run's except wall_ms. One cell, or a platform

@@ -55,13 +55,18 @@ class AlternatingIterate:
 
 @dataclass(frozen=True)
 class AlternatingTrace:
-    """Per-iteration record of the alternating solve.
+    """Record of one alternating_ee_max solve.
 
-    The efficiencies of the iterates rise strictly, except that a
-    "converged" trace ends with the first iterate that did not rise.
-    termination is one of "converged", "infeasible" (a step failed), or
-    "iteration-cap". first_step holds the relaxed phases the first phase
-    step returned, before quantization, or None if that step failed.
+    iterates holds the feasible points the solve visited, in order. At a
+    finite resolution they are the start (the quantized first phase step,
+    when feasible) and each move the discrete search accepted, so their
+    efficiencies rise strictly and the last is the report's. With
+    continuous phases they are the alternating loop's outer iterates, whose
+    efficiencies rise strictly except that a "converged" trace ends with the
+    first iterate that did not rise. termination is one of "converged",
+    "infeasible" (no feasible point, or a step failed) or "iteration-cap"
+    (continuous phases only). first_step holds the relaxed phases the first
+    phase step returned, before quantization, or None if that step failed.
     """
 
     iterates: tuple
@@ -136,64 +141,130 @@ def evaluate(channels: ChannelSet, config: SystemConfig, phases: PhaseConfig | N
     )
 
 
+def _score(channels: ChannelSet, config: SystemConfig, digits: np.ndarray) -> tuple:
+    """Dinkelbach efficiency and powers of the b-bit phase vectors grid[digits] (B, N), in one batch.
+
+    Returns ee (B,) and powers (B, K). A row whose effective channel is rank
+    deficient, or whose QoS floors need more than the budget, scores -inf
+    with zero powers. Each row's figures equal its batch-of-one figures bit
+    for bit.
+    """
+    weights = zf_svd(effective_channels(channels, np.exp(1j * phase_grid(config.b))[digits]))[3]
+    p_min = qos_min_powers(config)
+    with np.errstate(invalid="ignore"):  # inf * 0 floors of rank-deficient rows
+        fits = np.sum(weights * p_min, axis=1) <= config.p_budget * (1.0 + BUDGET_SLACK)
+    keep = np.all(np.isfinite(weights), axis=1) & fits
+    ee = np.full(len(digits), -np.inf)
+    powers = np.zeros(weights.shape)
+    if np.any(keep):
+        lambdas, powers[keep], _ = dinkelbach_batch(
+            weights[keep], p_min, config.mu, config.sigma2, config.p_budget,
+            _power_offset(config), config.epsilon,
+        )
+        ee[keep] = lambdas[-1]
+    return ee, powers
+
+
+def _grid_search(channels: ChannelSet, config: SystemConfig, start: PhaseConfig) -> tuple:
+    """Best-improvement search over single-element moves on the b-bit grid, from start.
+
+    Each sweep scores the current phase vector and the N (2^b - 1) vectors
+    that differ from it in one element, in one _score batch, and moves to
+    the best of them while that raises the efficiency strictly (a tie goes
+    to the current point, then to the lowest element and the fewest grid
+    steps up). An infeasible start scores -inf, so the
+    search moves to any feasible neighbour. Returns (iterates, termination):
+    the feasible points visited, with strictly rising efficiencies, and
+    "converged", or "infeasible" when no point scored.
+    """
+    levels = 1 << config.b
+    grid = phase_grid(config.b)
+    moves = np.arange(config.n * (levels - 1))
+    element, shift = moves // (levels - 1), moves % (levels - 1) + 1
+    digits = np.rint(start.theta / grid[1]).astype(int)
+    iterates = []
+
+    def visit(row):
+        iterates.append(AlternatingIterate(
+            PhaseConfig(theta=grid[candidates[row]], resolution=config.b),
+            PowerAllocation(p=powers[row]), float(ee[row])))
+
+    while True:
+        candidates = np.tile(digits, (moves.size + 1, 1))  # row 0 is the current point
+        candidates[moves + 1, element] = (digits[element] + shift) % levels
+        ee, powers = _score(channels, config, candidates)
+        if not iterates and ee[0] > -np.inf:
+            visit(0)  # the start
+        i = int(np.argmax(ee))
+        if i == 0:
+            return iterates, "converged" if iterates else "infeasible"
+        digits = candidates[i]
+        visit(i)
+
+
+def _alternate(channels: ChannelSet, config: SystemConfig, phases: PhaseConfig,
+               rng: np.random.Generator, options: RelaxedSolveOptions | None) -> tuple:
+    """The continuous alternating loop from the first phase step: (iterates, termination)."""
+    iterates = []
+    for i in range(DEFAULT_MAX_OUTER):
+        try:
+            if i:
+                phases = solve_phase_subproblem(
+                    channels, iterates[-1].powers, phases.theta, config.p_budget,
+                    options=options, seed=int(rng.integers(2 ** 63))).phases
+            alloc, dtrace = _power_step(channels, config, phases)
+        except (PhaseOptimizationError, InfeasibleError, SingularMatrixError):
+            return iterates, "infeasible"
+        iterates.append(AlternatingIterate(phases, alloc, dtrace.lambdas[-1]))
+        if len(iterates) > 1 and iterates[-1].ee <= iterates[-2].ee:
+            return iterates, "converged"
+    return iterates, "iteration-cap"
+
+
 def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0,
                        options: RelaxedSolveOptions | None = None,
                        first_step: PhaseConfig | None = None):
-    """Alternate phase design (fixed powers) with power design (fixed phases).
+    """Joint phase and power design for energy efficiency.
 
-    Starts from a uniform power split and zero phases. Every phase step
-    solves the relaxed (continuous) problem, warm-started at the previous
-    phases, and the loop quantizes its solution to b in one place. Nothing in
-    the first phase step depends on b (its powers, start, seed and options are
-    the same at every resolution), and the trace returns its relaxed
-    solution as first_step. A solve at another resolution with the same channels,
-    budget, seed and options may pass it in as first_step: it then skips
-    that solve and returns an equal report and trace. The harness shares
-    a cell's first step among its surface methods this way. The power step
-    re-optimizes the powers of each phase iterate under the budget, so a
-    phase iterate is not tested against the budget at the previous powers;
-    the solve is infeasible only when a step fails (the QoS floors do not
-    fit the budget, or the channel is rank deficient). The phase
-    step optimizes a feasibility surrogate rather than the efficiency, so an
-    outer iteration can lose efficiency: the solve stops as converged at the
-    first iterate whose Dinkelbach ratio is not strictly above the previous
-    iterate's. The rule needs no tolerance, and DEFAULT_MAX_OUTER (50)
-    iterations end the solve as "iteration-cap". The best iterate (the
-    earlier one on a tie) is returned together with the full trace.
+    Starts with a relaxed phase step at a uniform power split and zero
+    phases. Nothing in this first step depends on b, and the trace returns
+    its relaxed solution as first_step. A solve at another resolution with
+    the same channels, budget, seed and options may pass it in: it then
+    skips that solve and returns an equal report and trace. The harness
+    shares a cell's first step among its surface methods this way.
 
-    Returns (SolveReport, AlternatingTrace). Infeasibility before any
-    feasible iterate yields a report with feasible=False.
+    At a finite b the first step is quantized and _grid_search takes over,
+    which departs from the paper's alternation: the report is the last point
+    the search accepted, and outer_iterations counts the accepted points.
+    With continuous phases _alternate runs the paper's loop: phase steps
+    warm-started at the previous phases and powers, each followed by a
+    Dinkelbach power step, until an iterate's ratio is not strictly above
+    the previous one's ("converged") or for DEFAULT_MAX_OUTER (50) iterates
+    ("iteration-cap"). The phase step optimizes a feasibility surrogate, so
+    an iterate can lose efficiency; the best iterate (the earlier on a tie)
+    is reported, and outer_iterations counts the iterates.
+
+    Returns (SolveReport, AlternatingTrace). The report has feasible=False
+    when no feasible point is found: every restart of the first phase step
+    is rank deficient, no grid point visited fits the QoS floors (finite
+    b), or the first power step fails (continuous).
     """
     tag = resolution_tag(config.b)
     rng = np.random.default_rng(seed)
-    p_prev = np.full(config.k, config.p_budget / config.k)
-    theta_prev = np.zeros(config.n)
+    p_start = PowerAllocation(p=np.full(config.k, config.p_budget / config.k))
+    first_seed = int(rng.integers(2 ** 63))
+    try:
+        first_step = first_step or solve_phase_subproblem(
+            channels, p_start, np.zeros(config.n), config.p_budget, options=options,
+            seed=first_seed).phases
+    except PhaseOptimizationError:
+        return SolveReport.infeasible(tag), AlternatingTrace((), "infeasible", None)
 
-    iterates = []
-    termination = "iteration-cap"
-    for _ in range(DEFAULT_MAX_OUTER):
-        sub_seed = int(rng.integers(2 ** 63))
-        try:
-            relaxed = (first_step if not iterates and first_step is not None else
-                       solve_phase_subproblem(channels, PowerAllocation(p=p_prev), theta_prev,
-                                              config.p_budget, options=options,
-                                              seed=sub_seed).phases)
-        except PhaseOptimizationError:
-            termination = "infeasible"
-            break
-        first_step = first_step or relaxed
-        phases = relaxed if config.b == CONTINUOUS else quantize_phases(relaxed.theta, config.b)
-        try:
-            alloc, dtrace = _power_step(channels, config, phases)
-        except (InfeasibleError, SingularMatrixError):
-            termination = "infeasible"
-            break
-        iterates.append(AlternatingIterate(phases, alloc, dtrace.lambdas[-1]))
-        if len(iterates) > 1 and iterates[-1].ee <= iterates[-2].ee:
-            termination = "converged"
-            break
-        p_prev, theta_prev = alloc.p, phases.theta
-
+    if config.b != CONTINUOUS:
+        iterates, termination = _grid_search(channels, config,
+                                             quantize_phases(first_step.theta, config.b))
+    else:
+        iterates, termination = _alternate(channels, config, first_step, rng, options)
     trace = AlternatingTrace(tuple(iterates), termination, first_step)
     if not iterates:
         return SolveReport.infeasible(tag), trace
@@ -206,8 +277,9 @@ def exhaustive_search(channels: ChannelSet, config: SystemConfig) -> SolveReport
 
     Candidates whose effective channel is rank deficient or whose QoS floors
     do not fit the budget are skipped. Candidate i sets element j to grid
-    level (i // 2^(b*j)) mod 2^b. Candidates are solved _EXHAUSTIVE_CHUNK at
-    a time: one stacked SVD for the beam norms, one batched Dinkelbach solve.
+    level (i // 2^(b*j)) mod 2^b. Candidates are scored _EXHAUSTIVE_CHUNK at
+    a time by _score, the discrete search's scorer: one stacked SVD for the
+    beam norms, one batched Dinkelbach solve.
     Deterministic: equal efficiencies resolve to the lowest enumeration
     index. outer_iterations reports the number of candidates enumerated.
     More than DEFAULT_ENUMERATION_CAP (2^20) candidates raise
@@ -215,30 +287,17 @@ def exhaustive_search(channels: ChannelSet, config: SystemConfig) -> SolveReport
     """
     total = enumeration_count(config.n, config.b)
     levels = 1 << config.b
-    grid = phase_grid(config.b)
-    phi_grid = np.exp(1j * grid)
     place = levels ** np.arange(config.n)
-    offset = _power_offset(config)
-    p_min = qos_min_powers(config)
-    best = None  # (ee, digits, powers)
+    best = (-np.inf, None, None)  # (ee, digits, powers)
     for first in range(0, total, _EXHAUSTIVE_CHUNK):
         digits = np.arange(first, min(first + _EXHAUSTIVE_CHUNK, total))[:, None] // place % levels
-        weights = zf_svd(effective_channels(channels, phi_grid[digits]))[3]
-        with np.errstate(invalid="ignore"):  # inf * 0 floors of rank-deficient rows
-            fits = np.sum(weights * p_min, axis=1) <= config.p_budget * (1.0 + BUDGET_SLACK)
-        keep = np.all(np.isfinite(weights), axis=1) & fits
-        if not np.any(keep):
-            continue
-        lambdas, powers, _ = dinkelbach_batch(
-            weights[keep], p_min, config.mu, config.sigma2, config.p_budget,
-            offset, config.epsilon,
-        )
-        i = int(np.argmax(lambdas[-1]))
-        if best is None or lambdas[-1, i] > best[0]:
-            best = (lambdas[-1, i], digits[keep][i], powers[i])
-    if best is None:
+        ee, powers = _score(channels, config, digits)
+        i = int(np.argmax(ee))
+        if ee[i] > best[0]:
+            best = (ee[i], digits[i], powers[i])
+    if best[1] is None:
         return SolveReport.infeasible("exhaustive", total)
-    phases = PhaseConfig(theta=grid[best[1]], resolution=config.b)
+    phases = PhaseConfig(theta=phase_grid(config.b)[best[1]], resolution=config.b)
     return evaluate(channels, config, phases, PowerAllocation(p=best[2]), total, "exhaustive")
 
 

@@ -751,6 +751,23 @@ def test_cli_oracle_check_fails_on_a_false_infeasible(monkeypatch, capsys):
     assert "ERROR: 1 instances feasible for the exhaustive oracle" in captured.err
 
 
+def test_cli_oracle_check_prints_mean_gaps_and_lists_false_infeasibles(monkeypatch, capsys):
+    # alternating efficiencies per instance (None: infeasible); the oracle reaches 1.0 on each
+    alternating = [0.9, None, 0.5, 1.0, None, 1.0]
+    reports = iter([stub_report(False) if ee is None else
+                    replace(stub_report(True), ee=ee) for ee in alternating])
+    monkeypatch.setattr(harness, "alternating_ee_max", stub_alternating(reports))
+    monkeypatch.setattr(harness, "exhaustive_search", lambda ch, cfg: stub_report(True))
+    assert cli_main(["oracle-check", "--sizes", "2,3", "--instances", "3"]) == 1
+    captured = capsys.readouterr()
+    assert ("n=  2: instances=2 false-infeasible=1 both-infeasible=0 "
+            "median gap=30.0000% max gap=50.0000% mean gap=30.0000%") in captured.out
+    assert ("n=  3: instances=2 false-infeasible=1 both-infeasible=0 "
+            "median gap=0.0000% max gap=0.0000% mean gap=0.0000%") in captured.out
+    assert "overall: median gap=5.0000% max gap=50.0000% mean gap=15.0000%" in captured.out
+    assert captured.err.splitlines()[1:] == ["  n=2, trial=1", "  n=3, trial=1"]
+
+
 def test_cli_oracle_check_counts_equal_run_scenario_rows(capsys):
     scenario = scenario_from_pairs({**cli._ORACLE_PAIRS, "sweep.n": "2,4", "trials": "6",
                                     "master_seed": "3"})

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,13 @@ from lisopt import (
 from lisopt import cli, load_scenario, scenario_from_pairs, solver
 from lisopt.harness import _config_at, _method_config
 from lisopt.power import dinkelbach_batch
-from util import assert_stall_trace, make_config, random_channels, unit_pathloss
+from util import (
+    assert_search_trace,
+    assert_stall_trace,
+    make_config,
+    random_channels,
+    unit_pathloss,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -130,39 +137,49 @@ def fixed_draws(sizes, instances, seed=7):
 
 @pytest.mark.parametrize("n", [2, 12])
 def test_alternating_stops_when_efficiency_stops_rising(n):
-    # the fixed draws at sizes 2..12, 30 instances each, seed 7; tests on the
-    # phase and power change ended 3 of the 30 solves at n=2 and 3 at n=12 as
-    # converged after one iterate
+    # the fixed draws at sizes 2..12, 30 instances each, seed 7; with continuous
+    # phases the loop runs 2 to 13 outer iterations on these draws, and the
+    # 1-bit rows stop their search after 1 to 6 accepted points
     for cfg, _, channel_seed, solver_seed in fixed_draws(FIXED_DRAW_SIZES, 30):
         if cfg.n == n:
             ch = sample_channels(cfg, channel_seed)
-            assert_stall_trace(*alternating_ee_max(ch, cfg, seed=solver_seed))
+            continuous = replace(cfg, b=CONTINUOUS)
+            assert_stall_trace(*alternating_ee_max(ch, continuous, seed=solver_seed))
+            assert_search_trace(*alternating_ee_max(ch, cfg, seed=solver_seed), ch, cfg)
 
 
 def test_alternating_continues_past_unmoved_start_phases():
-    # instance 26 at n=2 of the draws above: the first phase step keeps the
-    # zero start phases, where a phase-change test stops (at EE 444.23)
+    # instance 26 at n=2 of the draws above: the first phase step rounds to the
+    # zero start phases at 1 bit, where a phase-change test stops (at EE 444.23);
+    # the search moves on from there, and so does the continuous loop
     cfg, _, channel_seed, solver_seed = next(
         d for d in fixed_draws(FIXED_DRAW_SIZES, 30) if d[0].n == 2 and d[1] == 26)
-    report, trace = alternating_ee_max(sample_channels(cfg, channel_seed), cfg,
-                                       seed=solver_seed)
-    assert_stall_trace(report, trace)
+    ch = sample_channels(cfg, channel_seed)
+    report, trace = alternating_ee_max(ch, cfg, seed=solver_seed)
+    assert_search_trace(report, trace, ch, cfg)
     assert not np.any(trace.iterates[0].phases.theta)
+    assert report.ee > trace.iterates[0].ee * 1.1
+    continuous = replace(cfg, b=CONTINUOUS)
+    report, trace = alternating_ee_max(ch, continuous, seed=solver_seed)
+    assert_stall_trace(report, trace)
     assert trace.termination == "converged"
     assert report.ee > trace.iterates[0].ee * 1.1
 
 
 def test_alternating_feasible_where_the_start_phases_miss_the_budget():
     # instance 0 at n=2 of the draws above: the first phase iterate needs more
-    # than the budget at the uniform start powers, which a budget gate on the
-    # phase step took for infeasible; the power step fits it into the budget
+    # than the budget at the uniform start powers, at 1 bit and with continuous
+    # phases, which a budget gate on the phase step took for infeasible; the
+    # power step fits it into the budget
     cfg, _, channel_seed, solver_seed = next(fixed_draws(FIXED_DRAW_SIZES, 30))
     ch = sample_channels(cfg, channel_seed)
-    report, trace = alternating_ee_max(ch, cfg, seed=solver_seed)
     start_powers = PowerAllocation(p=np.full(cfg.k, cfg.p_budget / cfg.k))
-    assert trace_objective(trace.iterates[0].phases.theta, ch, start_powers) > cfg.p_budget
-    assert report.feasible
-    assert_stall_trace(report, trace)
+    for b in (CONTINUOUS, 1):
+        report, trace = alternating_ee_max(ch, replace(cfg, b=b), seed=solver_seed)
+        assert trace_objective(trace.iterates[0].phases.theta, ch, start_powers) > cfg.p_budget
+        assert report.feasible
+    assert_stall_trace(*alternating_ee_max(ch, replace(cfg, b=CONTINUOUS), seed=solver_seed))
+    assert_search_trace(report, trace, ch, cfg)
     oracle = exhaustive_search(ch, cfg)
     assert report.ee <= oracle.ee * (1.0 + 1e-9)
 
@@ -170,30 +187,38 @@ def test_alternating_feasible_where_the_start_phases_miss_the_budget():
 def test_alternating_paper_default_draw_runs_past_the_first_phase_step():
     # the parser's defaults: K = M = 4, N = 8, 1-bit, 0 dBm budget, -100 dBm noise
     cfg = scenario_from_pairs({"sweep.p_budget_dbm": "0", "methods": "lis-1bit"}).config
-    report, trace = alternating_ee_max(sample_channels(cfg, 0), cfg, seed=0)
     assert (cfg.k, cfg.m, cfg.n, cfg.b) == (4, 4, 8, 1)
+    ch = sample_channels(cfg, 0)
+    report, trace = alternating_ee_max(ch, replace(cfg, b=CONTINUOUS), seed=0)
     assert report.feasible
-    assert report.outer_iterations >= 1
+    assert report.outer_iterations >= 2
     assert trace.termination != "infeasible"
     assert_stall_trace(report, trace)
+    report, trace = alternating_ee_max(ch, cfg, seed=0)
+    assert report.feasible
+    assert_search_trace(report, trace, ch, cfg)
 
 
 def test_alternating_stall_rule_on_element_sweep_cell():
     # ee_vs_elements cell n=8, trial 4: lis-1bit reaches an efficiency
     # plateau, where tests on the phase and power change ran 5 more iterates
+    # of the alternating loop; the loop still runs for continuous phases
     scenario = load_scenario(SCENARIOS / "ee_vs_elements.scn")
     index = scenario.values.index(8)
     ss = np.random.SeedSequence(scenario.master_seed, spawn_key=(index, 4))
     channel_seed, solver_seed = (int(s) for s in ss.generate_state(2, dtype=np.uint64))
     cfg = _config_at(scenario, 8)
     ch = sample_channels(cfg, channel_seed)
+    report, trace = alternating_ee_max(ch, replace(cfg, b=CONTINUOUS), seed=solver_seed,
+                                       options=scenario.phase_options)
+    assert report.feasible
+    assert_stall_trace(report, trace)
     for method in scenario.methods:
-        report, trace = alternating_ee_max(
-            ch, _method_config(cfg, method), seed=solver_seed,
-            options=scenario.phase_options,
-        )
+        mcfg = _method_config(cfg, method)
+        report, trace = alternating_ee_max(ch, mcfg, seed=solver_seed,
+                                           options=scenario.phase_options)
         assert report.feasible
-        assert_stall_trace(report, trace)
+        assert_search_trace(report, trace, ch, mcfg)
 
 
 # --------------------------------------------------------------- exhaustive

@@ -4,7 +4,8 @@ Instances have K <= M <= 3, N <= 6 and b in {1, 2}, at desk scale (-10 dBm
 noise, 0 dBm circuit power) and at paper scale (-100 dBm noise, 100 dBm
 circuit power). Channels are distance-flat unit-variance draws. Every
 feasible report is checked against the budget, the QoS floors, its own
-efficiency, the exhaustive oracle and the stopping rule, and the alternating
+efficiency, the exhaustive oracle and the discrete search's stopping rule,
+the continuous solve of each draw against the alternating loop's, and the
 solver must find a feasible point wherever the oracle does. The relay baseline and the
 max-rate fill of both are checked against the budget, the floors, their
 efficiency and their power draw, and every surface report against the ZF
@@ -35,7 +36,9 @@ from lisopt import (
     zf_power_weights,
     zf_precoder,
 )
-from util import assert_stall_trace, make_config, unit_pathloss
+from lisopt import cli, scenario_from_pairs
+from lisopt.harness import _config_at
+from util import assert_search_trace, assert_stall_trace, make_config, unit_pathloss
 
 SCALES = {
     "desk": lambda **fields: make_config(**fields),
@@ -64,8 +67,9 @@ def instances(draw, scale):
 @given(data=st.data())
 def test_alternating_solve_properties(scale, data):
     cfg, channels, seed = data.draw(instances(scale))
+    assert_stall_trace(*alternating_ee_max(channels, replace(cfg, b=CONTINUOUS), seed=seed))
     report, trace = alternating_ee_max(channels, cfg, seed=seed)
-    assert_stall_trace(report, trace)
+    assert_search_trace(report, trace, channels, cfg)
     if not report.feasible:
         return
     assert trace_objective(report.phases.theta, channels, report.powers) \
@@ -77,8 +81,9 @@ def test_alternating_solve_properties(scale, data):
     assert report.ee <= oracle.ee * (1.0 + 1e-9)
 
 
+# 400 examples: at 30 the property missed the binding-floor draws pinned below
 @pytest.mark.parametrize("scale", sorted(SCALES))
-@PROPERTY_SETTINGS
+@settings(PROPERTY_SETTINGS, max_examples=400)
 @given(data=st.data())
 def test_oracle_feasible_instances_are_alternating_feasible(scale, data):
     cfg, channels, seed = data.draw(instances(scale))
@@ -87,16 +92,39 @@ def test_oracle_feasible_instances_are_alternating_feasible(scale, data):
     assert report.feasible == oracle.feasible, trace.termination
 
 
-@pytest.mark.xfail(strict=True, reason="false infeasible: the alternating solve gives up where "
-                                       "the QoS floors bind (ROADMAP item 4)")
 def test_binding_floors_draw_is_alternating_feasible():
-    # the desk draw the property above finds at max_examples=400; solver seeds 0-3 all fail
+    # the desk draw the property above finds at max_examples=400, where the
+    # alternating loop gave up for solver seeds 0-3; the search reaches the oracle
     cfg = make_config(k=3, m=3, n=3, b=1, p_budget_dbm=0.0, r_min=1.25)
     channels = sample_channels(cfg, 3)
     oracle = exhaustive_search(channels, cfg)
     assert oracle.feasible and oracle.ee == pytest.approx(902.55, rel=1e-4)
     report, trace = alternating_ee_max(channels, cfg, seed=1)
     assert report.feasible, trace.termination
+
+
+# Cells of the oracle-check scenario with binding floors (sweep.n = 2,4,6,8, master
+# seed 7, r_min added), (r_min, n, trial) -> oracle efficiency, which the
+# alternating loop called infeasible
+BINDING_FLOOR_CELLS = {("1", 2, 19): 799.2559, ("2", 4, 3): 1160.191}
+
+
+@pytest.mark.parametrize("r_min, n, trial", sorted(BINDING_FLOOR_CELLS))
+def test_binding_floor_sweep_cell_is_alternating_feasible(r_min, n, trial):
+    scenario = scenario_from_pairs({**cli._ORACLE_PAIRS, "sweep.n": "2,4,6,8", "trials": "30",
+                                    "master_seed": "7", "r_min": r_min})
+    ss = np.random.SeedSequence(7, spawn_key=(scenario.values.index(n), trial))
+    channel_seed, solver_seed = (int(s) for s in ss.generate_state(2, dtype=np.uint64))
+    cfg = _config_at(scenario, n)
+    channels = sample_channels(cfg, channel_seed)
+    oracle = exhaustive_search(channels, cfg)
+    assert oracle.feasible
+    assert oracle.ee == pytest.approx(BINDING_FLOOR_CELLS[r_min, n, trial], rel=1e-6)
+    report, trace = alternating_ee_max(channels, cfg, seed=solver_seed,
+                                       options=scenario.phase_options)
+    assert report.feasible, trace.termination
+    assert report.ee <= oracle.ee * (1.0 + 1e-9)
+    assert_search_trace(report, trace, channels, cfg)
 
 
 @pytest.mark.parametrize("scale", sorted(SCALES))

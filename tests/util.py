@@ -7,10 +7,19 @@ import numpy as np
 from lisopt import (
     CONTINUOUS,
     ChannelSet,
+    InfeasibleError,
     PathlossModel,
     PathlossParams,
+    PhaseConfig,
+    SingularMatrixError,
     SystemConfig,
     dbm_to_watts,
+    dinkelbach_allocation,
+    effective_channel,
+    phase_grid,
+    qos_min_powers,
+    quantize_phases,
+    zf_power_weights,
 )
 
 
@@ -59,7 +68,7 @@ def strip_wall_column(path):
 
 
 def assert_stall_trace(report, trace):
-    """The alternating solver's stopping rule, read off its report and trace.
+    """The continuous alternating loop's stopping rule, read off its report and trace.
 
     The efficiencies rise strictly up to the last iterate, and a converged
     trace ends with one no higher than the one before it. A feasible report
@@ -76,3 +85,61 @@ def assert_stall_trace(report, trace):
         best = max(trace.iterates, key=lambda it: it.ee)
         assert report.phases == best.phases
         assert report.powers == best.powers
+
+
+def grid_point_ee(channels, config, theta):
+    """Dinkelbach efficiency of b-bit phases theta, one dinkelbach_allocation; -inf if none fits."""
+    offset = config.k * config.p_c + config.n * config.p_n_of_b[config.b]
+    try:
+        weights = zf_power_weights(effective_channel(channels, PhaseConfig(theta, config.b)))
+        _, dtrace = dinkelbach_allocation(weights, qos_min_powers(config), config.mu,
+                                          config.sigma2, config.p_budget, offset, config.epsilon)
+    except (SingularMatrixError, InfeasibleError):
+        return -np.inf
+    return dtrace.lambdas[-1]
+
+
+def grid_neighbours(theta, b):
+    """Every b-bit phase vector that differs from theta in exactly one element."""
+    for j in range(theta.size):
+        for level in phase_grid(b):
+            if level != theta[j]:
+                moved = theta.copy()
+                moved[j] = level
+                yield moved
+
+
+def assert_search_trace(report, trace, channels, config):
+    """The finite-resolution discrete search, read off its report and trace.
+
+    The iterates (the quantized first step when it is feasible, then each
+    accepted move) rise strictly in efficiency, one element changes per
+    move, the report counts the iterates and holds the last, and no
+    single-element neighbour of the last point scores higher. Each point is
+    scored on its own through dinkelbach_allocation.
+    """
+    ees = [it.ee for it in trace.iterates]
+    assert all(b > a for a, b in zip(ees, ees[1:])), ees
+    assert report.outer_iterations == len(ees)
+    assert report.feasible == bool(ees)
+    assert trace.termination == ("converged" if ees else "infeasible")
+    if trace.first_step is None:
+        assert not ees
+        return
+    start = quantize_phases(trace.first_step.theta, config.b).theta
+    walk = [it.phases.theta for it in trace.iterates]
+    if grid_point_ee(channels, config, start) == -np.inf:
+        walk.insert(0, start)
+    else:
+        assert np.array_equal(walk[0], start)
+    for before, after in zip(walk, walk[1:]):
+        assert np.count_nonzero(after != before) == 1
+    for it in trace.iterates:
+        assert it.phases.resolution == config.b
+        assert it.ee == grid_point_ee(channels, config, it.phases.theta)
+    if ees:
+        assert report.phases == trace.iterates[-1].phases
+        assert report.powers == trace.iterates[-1].powers
+    last_ee = ees[-1] if ees else -np.inf
+    for moved in grid_neighbours(walk[-1], config.b):
+        assert not grid_point_ee(channels, config, moved) > last_ee, moved
