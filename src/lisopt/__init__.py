@@ -15,9 +15,7 @@ from .config import (
     PathlossParams,
     RelayParams,
     SystemConfig,
-    db_to_linear,
     dbm_to_watts,
-    watts_to_dbm,
 )
 from .harness import (
     ResultRow,
@@ -87,7 +85,6 @@ __all__ = [
     "SystemConfig",
     "aggregate",
     "alternating_ee_max",
-    "db_to_linear",
     "dbm_to_watts",
     "dinkelbach_allocation",
     "effective_channel",
@@ -112,7 +109,6 @@ __all__ = [
     "trace_objective",
     "trace_values",
     "transmit_power_used",
-    "watts_to_dbm",
     "zf_power_weights",
     "zf_precoder",
 ]

@@ -33,7 +33,7 @@ _ORACLE_PAIRS = {
 
 
 def _checked(build):
-    """build(), with bad scenario input (ValueError, OSError) ending the command.
+    """build(), with bad scenario input (ValueError, OSError, OverflowError) ending the command.
 
     The message goes to stderr as 'lisopt: <msg>' with exit status 1.
     """
@@ -41,6 +41,8 @@ def _checked(build):
         return build()
     except (ValueError, OSError) as exc:
         raise SystemExit(f"lisopt: {exc}") from exc
+    except OverflowError as exc:  # 10 ** (x / 10) of a dB or dBm value above ~3080
+        raise SystemExit(f"lisopt: a dB or dBm value is too large: {exc}") from exc
 
 
 def _with_overrides(scenario: Scenario, args) -> Scenario:

@@ -20,18 +20,6 @@ def dbm_to_watts(x: float) -> float:
     return 10.0 ** ((x - 30.0) / 10.0)
 
 
-def watts_to_dbm(p: float) -> float:
-    """Convert linear watts to dBm; requires p > 0."""
-    if p <= 0.0:
-        raise ValueError(f"power must be positive to express in dBm, got {p}")
-    return 10.0 * math.log10(p) + 30.0
-
-
-def db_to_linear(x: float) -> float:
-    """Convert a dB ratio to linear scale."""
-    return 10.0 ** (x / 10.0)
-
-
 @dataclass(frozen=True)
 class PathlossParams:
     """Log-distance attenuation beta(d) = beta0 * (d/d0)^(-exponent).

@@ -123,6 +123,8 @@ class Scenario:
         self.methods = methods
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.power_rule not in ("ee", "max-rate"):
@@ -140,6 +142,8 @@ class Scenario:
         if "exhaustive" in methods:
             for n in ns:
                 enumeration_count(n, self.config.b)
+        for v in values:  # SystemConfig's checks on every swept config, before any cell runs
+            _config_at(self, v)
 
 
 def _config_at(scenario: Scenario, value: float) -> SystemConfig:

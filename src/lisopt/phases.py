@@ -64,26 +64,13 @@ class PhaseSolveOutcome:
     feasible: bool
 
 
-def _radiated(beam_norms: np.ndarray, powers: PowerAllocation) -> tuple:
-    """sum_k p_k ||g_k||^2 per row of zf_svd's beam norms (B, K), +inf on rank-deficient rows.
-
-    Returns the values (B,) and the rank-deficient rows (B,).
-    """
-    bad = np.isinf(beam_norms[:, 0])
-    values = np.einsum("bk,k->b", beam_norms, powers.p)
-    values[bad] = np.inf  # inf * 0 of a zero-power user is nan
-    return values, bad
-
-
 def trace_values(thetas: np.ndarray, channels: ChannelSet, powers: PowerAllocation) -> np.ndarray:
-    """Radiated ZF power for a batch of phase vectors; +inf where rank deficient.
+    """Radiated ZF power for a batch of phase vectors (B, N): trace_value_and_grad's values (B,).
 
-    thetas has shape (B, N); returns shape (B,), equal bit for bit to
-    trace_value_and_grad's values. The beam norms of the whole batch come
-    from one stacked zf_svd call.
+    +inf where rank deficient. The gradient is computed and dropped; no
+    solver path calls this, only trace_objective.
     """
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    return _radiated(zf_svd(effective_channels(channels, np.exp(1j * thetas)))[3], powers)[0]
+    return trace_value_and_grad(np.atleast_2d(thetas), channels, powers)[0]
 
 
 def trace_objective(theta: np.ndarray, channels: ChannelSet, powers: PowerAllocation) -> float:
@@ -99,13 +86,14 @@ def trace_value_and_grad(thetas: np.ndarray, channels: ChannelSet,
     the effective channel H = U S V^H, the ZF precoder G = V S^-1 U^H and
     X = (H H^H)^-1 = U S^-2 U^H, tr(P X) has d/d theta_n =
     2 Im(phi_n [h1 G P X h2]_nn), and h1 G P X h2 = (h1 V S^-1)(U^H P U S^-2)(U^H h2).
-    The values are trace_values' bit for bit. Rank-deficient rows give
-    +inf, as in trace_values, and a zero gradient, so line searches back
-    off. No row's figures depend on the other rows.
+    Rank-deficient rows give +inf and a zero gradient, so line searches
+    back off. No row's figures depend on the other rows.
     """
     phi = np.exp(1j * thetas)
     u, s, vh, beam_norms = zf_svd(effective_channels(channels, phi))
-    values, bad = _radiated(beam_norms, powers)
+    bad = np.isinf(beam_norms[:, 0])
+    values = np.einsum("bk,k->b", beam_norms, powers.p)
+    values[bad] = np.inf  # inf * 0 of a zero-power user is nan
     s[bad] = 1.0
     uh = u.conj().swapaxes(1, 2)
     h1_g = (channels.h1 @ vh.conj().swapaxes(1, 2)) / s[:, None, :]

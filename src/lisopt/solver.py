@@ -95,18 +95,6 @@ def _link(channels: ChannelSet, config: SystemConfig, phases: PhaseConfig | None
     return effective_channel(channels, phases), _power_offset(config)
 
 
-def _power_step(channels: ChannelSet, config: SystemConfig,
-                phases: PhaseConfig | None) -> tuple:
-    """Dinkelbach powers on the surface at phases, or on the relay if None: (allocation, trace).
-
-    Raises SingularMatrixError when the effective channel is rank deficient
-    and InfeasibleError when the QoS floors do not fit the budget.
-    """
-    h_eff, offset = _link(channels, config, phases)
-    return dinkelbach_allocation(zf_power_weights(h_eff), qos_min_powers(config), config.mu,
-                                 config.sigma2, config.p_budget, offset, config.epsilon)
-
-
 def enumeration_count(n: int, b) -> int:
     """Candidates (2^b)^n of an exhaustive search over n elements at resolution b.
 
@@ -141,20 +129,20 @@ def evaluate(channels: ChannelSet, config: SystemConfig, phases: PhaseConfig | N
     )
 
 
-def _score(channels: ChannelSet, config: SystemConfig, digits: np.ndarray) -> tuple:
-    """Dinkelbach efficiency and powers of the b-bit phase vectors grid[digits] (B, N), in one batch.
+def _score(channels: ChannelSet, config: SystemConfig, phi: np.ndarray) -> tuple:
+    """Dinkelbach efficiency and powers of the surface at responses phi (B, N), in one batch.
 
-    Returns ee (B,) and powers (B, K). A row whose effective channel is rank
-    deficient, or whose QoS floors need more than the budget, scores -inf
-    with zero powers. Each row's figures equal its batch-of-one figures bit
-    for bit.
+    The power step of every surface candidate. Returns ee (B,) and powers
+    (B, K). A row whose effective channel is rank deficient, or whose QoS
+    floors need more than the budget, scores -inf with zero powers. Each
+    row's figures equal dinkelbach_allocation's on its own weights bit for bit.
     """
-    weights = zf_svd(effective_channels(channels, np.exp(1j * phase_grid(config.b))[digits]))[3]
+    weights = zf_svd(effective_channels(channels, phi))[3]
     p_min = qos_min_powers(config)
     with np.errstate(invalid="ignore"):  # inf * 0 floors of rank-deficient rows
         fits = np.sum(weights * p_min, axis=1) <= config.p_budget * (1.0 + BUDGET_SLACK)
     keep = np.all(np.isfinite(weights), axis=1) & fits
-    ee = np.full(len(digits), -np.inf)
+    ee = np.full(len(phi), -np.inf)
     powers = np.zeros(weights.shape)
     if np.any(keep):
         lambdas, powers[keep], _ = dinkelbach_batch(
@@ -192,7 +180,7 @@ def _grid_search(channels: ChannelSet, config: SystemConfig, start: PhaseConfig)
     while True:
         candidates = np.tile(digits, (moves.size + 1, 1))  # row 0 is the current point
         candidates[moves + 1, element] = (digits[element] + shift) % levels
-        ee, powers = _score(channels, config, candidates)
+        ee, powers = _score(channels, config, np.exp(1j * grid)[candidates])
         if not iterates and ee[0] > -np.inf:
             visit(0)  # the start
         i = int(np.argmax(ee))
@@ -204,7 +192,11 @@ def _grid_search(channels: ChannelSet, config: SystemConfig, start: PhaseConfig)
 
 def _alternate(channels: ChannelSet, config: SystemConfig, phases: PhaseConfig,
                rng: np.random.Generator, options: RelaxedSolveOptions | None) -> tuple:
-    """The continuous alternating loop from the first phase step: (iterates, termination)."""
+    """The continuous alternating loop from the first phase step: (iterates, termination).
+
+    Each iterate is scored by _score as a batch of one; it ends "infeasible"
+    when a phase step fails or an iterate scores -inf.
+    """
     iterates = []
     for i in range(DEFAULT_MAX_OUTER):
         try:
@@ -212,10 +204,12 @@ def _alternate(channels: ChannelSet, config: SystemConfig, phases: PhaseConfig,
                 phases = solve_phase_subproblem(
                     channels, iterates[-1].powers, phases.theta, config.p_budget,
                     options=options, seed=int(rng.integers(2 ** 63))).phases
-            alloc, dtrace = _power_step(channels, config, phases)
-        except (PhaseOptimizationError, InfeasibleError, SingularMatrixError):
+        except PhaseOptimizationError:
             return iterates, "infeasible"
-        iterates.append(AlternatingIterate(phases, alloc, dtrace.lambdas[-1]))
+        ee, powers = _score(channels, config, phases.phi[None, :])
+        if ee[0] == -np.inf:
+            return iterates, "infeasible"
+        iterates.append(AlternatingIterate(phases, PowerAllocation(p=powers[0]), float(ee[0])))
         if len(iterates) > 1 and iterates[-1].ee <= iterates[-2].ee:
             return iterates, "converged"
     return iterates, "iteration-cap"
@@ -247,7 +241,7 @@ def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0
     Returns (SolveReport, AlternatingTrace). The report has feasible=False
     when no feasible point is found: every restart of the first phase step
     is rank deficient, no grid point visited fits the QoS floors (finite
-    b), or the first power step fails (continuous).
+    b), or the first iterate scores -inf (continuous).
     """
     tag = resolution_tag(config.b)
     rng = np.random.default_rng(seed)
@@ -291,7 +285,7 @@ def exhaustive_search(channels: ChannelSet, config: SystemConfig) -> SolveReport
     best = (-np.inf, None, None)  # (ee, digits, powers)
     for first in range(0, total, _EXHAUSTIVE_CHUNK):
         digits = np.arange(first, min(first + _EXHAUSTIVE_CHUNK, total))[:, None] // place % levels
-        ee, powers = _score(channels, config, digits)
+        ee, powers = _score(channels, config, np.exp(1j * phase_grid(config.b))[digits])
         i = int(np.argmax(ee))
         if ee[i] > best[0]:
             best = (ee[i], digits[i], powers[i])
@@ -310,8 +304,11 @@ def relay_baseline(channels: ChannelSet, config: SystemConfig) -> SolveReport:
     swaps the per-element surface draw for the relay's dedicated transmit
     power.
     """
+    h_relay, offset = _link(channels, config, None)
     try:
-        alloc, dtrace = _power_step(channels, config, None)
+        alloc, dtrace = dinkelbach_allocation(
+            zf_power_weights(h_relay), qos_min_powers(config), config.mu, config.sigma2,
+            config.p_budget, offset, config.epsilon)
     except (SingularMatrixError, InfeasibleError):
         return SolveReport.infeasible("relay")
     return evaluate(channels, config, None, alloc, dtrace.iterations, "relay")

@@ -88,6 +88,8 @@ def test_scenario_validation():
         tiny_scenario(values=(1.0, -1.0))
     with pytest.raises(ValueError):
         tiny_scenario(trials=0)
+    with pytest.raises(ValueError, match="master_seed must be >= 0"):
+        tiny_scenario(master_seed=-1)
     with pytest.raises(ValueError):
         tiny_scenario(methods=("lis-3bit",))
     with pytest.raises(ValueError):
@@ -846,5 +848,35 @@ def test_cli_rejects_non_finite_element_counts(argv, tmp_path, capsys):
         cli_main([*argv, *(["--out", str(out)] if argv[0] == "sweep" else [])])
     assert isinstance(exc.value.code, str)
     assert exc.value.code.startswith("lisopt: n sweep values must be integers, need n >= k=")
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["sweep", "--axis", "p", "--values", "inf"], None, "p_budget must be finite and positive"),
+    (["sweep", "--axis", "p", "--values", "nan"], None, "p_budget must be finite and positive"),
+    (["sweep", "--axis", "p", "--values", "5000"], None, "a dB or dBm value is too large"),
+    (["sweep", "--axis", "snr", "--values", "5000"], None, "a dB or dBm value is too large"),
+    (["run"], SCENARIO_TEXT + "p_budget_dbm = 5000\n", "a dB or dBm value is too large"),
+    (["sweep", "--axis", "p", "--values", "0", "--seed", "-1"], None, "master_seed must be >= 0"),
+    (["oracle-check", "--seed", "-3"], None, "master_seed must be >= 0"),
+    (["run"], SCENARIO_TEXT.replace("master_seed = 11", "master_seed = -5"),
+     "master_seed must be >= 0"),
+], ids=["sweep-p-inf", "sweep-p-nan", "sweep-p-overflow", "sweep-snr-overflow",
+        "file-budget-overflow", "sweep-seed", "oracle-check-seed", "file-seed"])
+def test_cli_rejects_bad_budgets_and_seeds(argv, text, message, tmp_path, capsys):
+    out = tmp_path / "results"
+    if text is not None:
+        path = tmp_path / "bad.scn"
+        path.write_text(text)
+        argv = [*argv, str(path)]
+    elif argv[0] == "sweep":
+        argv = [*argv, "--methods", "relay"]
+    if argv[0] != "oracle-check":
+        argv = [*argv, "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert isinstance(exc.value.code, str) and exc.value.code.startswith("lisopt: ")
+    assert message in exc.value.code
     assert capsys.readouterr().out == ""
     assert not out.exists()

@@ -1,4 +1,4 @@
-"""The benchmark's hook surface: every lisopt attribute perfbench wraps must exist.
+"""The benchmark's hook surface: every lisopt attribute perfbench wraps must exist and be called.
 
 perfbench/workload.py patches lisopt functions by module and name, with
 ``tracer.wrap(<module>, "<attr>")`` and ``capture_reports(<module>, "<attr>", ...)``.
@@ -43,3 +43,22 @@ def test_hook_sites_are_found():
 def test_hooked_attribute_is_bound(module, attr):
     assert callable(getattr(importlib.import_module(f"lisopt.{module}"), attr, None)), \
         f"perfbench/workload.py wraps lisopt.{module}.{attr}, which is not bound"
+
+
+# Hooks on names a module imports only so that perfbench can wrap them; they read 0.
+UNCALLED_HOOKS = {("harness", "zf_precoder"), ("power", "zf_precoder")}
+
+
+def called_names(module):
+    """Names called bare (f(...)) anywhere in src/lisopt/<module>.py."""
+    source = Path(importlib.import_module(f"lisopt.{module}").__file__).read_text()
+    return {node.func.id for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+
+@pytest.mark.parametrize("module,attr", hook_sites())
+def test_hooked_attribute_is_called_in_its_module(module, attr):
+    # a wrap of a name its module never calls silently reads 0 calls
+    called = attr in called_names(module)
+    assert called != ((module, attr) in UNCALLED_HOOKS), \
+        f"lisopt.{module} {'calls' if called else 'never calls'} {attr}, which perfbench wraps"

@@ -29,8 +29,8 @@ from lisopt import (
 from lisopt import phases
 from lisopt.model import effective_channels, zf_svd
 from lisopt.phases import solve_relaxed, spg_lockstep, trace_value_and_grad
-from lisopt.solver import _power_step
-from util import complex_gaussian, make_config, random_channels
+from lisopt.solver import _score
+from util import complex_gaussian, make_config, random_channels, single_power_step
 
 TWO_PI = 2.0 * np.pi
 
@@ -169,11 +169,12 @@ def test_rank_deficient_rows_raise_no_warnings_and_leave_healthy_rows_alone(name
 
         # the oracle skips the rank-deficient candidates and solves the others as alone
         config = make_config(k=2, m=2, n=2, b=1)
+        assert np.array_equal(_score(channels, config, np.exp(1j * thetas))[0] == -np.inf, bad)
         healthy = []
         for theta in thetas[:4]:
             candidate = PhaseConfig(theta=theta, resolution=1)
             try:
-                alloc, _ = _power_step(channels, config, candidate)
+                alloc, _ = single_power_step(channels, config, candidate)
             except SingularMatrixError:
                 continue
             healthy.append(evaluate(channels, config, candidate, alloc, 4, "exhaustive"))

@@ -22,6 +22,9 @@ from hypothesis import strategies as st
 
 from lisopt import (
     CONTINUOUS,
+    InfeasibleError,
+    PhaseConfig,
+    SingularMatrixError,
     SystemConfig,
     alternating_ee_max,
     dbm_to_watts,
@@ -36,9 +39,15 @@ from lisopt import (
     zf_power_weights,
     zf_precoder,
 )
-from lisopt import cli, scenario_from_pairs
+from lisopt import cli, scenario_from_pairs, solver
 from lisopt.harness import _config_at
-from util import assert_search_trace, assert_stall_trace, make_config, unit_pathloss
+from util import (
+    assert_search_trace,
+    assert_stall_trace,
+    make_config,
+    single_power_step,
+    unit_pathloss,
+)
 
 SCALES = {
     "desk": lambda **fields: make_config(**fields),
@@ -51,10 +60,12 @@ PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
 
 
 @st.composite
-def instances(draw, scale):
-    k = draw(st.integers(1, 3))
+def instances(draw, scale, single=False):
+    """(config, channels, seed); single fixes K = N = 1."""
+    k = 1 if single else draw(st.integers(1, 3))
     cfg = SCALES[scale](
-        k=k, m=draw(st.integers(k, 3)), n=draw(st.integers(k, 6)), b=draw(st.sampled_from([1, 2])),
+        k=k, m=draw(st.integers(k, 3)), n=1 if single else draw(st.integers(k, 6)),
+        b=draw(st.sampled_from([1, 2])),
         p_budget_dbm=draw(st.floats(-20.0, 0.0)),
         r_min=draw(st.just(0.0) | st.floats(0.0, 2.0)),
     )
@@ -79,6 +90,24 @@ def test_alternating_solve_properties(scale, data):
     oracle = exhaustive_search(channels, cfg)
     assert oracle.feasible
     assert report.ee <= oracle.ee * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("single", [False, True], ids=["drawn", "K=N=1"])
+@pytest.mark.parametrize("scale", sorted(SCALES))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_score_of_one_candidate_is_its_single_power_step(scale, single, data):
+    cfg, channels, seed = data.draw(instances(scale, single))
+    cfg = replace(cfg, b=CONTINUOUS)
+    phases = PhaseConfig(theta=np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, cfg.n))
+    ee, powers = solver._score(channels, cfg, phases.phi[None, :])
+    try:
+        alloc, dtrace = single_power_step(channels, cfg, phases)
+    except (SingularMatrixError, InfeasibleError):
+        assert ee[0] == -np.inf and not powers.any()
+        return
+    assert ee[0] == dtrace.lambdas[-1]
+    assert np.array_equal(powers[0], alloc.p)
 
 
 # 400 examples: at 30 the property missed the binding-floor draws pinned below

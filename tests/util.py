@@ -87,13 +87,22 @@ def assert_stall_trace(report, trace):
         assert report.powers == best.powers
 
 
+def single_power_step(channels, config, phases):
+    """dinkelbach_allocation on the surface at phases, from public calls: (allocation, trace).
+
+    Raises SingularMatrixError when the effective channel is rank deficient
+    and InfeasibleError when the QoS floors do not fit the budget.
+    """
+    offset = config.k * config.p_c + config.n * config.p_n_of_b[config.b]
+    weights = zf_power_weights(effective_channel(channels, phases))
+    return dinkelbach_allocation(weights, qos_min_powers(config), config.mu, config.sigma2,
+                                 config.p_budget, offset, config.epsilon)
+
+
 def grid_point_ee(channels, config, theta):
     """Dinkelbach efficiency of b-bit phases theta, one dinkelbach_allocation; -inf if none fits."""
-    offset = config.k * config.p_c + config.n * config.p_n_of_b[config.b]
     try:
-        weights = zf_power_weights(effective_channel(channels, PhaseConfig(theta, config.b)))
-        _, dtrace = dinkelbach_allocation(weights, qos_min_powers(config), config.mu,
-                                          config.sigma2, config.p_budget, offset, config.epsilon)
+        _, dtrace = single_power_step(channels, config, PhaseConfig(theta, config.b))
     except (SingularMatrixError, InfeasibleError):
         return -np.inf
     return dtrace.lambdas[-1]
