@@ -41,6 +41,11 @@ class PathlossParams:
             raise ValueError("reference distance must be positive")
         if not math.isfinite(self.ref_loss_db):
             raise ValueError("reference loss must be finite")
+        try:
+            self.beta0
+        except OverflowError:
+            raise ValueError(f"reference loss {self.ref_loss_db} dB gives a gain beta0 "
+                             "beyond the float range") from None
 
     @property
     def beta0(self) -> float:

@@ -37,6 +37,7 @@ from .solver import (
     alternating_ee_max,
     enumeration_count,
     exhaustive_search,
+    first_phase_steps,
     max_rate_power_fill,
     relay_baseline,
     resolution_tag,
@@ -165,42 +166,68 @@ def _method_config(cfg: SystemConfig, method: str) -> SystemConfig:
 
 
 def _dispatch(method: str, channels, cfg: SystemConfig, solver_seed: int,
-              scenario: Scenario, first_step: PhaseConfig | None) -> tuple:
-    """(report, the cell's shared first phase step: first_step, or the one this solve made)."""
+              scenario: Scenario, first_step: PhaseConfig | None) -> SolveReport:
     if method in _RESOLUTIONS:
-        report, trace = alternating_ee_max(channels, cfg, seed=solver_seed,
-                                           options=scenario.phase_options,
-                                           first_step=first_step)
-        return report, trace.first_step
+        return alternating_ee_max(channels, cfg, seed=solver_seed, options=scenario.phase_options,
+                                  first_step=first_step)[0]
     if method == "exhaustive":
-        return exhaustive_search(channels, cfg), first_step
-    return relay_baseline(channels, cfg), first_step
+        return exhaustive_search(channels, cfg)
+    return relay_baseline(channels, cfg)
 
 
-def _run_cell(scenario: Scenario, sweep_index: int, value: float, trial: int) -> list:
-    ss = np.random.SeedSequence(scenario.master_seed, spawn_key=(sweep_index, trial))
-    channel_seed, solver_seed = (int(s) for s in ss.generate_state(2, dtype=np.uint64))
-    cfg = _config_at(scenario, value)
-    channels = sample_channels(cfg, channel_seed)
-    rows = []
-    first_step = None  # solved by the cell's first surface row, reused by the later ones
-    for method in scenario.methods:
-        mcfg = _method_config(cfg, method)
+def _tasks(scenario: Scenario) -> list:
+    """The run's cells (sweep index, value, trial) in chunks of consecutive cells with equal N.
+
+    A p or snr sweep is one group and an n sweep one group per value; each
+    group is split into at most `workers` chunks of near-equal size.
+    """
+    cells = [(si, v, t) for si, v in enumerate(scenario.values) for t in range(scenario.trials)]
+    size = scenario.trials if scenario.axis == "n" else len(cells)
+    groups = [cells[i:i + size] for i in range(0, len(cells), size)]
+    w = scenario.workers
+    return [chunk for group in groups for i in range(w)
+            if (chunk := group[len(group) * i // w:len(group) * (i + 1) // w])]
+
+
+def _run_task(scenario: Scenario, cells: list) -> list:
+    """The rows of a chunk of equal-N cells; their first phase steps are solved in one batch.
+
+    The batch's wall time is split evenly over the cells and counted in each
+    cell's first surface row.
+    """
+    draws = []  # per cell: first_phase_steps' (channels, config, seed), then the channel seed
+    for si, value, trial in cells:
+        ss = np.random.SeedSequence(scenario.master_seed, spawn_key=(si, trial))
+        channel_seed, solver_seed = (int(s) for s in ss.generate_state(2, dtype=np.uint64))
+        cfg = _config_at(scenario, value)
+        draws.append((sample_channels(cfg, channel_seed), cfg, solver_seed, channel_seed))
+    steps, batch_ms = [None] * len(cells), 0.0
+    if any(method in _RESOLUTIONS for method in scenario.methods):
         t0 = time.perf_counter()
-        try:
-            report, first_step = _dispatch(method, channels, mcfg, solver_seed, scenario,
-                                           first_step)
-            if scenario.power_rule == "max-rate" and report.feasible:
-                report = max_rate_power_fill(channels, report, mcfg)
-        except _METHOD_ERRORS:
-            report = SolveReport.infeasible(method)
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        rows.append(ResultRow(
-            method=method, sweep=value, trial=trial, seed=channel_seed,
-            ee=report.ee, sum_rate=report.sum_rate, total_power=report.total_power,
-            feasible=report.feasible, iters=report.outer_iterations,
-            wall_ms=wall_ms,
-        ))
+        steps = first_phase_steps([draw[:3] for draw in draws], scenario.phase_options)
+        batch_ms = (time.perf_counter() - t0) * 1e3 / len(cells)
+    rows = []
+    for (_, value, trial), (channels, cfg, solver_seed, channel_seed), first_step in zip(
+            cells, draws, steps):
+        share = batch_ms  # carried by the cell's first surface row
+        for method in scenario.methods:
+            mcfg = _method_config(cfg, method)
+            t0 = time.perf_counter()
+            try:
+                report = _dispatch(method, channels, mcfg, solver_seed, scenario, first_step)
+                if scenario.power_rule == "max-rate" and report.feasible:
+                    report = max_rate_power_fill(channels, report, mcfg)
+            except _METHOD_ERRORS:
+                report = SolveReport.infeasible(method)
+            wall_ms = (time.perf_counter() - t0) * 1e3
+            if method in _RESOLUTIONS:
+                wall_ms, share = wall_ms + share, 0.0
+            rows.append(ResultRow(
+                method=method, sweep=value, trial=trial, seed=channel_seed,
+                ee=report.ee, sum_rate=report.sum_rate, total_power=report.total_power,
+                feasible=report.feasible, iters=report.outer_iterations,
+                wall_ms=wall_ms,
+            ))
     return rows
 
 
@@ -236,16 +263,19 @@ def run_scenario(scenario: Scenario) -> list:
 
     Child seeds derive deterministically from (master_seed, sweep index,
     trial index), so the full output is reproducible end to end. Rows come
-    back ordered by (method order, sweep index, trial). A cell's surface
-    methods also share the first phase step of alternating_ee_max: the
-    first surface row solves it, its time counts in that row's wall_ms, and
-    the later surface rows start from the same relaxed phases (a finite-b
-    row quantizes them and searches the grid from there; a continuous row
-    starts its alternating loop there). Every row equals the one its method
-    gives when run alone.
+    back ordered by (method order, sweep index, trial). The cells run in
+    tasks, chunks of consecutive cells with equal N (see _tasks): all cells
+    of a p or snr sweep form one group, an n sweep one group per value, and
+    each group is split into at most `workers` chunks. A task solves the
+    first phase steps of all its cells in one first_phase_steps batch (if a
+    surface method runs), splits that batch's time evenly over the cells
+    and counts each share in the cell's first surface row's wall_ms. Every
+    surface row starts from its cell's step (a finite-b row quantizes it and
+    searches the grid from there; a continuous row starts its alternating
+    loop there). Every row equals the one its method gives when run alone.
 
-    With workers > 1, min(workers, cells) forked processes run one cell each;
-    rows equal the serial run's except wall_ms. One cell, or a platform
+    With workers > 1, min(workers, tasks) forked processes run one task each;
+    rows equal the serial run's except wall_ms. One task, or a platform
     without fork, runs serially (Python 3.12+ warns when a threaded process
     forks). The processes are forked at the first parallel run and kept for
     later runs that need the same count; a run that needs another count joins
@@ -258,19 +288,18 @@ def run_scenario(scenario: Scenario) -> list:
     os._exit, as a multiprocessing child does, skips that hook: it calls
     _close_workers() first, or it waits on them forever.
     """
-    cells = [(si, v, t) for si, v in enumerate(scenario.values)
-             for t in range(scenario.trials)]
-    run_cell = functools.partial(_run_cell, scenario)
-    if scenario.workers > 1 and len(cells) > 1 and "fork" in get_all_start_methods():
+    tasks = _tasks(scenario)
+    run_task = functools.partial(_run_task, scenario)
+    if scenario.workers > 1 and len(tasks) > 1 and "fork" in get_all_start_methods():
         # Not spawn or forkserver: they re-import numpy and lisopt, 0.4-0.7 s a pool. Kept across
         # runs: a fresh pool added 35-48 ms to each 8-cell elements_fanout.scn run (2 cores).
         try:
-            chunks = list(_workers(min(scenario.workers, len(cells))).map(run_cell, *zip(*cells)))
+            chunks = list(_workers(min(scenario.workers, len(tasks))).map(run_task, tasks))
         except BrokenProcessPool:
             _close_workers()
             raise
     else:
-        chunks = [run_cell(*cell) for cell in cells]
+        chunks = [run_task(task) for task in tasks]
     rows = [row for chunk in chunks for row in chunk]
     method_order = {m: i for i, m in enumerate(scenario.methods)}
     value_order = {v: i for i, v in enumerate(scenario.values)}

@@ -119,19 +119,22 @@ def effective_channel(channels: ChannelSet, phases: PhaseConfig) -> np.ndarray:
             f"phase vector length {phases.theta.shape[0]} does not match "
             f"{channels.h1.shape[0]} surface elements"
         )
-    return effective_channels(channels, phases.phi)
+    return effective_channels(channels.h1, channels.h2, channels.h, phases.phi)
 
 
-def effective_channels(channels: ChannelSet, phi: np.ndarray) -> np.ndarray:
+def effective_channels(h1: np.ndarray, h2: np.ndarray, h: np.ndarray,
+                       phi: np.ndarray) -> np.ndarray:
     """Composite channels H2 diag(phi) H1 + H for element responses phi (..., N); shape (..., K, M).
 
-    h2 is repeated per row, not broadcast: at K = N = 1 numpy multiplies a
-    broadcast operand on another loop, and a row's figures would then depend
-    on the rows beside it. Each row equals the batch-of-one build.
+    h1 (N, M), h2 (K, N) and h (K, M) are one channel realization, or one per
+    row of phi with its leading axes. A shared h2 is repeated per row, not
+    broadcast: at K = N = 1 numpy multiplies a broadcast operand on another
+    loop, and a row's figures would then depend on the rows beside it. Each
+    row equals the batch-of-one build.
     """
-    h2 = np.empty(phi.shape[:-1] + channels.h2.shape, dtype=channels.h2.dtype)
-    h2[...] = channels.h2
-    return (h2 * phi[..., None, :]) @ channels.h1 + channels.h
+    if h2.ndim == 2:
+        h2 = np.broadcast_to(h2, phi.shape[:-1] + h2.shape).copy()
+    return (h2 * phi[..., None, :]) @ h1 + h
 
 
 def _zf_shape(h_eff: np.ndarray) -> tuple:

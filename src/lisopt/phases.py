@@ -64,13 +64,26 @@ class PhaseSolveOutcome:
     feasible: bool
 
 
+def stack_rows(pairs, repeats: int) -> tuple:
+    """trace_value_and_grad's per-row channels and powers: each (channels, powers) pair, repeated.
+
+    Returns h1 (B, N, M), h2 (B, K, N), h (B, K, M) and p (B, K), with B =
+    repeats * len(pairs): each pair's rows in turn. The pairs must share K,
+    M and N.
+    """
+    return tuple(np.repeat(np.stack(arrays), repeats, axis=0)
+                 for arrays in zip(*((c.h1, c.h2, c.h, p.p) for c, p in pairs)))
+
+
 def trace_values(thetas: np.ndarray, channels: ChannelSet, powers: PowerAllocation) -> np.ndarray:
     """Radiated ZF power for a batch of phase vectors (B, N): trace_value_and_grad's values (B,).
 
-    +inf where rank deficient. The gradient is computed and dropped; no
-    solver path calls this, only trace_objective.
+    +inf where rank deficient. The one channel and power vector are
+    repeated per row, and the gradient is computed and dropped; no solver
+    path calls this, only trace_objective.
     """
-    return trace_value_and_grad(np.atleast_2d(thetas), channels, powers)[0]
+    thetas = np.atleast_2d(thetas)
+    return trace_value_and_grad(thetas, *stack_rows([(channels, powers)], len(thetas)))[0]
 
 
 def trace_objective(theta: np.ndarray, channels: ChannelSet, powers: PowerAllocation) -> float:
@@ -78,27 +91,30 @@ def trace_objective(theta: np.ndarray, channels: ChannelSet, powers: PowerAlloca
     return float(trace_values(np.asarray(theta, dtype=float)[None, :], channels, powers)[0])
 
 
-def trace_value_and_grad(thetas: np.ndarray, channels: ChannelSet,
-                         powers: PowerAllocation) -> tuple:
+def trace_value_and_grad(thetas: np.ndarray, h1: np.ndarray, h2: np.ndarray, h: np.ndarray,
+                         p: np.ndarray) -> tuple:
     """Radiated ZF power at a batch of phase vectors and its exact gradient, one stacked SVD.
 
-    thetas has shape (B, N); returns values (B,) and gradients (B, N). With
-    the effective channel H = U S V^H, the ZF precoder G = V S^-1 U^H and
-    X = (H H^H)^-1 = U S^-2 U^H, tr(P X) has d/d theta_n =
-    2 Im(phi_n [h1 G P X h2]_nn), and h1 G P X h2 = (h1 V S^-1)(U^H P U S^-2)(U^H h2).
-    Rank-deficient rows give +inf and a zero gradient, so line searches
-    back off. No row's figures depend on the other rows.
+    Row b has phases thetas[b] (N,), its own channels h1[b] (N, M), h2[b]
+    (K, N), h[b] (K, M) and powers p[b] (K,); stack_rows repeats one
+    channel and power vector per row. Returns values (B,) and gradients
+    (B, N). With the effective channel H = U S V^H, the ZF precoder
+    G = V S^-1 U^H and X = (H H^H)^-1 = U S^-2 U^H, tr(P X) has
+    d/d theta_n = 2 Im(phi_n [h1 G P X h2]_nn), and
+    h1 G P X h2 = (h1 V S^-1)(U^H P U S^-2)(U^H h2). Rank-deficient rows
+    give +inf and a zero gradient, so line searches back off. No row's
+    figures depend on the other rows.
     """
     phi = np.exp(1j * thetas)
-    u, s, vh, beam_norms = zf_svd(effective_channels(channels, phi))
+    u, s, vh, beam_norms = zf_svd(effective_channels(h1, h2, h, phi))
     bad = np.isinf(beam_norms[:, 0])
-    values = np.einsum("bk,k->b", beam_norms, powers.p)
+    values = np.einsum("bk,bk->b", beam_norms, p)
     values[bad] = np.inf  # inf * 0 of a zero-power user is nan
     s[bad] = 1.0
     uh = u.conj().swapaxes(1, 2)
-    h1_g = (channels.h1 @ vh.conj().swapaxes(1, 2)) / s[:, None, :]
-    px = (uh @ (powers.p[:, None] * u)) / (s * s)[:, None, :]
-    grad = 2.0 * (phi * np.einsum("bnk,bkn->bn", h1_g @ px, uh @ channels.h2)).imag
+    h1_g = (h1 @ vh.conj().swapaxes(1, 2)) / s[:, None, :]
+    px = (uh @ (p[:, :, None] * u)) / (s * s)[:, None, :]
+    grad = 2.0 * (phi * np.einsum("bnk,bkn->bn", h1_g @ px, uh @ h2)).imag
     grad[bad] = 0.0
     return values, grad
 
@@ -120,12 +136,14 @@ def _armijo(rise: np.ndarray, g: np.ndarray, step: np.ndarray) -> np.ndarray:
     return (rise <= _ARMIJO * gs) & (gs < 0.0)
 
 
-def spg_lockstep(starts: np.ndarray, channels: ChannelSet, powers: PowerAllocation,
-                 max_iterations: int) -> tuple:
+def spg_lockstep(starts: np.ndarray, h1: np.ndarray, h2: np.ndarray, h: np.ndarray,
+                 p: np.ndarray, max_iterations: int) -> tuple:
     """Minimize the radiated-power objective on [0, 2*pi]^N from every row of starts (B, N).
 
-    Each row runs its own nonmonotone spectral projected gradient (Birgin,
-    Martinez & Raydan 2000). It steps along d = clip(x - alpha g, 0, 2*pi) - x,
+    Row b minimizes under its own channels and powers h1[b], h2[b], h[b]
+    and p[b], shaped as trace_value_and_grad takes them. Each row runs its
+    own nonmonotone spectral projected gradient (Birgin, Martinez & Raydan
+    2000). It steps along d = clip(x - alpha g, 0, 2*pi) - x,
     the projection of a gradient step onto the box. alpha is the
     Barzilai-Borwein length s^T s / s^T y of the last step s and gradient
     change y when s^T y > 0; otherwise, and on the first step, it is
@@ -142,27 +160,29 @@ def spg_lockstep(starts: np.ndarray, channels: ChannelSet, powers: PowerAllocati
     largest entry is at most min(_GRADIENT_TOLERANCE,
     _RELATIVE_GRADIENT_TOLERANCE * f), when a step changes its objective by
     no more than _STEP_TOLERANCE * max(f, 1), when its line search fails,
-    or after max_iterations steps; it then leaves the batch. Each round of
-    trial points, one per searching row, is one stacked
-    trace_value_and_grad call. No row's figures depend on the other rows,
-    so each equals a batch-of-one solve.
+    or after max_iterations steps; it then leaves the batch, and its
+    channels and powers leave with it, so the batch's arrays stay compact
+    and no call gathers them. Each round of trial points, one per searching
+    row, is one stacked trace_value_and_grad call. No row's figures depend
+    on the other rows, so each equals a batch-of-one solve.
 
     Returns the end points (B, N), in [0, 2*pi], and their objectives (B,),
     none above its start's (clipped to the box).
     """
     x = np.asarray(starts, dtype=float).clip(0.0, TWO_PI)
-    f, g = trace_value_and_grad(x, channels, powers)
+    f, g = trace_value_and_grad(x, h1, h2, h, p)
     ends, values = x.copy(), f.copy()
     apg, stationary = _projected(x, f, g)
     rows = (~stationary).nonzero()[0]
     x, f, g, apg = x[rows], f[rows], g[rows], apg[rows]
+    data = (h1[rows], h2[rows], h[rows], p[rows])
     history = np.repeat(f[:, None], _HISTORY, axis=1)
     alpha = 1.0 / np.sqrt(np.einsum("bn,bn->b", apg, apg))
     for i in range(max_iterations):
         if rows.size == 0:
             break
         d = (x - alpha[:, None] * g).clip(0.0, TWO_PI) - x
-        x1, f1, g1, s = _line_search(x, f, g, d, history.max(axis=1), channels, powers)
+        x1, f1, g1, s = _line_search(x, f, g, d, history.max(axis=1), data)
         sy = np.einsum("bn,bn->b", s, g1 - g)
         small = np.abs(f - f1) <= _STEP_TOLERANCE * np.maximum(f, 1.0)
         x, f, g = x1, f1, g1
@@ -176,13 +196,14 @@ def spg_lockstep(starts: np.ndarray, channels: ChannelSet, powers: PowerAllocati
             live = ~done
             rows, x, f, g, apg = rows[live], x[live], f[live], g[live], apg[live]
             history, s, sy = history[live], s[live], sy[live]
+            data = tuple(a[live] for a in data)
         fallback = None if (sy > 0.0).all() else 1.0 / np.sqrt(np.einsum("bn,bn->b", apg, apg))
         alpha = np.divide(np.einsum("bn,bn->b", s, s), sy, out=fallback, where=sy > 0.0)
     ends[rows], values[rows] = x, f
     return ends, values
 
 
-def _line_search(x, f, g, d, reference, channels, powers) -> tuple:
+def _line_search(x, f, g, d, reference, data) -> tuple:
     """Backtracking Armijo line search of spg_lockstep, per row of the start (x, f, g).
 
     Each row first tries the full step d, clipped to the box, in one stacked
@@ -190,25 +211,30 @@ def _line_search(x, f, g, d, reference, channels, powers) -> tuple:
     the row's reference value by at most _ARMIJO * g^T (x1 - x) < 0. The
     failed rows retry together at the minimizer of the quadratic through f,
     the slope g^T d and their last trial, kept within [0.1, 0.5] of the last
-    step, up to _MAX_BACKTRACKS trials in all. Returns (x1, f1, g1, x1 - x):
-    each row's first passing trial, or its start and a zero step if none did.
+    step, up to _MAX_BACKTRACKS trials in all. data holds the rows' channels
+    and powers, h1, h2, h and p; the failed rows take their part of it along
+    as they shrink. Returns (x1, f1, g1, x1 - x): each row's first passing
+    trial, or its start and a zero step if none did.
     """
     x1 = (x + d).clip(0.0, TWO_PI)
-    f1, g1 = trace_value_and_grad(x1, channels, powers)
+    f1, g1 = trace_value_and_grad(x1, *data)
     s = x1 - x
     rows = (~_armijo(f1 - reference, g, s)).nonzero()[0]
     if rows.size:
         t, slope = np.ones(rows.size), np.einsum("bn,bn->b", g[rows], d[rows])
+        data = tuple(a[rows] for a in data)
         for _ in range(_MAX_BACKTRACKS - 1):
             drop = f1[rows] - f[rows]
             t = np.fmin(np.fmax(-slope * t ** 2 / (2.0 * (drop - slope * t)), 0.1 * t), 0.5 * t)
             x1[rows] = (x[rows] + t[:, None] * d[rows]).clip(0.0, TWO_PI)
-            f1[rows], g1[rows] = trace_value_and_grad(x1[rows], channels, powers)
+            f1[rows], g1[rows] = trace_value_and_grad(x1[rows], *data)
             s[rows] = x1[rows] - x[rows]
             miss = ~_armijo(f1[rows] - reference[rows], g[rows], s[rows])
-            rows, t, slope = rows[miss], t[miss], slope[miss]
-            if rows.size == 0:
-                return x1, f1, g1, s
+            if not miss.all():
+                rows, t, slope = rows[miss], t[miss], slope[miss]
+                if rows.size == 0:
+                    return x1, f1, g1, s
+                data = tuple(a[miss] for a in data)
         x1[rows], f1[rows], g1[rows], s[rows] = x[rows], f[rows], g[rows], 0.0
     return x1, f1, g1, s
 
@@ -224,12 +250,12 @@ def solve_relaxed(channels: ChannelSet, powers: PowerAllocation,
     trace_value_and_grad. Rank-deficient points evaluate to +inf so line
     searches step away. The result is the lowest end
     point, ties to the lowest restart, so it is never worse than the warm
-    start, where restart 0 starts and which it never rises above.
+    start, where restart 0 starts and which it never rises above. This is
+    solve_relaxed_cells on one cell.
 
     Returns (theta, objective): the angles (N,) and their objective, the
     SPG's own value of that end point, equal bit for bit to trace_objective.
     """
-    options = options or RelaxedSolveOptions()
     n = channels.h1.shape[0]
     if warm_start is None:
         warm = np.zeros(n)
@@ -237,13 +263,32 @@ def solve_relaxed(channels: ChannelSet, powers: PowerAllocation,
         warm = np.asarray(warm_start, dtype=float)
         if warm.shape != (n,):
             raise ValueError(f"warm start must have length {n}, got shape {warm.shape}")
-    rng = np.random.default_rng(seed)
-    starts = np.vstack([warm, rng.uniform(0.0, TWO_PI, (options.num_restarts - 1, n))])
-    thetas, values = spg_lockstep(starts, channels, powers, options.max_iterations)
-    best = int(np.argmin(values))
-    if not np.isfinite(values[best]):
+    (best,) = solve_relaxed_cells([(channels, powers, warm, seed)], options)
+    if best is None:
         raise PhaseOptimizationError("all restarts ended in rank-deficient regions")
-    return thetas[best], float(values[best])
+    return best
+
+
+def solve_relaxed_cells(cells, options: RelaxedSolveOptions | None = None) -> list:
+    """solve_relaxed on many cells (channels, powers, warm start (N,), seed) in one lockstep batch.
+
+    The cells must share K, M and N. Each cell's num_restarts rows carry its
+    own channels and powers through one spg_lockstep call. Returns per cell
+    solve_relaxed's (theta, objective), equal to it bit for bit whatever the
+    cell's batch neighbours, or None where every restart is rank deficient.
+    """
+    options = options or RelaxedSolveOptions()
+    r = options.num_restarts
+    starts = np.vstack([
+        np.vstack([warm, np.random.default_rng(seed).uniform(0.0, TWO_PI, (r - 1, warm.size))])
+        for _, _, warm, seed in cells])
+    rows = stack_rows([(channels, powers) for channels, powers, _, _ in cells], r)
+    thetas, values = spg_lockstep(starts, *rows, options.max_iterations)
+    steps = []
+    for first in range(0, len(values), r):
+        best = first + int(np.argmin(values[first:first + r]))
+        steps.append((thetas[best], float(values[best])) if np.isfinite(values[best]) else None)
+    return steps
 
 
 def quantize_phases(theta: np.ndarray, b: int) -> PhaseConfig:

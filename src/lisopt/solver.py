@@ -26,6 +26,7 @@ from .phases import (
     RelaxedSolveOptions,
     quantize_phases,
     solve_phase_subproblem,
+    solve_relaxed_cells,
 )
 from .power import (
     InfeasibleError,
@@ -137,7 +138,7 @@ def _score(channels: ChannelSet, config: SystemConfig, phi: np.ndarray) -> tuple
     floors need more than the budget, scores -inf with zero powers. Each
     row's figures equal dinkelbach_allocation's on its own weights bit for bit.
     """
-    weights = zf_svd(effective_channels(channels, phi))[3]
+    weights = zf_svd(effective_channels(channels.h1, channels.h2, channels.h, phi))[3]
     p_min = qos_min_powers(config)
     with np.errstate(invalid="ignore"):  # inf * 0 floors of rank-deficient rows
         fits = np.sum(weights * p_min, axis=1) <= config.p_budget * (1.0 + BUDGET_SLACK)
@@ -215,17 +216,36 @@ def _alternate(channels: ChannelSet, config: SystemConfig, phases: PhaseConfig,
     return iterates, "iteration-cap"
 
 
+def first_phase_steps(cells, options: RelaxedSolveOptions | None = None) -> list:
+    """alternating_ee_max's first phase step for each cell (channels, config, seed), in one batch.
+
+    The first step is the relaxed phase solve at the uniform power split
+    P/K from zero phases, seeded with the first draw integers(2^63) of
+    default_rng(seed); only the channels, k, n and the budget of config
+    enter it. The cells must share K, M and N. Returns the relaxed phases
+    per cell, or None where every restart is rank deficient, each equal bit
+    for bit to the cell's step solved alone.
+    """
+    steps = solve_relaxed_cells([
+        (channels, PowerAllocation(p=np.full(config.k, config.p_budget / config.k)),
+         np.zeros(config.n), int(np.random.default_rng(seed).integers(2 ** 63)))
+        for channels, config, seed in cells], options)
+    return [None if step is None else PhaseConfig(theta=step[0]) for step in steps]
+
+
 def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0,
                        options: RelaxedSolveOptions | None = None,
                        first_step: PhaseConfig | None = None):
     """Joint phase and power design for energy efficiency.
 
     Starts with a relaxed phase step at a uniform power split and zero
-    phases. Nothing in this first step depends on b, and the trace returns
-    its relaxed solution as first_step. A solve at another resolution with
-    the same channels, budget, seed and options may pass it in: it then
-    skips that solve and returns an equal report and trace. The harness
-    shares a cell's first step among its surface methods this way.
+    phases, first_phase_steps on this one cell. Nothing in this first step
+    depends on b, and the trace returns its relaxed solution as first_step.
+    A caller that already holds the step for the same channels, budget,
+    seed and options, from first_phase_steps or from a solve at another
+    resolution, may pass it in: the solve then skips it and returns an equal
+    report and trace. The harness solves the first steps of many cells in
+    one first_phase_steps batch and passes each cell's in this way.
 
     At a finite b the first step is quantized and _grid_search takes over,
     which departs from the paper's alternation: the report is the last point
@@ -245,13 +265,10 @@ def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0
     """
     tag = resolution_tag(config.b)
     rng = np.random.default_rng(seed)
-    p_start = PowerAllocation(p=np.full(config.k, config.p_budget / config.k))
-    first_seed = int(rng.integers(2 ** 63))
-    try:
-        first_step = first_step or solve_phase_subproblem(
-            channels, p_start, np.zeros(config.n), config.p_budget, options=options,
-            seed=first_seed).phases
-    except PhaseOptimizationError:
+    rng.integers(2 ** 63)  # the first step's seed (first_phase_steps); the loop draws the rest
+    if first_step is None:
+        (first_step,) = first_phase_steps([(channels, config, seed)], options)
+    if first_step is None:
         return SolveReport.infeasible(tag), AlternatingTrace((), "infeasible", None)
 
     if config.b != CONTINUOUS:

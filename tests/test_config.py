@@ -83,4 +83,6 @@ def test_pathloss_params_validation():
         PathlossParams(exponent=-1.0)
     with pytest.raises(ValueError):
         PathlossParams(exponent=2.0, d0=0.0)
+    with pytest.raises(ValueError, match="beyond the float range"):
+        PathlossParams(exponent=2.0, ref_loss_db=-5000.0)  # beta0 = 10^500
     assert PathlossParams(exponent=2.0, ref_loss_db=30.0).beta0 == pytest.approx(1e-3)

@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import time
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields, is_dataclass, replace
@@ -27,15 +28,14 @@ from lisopt import (
     emit_outputs,
     harness,
     load_scenario,
-    phases,
     run_scenario,
     scenario_from_pairs,
+    solver,
 )
 from lisopt import cli
 from lisopt.cli import main as cli_main
 from lisopt.harness import AGG_COLUMNS, RAW_COLUMNS, _config_at
 from lisopt.model import SingularMatrixError
-from lisopt.phases import PhaseOptimizationError
 from lisopt.solver import AlternatingTrace
 from util import make_config, strip_wall_column
 
@@ -392,20 +392,24 @@ def test_rows_do_not_depend_on_the_other_methods_of_the_cell(power_rule, tmp_pat
     assert {row[0] for row in alone} == set(sc.methods)
 
 
-def counted_relaxed_solves(monkeypatch, solve):
-    """Route phases.solve_relaxed through solve; the list gets one entry per call."""
+def counted_first_steps(monkeypatch, solve):
+    """Route first_phase_steps, the harness's batch and a lone solve's, through solve.
+
+    The list gets one entry per call: the solver seeds of its cells.
+    """
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs.get("seed"))
-        return solve(*args, **kwargs)
+    def counting(cells, options=None):
+        calls.append([seed for _, _, seed in cells])
+        return solve(cells, options)
 
-    monkeypatch.setattr(phases, "solve_relaxed", counting)
+    monkeypatch.setattr(harness, "first_phase_steps", counting)
+    monkeypatch.setattr(solver, "first_phase_steps", counting)
     return calls
 
 
 def test_a_cell_solves_its_first_phase_step_once(monkeypatch):
-    calls = counted_relaxed_solves(monkeypatch, phases.solve_relaxed)
+    calls = counted_first_steps(monkeypatch, solver.first_phase_steps)
     sc = tiny_scenario(methods=(*SURFACE_METHODS, "relay"), values=(-10.0,), trials=1)
     run_scenario(sc)
     together = len(calls)
@@ -416,18 +420,61 @@ def test_a_cell_solves_its_first_phase_step_once(monkeypatch):
 
 
 def test_failed_first_phase_step_gives_every_surface_row_the_infeasible_row(monkeypatch):
-    def rank_deficient(*args, **kwargs):
-        raise PhaseOptimizationError("all restarts ended in rank-deficient regions")
+    def rank_deficient(cells, options=None):
+        return [None] * len(cells)
 
-    calls = counted_relaxed_solves(monkeypatch, rank_deficient)
+    calls = counted_first_steps(monkeypatch, rank_deficient)
     sc = tiny_scenario(methods=(*SURFACE_METHODS, "relay"), values=(-10.0,), trials=2)
     rows = run_scenario(sc)
     surface = [r for r in rows if r.method in SURFACE_METHODS]
     assert len(surface) == 6
     assert all(not r.feasible and (r.ee, r.sum_rate, r.iters) == (0.0, 0.0, 0) for r in surface)
     assert all(r.feasible for r in rows if r.method == "relay")
-    # no step was shared, so each surface row tried its own, with its cell's first seed
-    assert len(calls) == 6 and len(set(calls)) == 2
+    # the run's batch failed both cells, so each surface row tried its own, with its cell's seed
+    batch, *own = calls
+    assert len(own) == 6 and all(len(seeds) == 1 for seeds in own)
+    assert len({seeds[0] for seeds in own}) == 2 and {seeds[0] for seeds in own} == set(batch)
+
+
+def test_tasks_are_chunks_of_equal_n_cells():
+    sc = tiny_scenario(values=(-15.0, -10.0, -5.0), trials=2)
+    cells = [(si, v, t) for si, v in enumerate(sc.values) for t in range(2)]
+    assert harness._tasks(sc) == [cells]
+    assert harness._tasks(replace(sc, workers=2)) == [cells[:3], cells[3:]]
+    assert harness._tasks(replace(sc, workers=9)) == [[cell] for cell in cells]
+    by_n = replace(sc, axis="n", values=(2.0, 3.0, 4.0))
+    cells = [(si, v, t) for si, v in enumerate(by_n.values) for t in range(2)]
+    assert harness._tasks(by_n) == [cells[:2], cells[2:4], cells[4:]]
+    assert harness._tasks(replace(by_n, workers=2)) == [[cell] for cell in cells]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("axis, values", [("p_budget_dbm", (-15.0, -10.0, -5.0)),
+                                          ("n", (2.0, 4.0))])
+def test_batched_first_steps_give_the_rows_of_one_cell_tasks(axis, values, workers):
+    sc = tiny_scenario(methods=(*SURFACE_METHODS, "exhaustive", "relay"), axis=axis,
+                       values=values, trials=3, workers=workers)
+    assert any(len(task) > 1 for task in harness._tasks(sc))
+    alone = [row for si, v in enumerate(sc.values) for t in range(sc.trials)
+             for row in harness._run_task(sc, [(si, v, t)])]
+    order = {m: i for i, m in enumerate(sc.methods)}
+    alone.sort(key=lambda r: (order[r.method], r.sweep, r.trial))
+    assert comparable(run_scenario(sc)) == comparable(alone)
+
+
+def test_first_step_batch_time_counts_in_each_cells_first_surface_row(monkeypatch):
+    first_steps = solver.first_phase_steps
+
+    def slow(cells, options=None):
+        time.sleep(0.1)
+        return first_steps(cells, options)
+
+    monkeypatch.setattr(harness, "first_phase_steps", slow)
+    sc = tiny_scenario(methods=("relay", "lis-1bit", "lis-2bit"), trials=2)  # one 4-cell task
+    rows = run_scenario(sc)
+    # lis-1bit is each cell's first surface row; a 25 ms share would push any other over 25
+    assert sum(r.wall_ms for r in rows if r.method == "lis-1bit") >= 100.0
+    assert all(r.wall_ms < 25.0 for r in rows if r.method != "lis-1bit")
 
 
 def test_run_scenario_exhaustive_dominates_alternating_per_row():
@@ -862,8 +909,11 @@ def test_cli_rejects_non_finite_element_counts(argv, tmp_path, capsys):
     (["oracle-check", "--seed", "-3"], None, "master_seed must be >= 0"),
     (["run"], SCENARIO_TEXT.replace("master_seed = 11", "master_seed = -5"),
      "master_seed must be >= 0"),
+    (["sweep", "--axis", "p", "--values", "0", "--set", "pathloss.bs_user.ref_loss_db=-5000",
+      "--set", "trials=1"], None, "reference loss -5000.0 dB gives a gain beta0 beyond"),
 ], ids=["sweep-p-inf", "sweep-p-nan", "sweep-p-overflow", "sweep-snr-overflow",
-        "file-budget-overflow", "sweep-seed", "oracle-check-seed", "file-seed"])
+        "file-budget-overflow", "sweep-seed", "oracle-check-seed", "file-seed",
+        "sweep-ref-loss-overflow"])
 def test_cli_rejects_bad_budgets_and_seeds(argv, text, message, tmp_path, capsys):
     out = tmp_path / "results"
     if text is not None:

@@ -119,11 +119,14 @@ def test_effective_channels_rows_equal_batch_of_one_builds(k, m, n):
     rng = np.random.default_rng(11)
     ch = random_channels(rng, k=k, m=m, n=n)
     phis = np.exp(1j * rng.uniform(0, TWO_PI, (6, n)))
-    batch = effective_channels(ch, phis)
+    batch = effective_channels(ch.h1, ch.h2, ch.h, phis)
     assert batch.shape == (6, k, m)
     for i, phi in enumerate(phis):
-        assert np.array_equal(batch[i], effective_channels(ch, phis[i:i + 1])[0])
-        assert np.array_equal(batch[i], effective_channels(ch, phi))
+        assert np.array_equal(batch[i], effective_channels(ch.h1, ch.h2, ch.h, phis[i:i + 1])[0])
+        assert np.array_equal(batch[i], effective_channels(ch.h1, ch.h2, ch.h, phi))
+    # one channel per row, as the batched phase step passes them, builds the same bits
+    per_row = [np.repeat(a[None], len(phis), axis=0) for a in (ch.h1, ch.h2, ch.h)]
+    assert np.array_equal(effective_channels(*per_row, phis), batch)
 
 
 def test_effective_channel_dimension_mismatch():

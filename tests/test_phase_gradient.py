@@ -28,7 +28,7 @@ from lisopt import (
 )
 from lisopt import phases
 from lisopt.model import effective_channels, zf_svd
-from lisopt.phases import solve_relaxed, spg_lockstep, trace_value_and_grad
+from lisopt.phases import solve_relaxed, spg_lockstep, stack_rows, trace_value_and_grad
 from lisopt.solver import _score
 from util import complex_gaussian, make_config, random_channels, single_power_step
 
@@ -43,12 +43,23 @@ SCALES = {
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
+def value_and_grad(thetas, channels, powers):
+    """trace_value_and_grad with one channel and power vector repeated per row."""
+    return trace_value_and_grad(thetas, *stack_rows([(channels, powers)], len(thetas)))
+
+
+def spg(starts, channels, powers, max_iterations):
+    """spg_lockstep with one channel and power vector repeated per row."""
+    return spg_lockstep(starts, *stack_rows([(channels, powers)], len(starts)), max_iterations)
+
+
 @st.composite
-def instances(draw, scale):
-    """Channels, powers (0-30 dB SNR) and a phase vector at one scale."""
-    k = draw(st.integers(1, 4))
-    m = draw(st.integers(k, 5))
-    n = draw(st.integers(1, 16))
+def instances(draw, scale, shape=None):
+    """Channels, powers (0-30 dB SNR) and a phase vector at one scale; shape fixes (K, M, N)."""
+    if shape is None:
+        k = draw(st.integers(1, 4))
+        shape = k, draw(st.integers(k, 5)), draw(st.integers(1, 16))
+    k, m, n = shape
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lo, hi = SCALES[scale]["hop"]
     a, b = 10.0 ** rng.uniform(lo, hi, 2)
@@ -77,8 +88,9 @@ def central_difference(theta, channels, powers, h=1e-3):
 def test_gradient_matches_central_differences(data, scale):
     channels, powers, theta = data.draw(instances(scale))
     # the finite-difference reference is only accurate away from rank deficiency
-    assume(np.linalg.cond(effective_channels(channels, np.exp(1j * theta))) <= 100.0)
-    (value,), (grad,) = trace_value_and_grad(theta[None, :], channels, powers)
+    h_eff = effective_channels(channels.h1, channels.h2, channels.h, np.exp(1j * theta))
+    assume(np.linalg.cond(h_eff) <= 100.0)
+    (value,), (grad,) = value_and_grad(theta[None, :], channels, powers)
     reference = central_difference(theta, channels, powers)
     assert grad.shape == theta.shape
     assert np.max(np.abs(grad - reference)) <= 1e-6 * np.max(np.abs(reference))
@@ -95,7 +107,7 @@ def test_trace_values_equal_value_and_grad_values(data, scale):
     idle = PowerAllocation(p=np.where(np.arange(powers.p.size) == 0, 0.0, powers.p))
     for p in (powers, idle):
         assert np.array_equal(trace_values(thetas, channels, p),
-                              trace_value_and_grad(thetas, channels, p)[0])
+                              value_and_grad(thetas, channels, p)[0])
 
 
 def test_trace_values_equal_value_and_grad_values_on_rank_deficient_rows():
@@ -108,7 +120,7 @@ def test_trace_values_equal_value_and_grad_values_on_rank_deficient_rows():
         powers = PowerAllocation(p=np.array(p))
         values = trace_values(thetas, channels, powers)
         assert values[0] == values[2] == np.inf and np.isfinite(values[1])
-        assert np.array_equal(values, trace_value_and_grad(thetas, channels, powers)[0])
+        assert np.array_equal(values, value_and_grad(thetas, channels, powers)[0])
 
 
 def test_rank_deficient_point_evaluates_to_inf():
@@ -118,11 +130,11 @@ def test_rank_deficient_point_evaluates_to_inf():
                           h2=np.array([[1.0], [0.0]], dtype=complex),
                           h=np.array([[0.0, 2.0], [2.0, 4.0]], dtype=complex))
     powers = PowerAllocation(p=np.array([0.5, 2.0]))
-    (value,), (grad,) = trace_value_and_grad(np.zeros((1, 1)), channels, powers)
+    (value,), (grad,) = value_and_grad(np.zeros((1, 1)), channels, powers)
     assert value == np.inf
     assert np.array_equal(grad, np.zeros(1))
     assert np.isinf(trace_objective(np.zeros(1), channels, powers))
-    (value,), (grad,) = trace_value_and_grad(np.array([[np.pi]]), channels, powers)
+    (value,), (grad,) = value_and_grad(np.array([[np.pi]]), channels, powers)
     assert value == trace_objective(np.array([np.pi]), channels, powers)
     assert np.all(np.isfinite(grad))
     # a warm start on the singular point still leaves it for a finite objective
@@ -152,19 +164,19 @@ def test_rank_deficient_rows_raise_no_warnings_and_leave_healthy_rows_alone(name
     powers = PowerAllocation(p=np.array([0.0, 2.0]))  # an idle user: inf * 0 on bad rows
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values, grads = trace_value_and_grad(thetas, channels, powers)
-        svd = zf_svd(effective_channels(channels, np.exp(1j * thetas)))
+        values, grads = value_and_grad(thetas, channels, powers)
+        svd = zf_svd(effective_channels(channels.h1, channels.h2, channels.h, np.exp(1j * thetas)))
         bad = np.isinf(svd[3][:, 0])
         assert bad[0] and not bad.all()
         assert np.array_equal(trace_values(thetas, channels, powers), values)
         assert np.all(values[bad] == np.inf) and np.all(np.isinf(svd[3][bad]))
         assert np.array_equal(grads[bad], np.zeros_like(grads[bad]))
         for i in np.flatnonzero(~bad):
-            (value,), (grad,) = trace_value_and_grad(thetas[i:i + 1], channels, powers)
+            (value,), (grad,) = value_and_grad(thetas[i:i + 1], channels, powers)
             assert value == values[i] and np.isfinite(value)
             assert np.array_equal(grad, grads[i])
             for stacked, single in zip(svd, zf_svd(effective_channels(
-                    channels, np.exp(1j * thetas[i:i + 1])))):
+                    channels.h1, channels.h2, channels.h, np.exp(1j * thetas[i:i + 1])))):
                 assert np.array_equal(stacked[i], single[0])
 
         # the oracle skips the rank-deficient candidates and solves the others as alone
@@ -184,9 +196,9 @@ def test_rank_deficient_rows_raise_no_warnings_and_leave_healthy_rows_alone(name
 
 def leave_iteration(start, channels, powers, max_iterations=80):
     """Steps a batch-of-one solve from start takes: the smallest cap giving its final end point."""
-    final = spg_lockstep(start[None, :], channels, powers, max_iterations)[0]
+    final = spg(start[None, :], channels, powers, max_iterations)[0]
     return next(i for i in range(1, max_iterations + 1) if np.array_equal(
-        spg_lockstep(start[None, :], channels, powers, i)[0], final))
+        spg(start[None, :], channels, powers, i)[0], final))
 
 
 def test_lockstep_rows_that_backtrack_and_leave_apart_match_single_solves(monkeypatch):
@@ -201,7 +213,7 @@ def test_lockstep_rows_that_backtrack_and_leave_apart_match_single_solves(monkey
         return trace_value_and_grad(thetas, *args)
 
     monkeypatch.setattr(phases, "trace_value_and_grad", recorded)
-    ends, values = spg_lockstep(starts, channels, powers, max_iterations=80)
+    ends, values = spg(starts, channels, powers, max_iterations=80)
     # a one-row call between two-row calls is a backtrack of one row while the other
     # passed its first trial
     assert (1, 2) in zip(sizes, sizes[1:])
@@ -209,28 +221,35 @@ def test_lockstep_rows_that_backtrack_and_leave_apart_match_single_solves(monkey
     leaves = [leave_iteration(start, channels, powers) for start in starts]
     assert leaves[0] != leaves[1] and max(leaves) < 80
     for i, start in enumerate(starts):
-        end, value = spg_lockstep(start[None, :], channels, powers, max_iterations=80)
+        end, value = spg(start[None, :], channels, powers, max_iterations=80)
         assert np.array_equal(end[0], ends[i])
         assert value[0] == values[i]
 
 
 def objective(thetas, channels, powers):
     """The relaxed solve's own objective: trace_value_and_grad's values."""
-    return trace_value_and_grad(np.atleast_2d(thetas), channels, powers)[0]
+    return value_and_grad(np.atleast_2d(thetas), channels, powers)[0]
 
 
 @PROPERTY_SETTINGS
 @given(data=st.data(), scale=st.sampled_from(sorted(SCALES)))
 def test_lockstep_rows_match_single_solves(data, scale):
-    channels, powers, theta = data.draw(instances(scale))
-    rng = np.random.default_rng(theta.size)
-    starts = np.vstack([theta, rng.uniform(0.0, TWO_PI, (3, theta.size))])
-    ends, values = spg_lockstep(starts, channels, powers, max_iterations=80)
+    # one to three channels of one shape, four rows each: a row's neighbours may have other channels
+    first = data.draw(instances(scale))
+    shape = first[0].h2.shape[0], *first[0].h1.shape[::-1]
+    more = data.draw(st.integers(0, 2))
+    cells = [first] + [data.draw(instances(scale, shape)) for _ in range(more)]
+    rng = np.random.default_rng(shape[2])
+    starts = np.vstack([np.vstack([theta, rng.uniform(0.0, TWO_PI, (3, theta.size))])
+                        for _, _, theta in cells])
+    rows = stack_rows([(channels, powers) for channels, powers, _ in cells], 4)
+    ends, values = spg_lockstep(starts, *rows, max_iterations=80)
     assert np.all((ends >= 0.0) & (ends <= TWO_PI))
-    assert np.array_equal(values, objective(ends, channels, powers))
-    assert np.all(values <= objective(starts, channels, powers))
+    assert np.array_equal(values, trace_value_and_grad(ends, *rows)[0])
+    assert np.all(values <= trace_value_and_grad(starts, *rows)[0])
     for i, start in enumerate(starts):
-        end, value = spg_lockstep(start[None, :], channels, powers, max_iterations=80)
+        channels, powers, _ = cells[i // 4]
+        end, value = spg(start[None, :], channels, powers, max_iterations=80)
         assert np.array_equal(end[0], ends[i])
         assert value[0] == values[i]
 

@@ -10,7 +10,8 @@ solver must find a feasible point wherever the oracle does. The relay baseline a
 max-rate fill of both are checked against the budget, the floors, their
 efficiency and their power draw, and every surface report against the ZF
 SINR p_k / sigma2. A solve handed another resolution's first phase step
-equals the solve that makes its own.
+equals the solve that makes its own, and a batch of first steps equals each
+cell's own step.
 """
 
 from dataclasses import replace
@@ -22,8 +23,12 @@ from hypothesis import strategies as st
 
 from lisopt import (
     CONTINUOUS,
+    ChannelSet,
     InfeasibleError,
     PhaseConfig,
+    PhaseOptimizationError,
+    PowerAllocation,
+    RelaxedSolveOptions,
     SingularMatrixError,
     SystemConfig,
     alternating_ee_max,
@@ -35,6 +40,7 @@ from lisopt import (
     relay_baseline,
     sample_channels,
     sinr,
+    solve_relaxed,
     trace_objective,
     zf_power_weights,
     zf_precoder,
@@ -208,6 +214,52 @@ def assert_shared_first_step_is_invisible(cfg, channels, seed):
 def test_shared_first_step_is_invisible(scale, data):
     cfg, channels, seed = data.draw(instances(scale))
     assert_shared_first_step_is_invisible(cfg, channels, seed)
+
+
+@st.composite
+def first_step_cells(draw, scale):
+    """Two to four cells (channels, config, seed) of one shape, each with its own channels,
+    budget and seed, K = N = 1 in about half the draws; then the index of a rank-deficient
+    cell put among them, or None."""
+    single = draw(st.booleans())
+    k = 1 if single else draw(st.integers(1, 3))
+    m, n = draw(st.integers(k, 3)), 1 if single else draw(st.integers(k, 6))
+    seeds = st.integers(0, 2 ** 32 - 1)
+    cells = []
+    for _ in range(draw(st.integers(2, 4))):
+        cfg = SCALES[scale](k=k, m=m, n=n, b=1, p_budget_dbm=draw(st.floats(-20.0, 0.0)))
+        cells.append((sample_channels(cfg, draw(seeds)), cfg, draw(seeds)))
+    dark = draw(st.none() | st.integers(0, len(cells)))
+    if dark is not None:
+        # no surface link and no direct path: every phase vector is rank deficient
+        channels, cfg, _ = cells[0]
+        cells.insert(dark, (ChannelSet(h1=channels.h1, h2=np.zeros((k, n)), h=np.zeros((k, m))),
+                            cfg, draw(seeds)))
+    return cells, dark
+
+
+@pytest.mark.parametrize("scale", sorted(SCALES))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_batched_first_steps_equal_each_cells_own_step(scale, data):
+    cells, dark = data.draw(first_step_cells(scale))
+    options = RelaxedSolveOptions(max_iterations=data.draw(st.integers(1, 60)),
+                                  num_restarts=data.draw(st.integers(1, 3)))
+    steps = solver.first_phase_steps(cells, options)
+    assert [i for i, step in enumerate(steps) if step is None] == ([] if dark is None else [dark])
+    for (channels, cfg, seed), step in zip(cells, steps):
+        uniform = PowerAllocation(p=np.full(cfg.k, cfg.p_budget / cfg.k))
+        first_seed = int(np.random.default_rng(seed).integers(2 ** 63))
+        try:
+            theta, _ = solve_relaxed(channels, uniform, np.zeros(cfg.n), options, first_seed)
+        except PhaseOptimizationError:
+            assert step is None
+        else:
+            assert step == PhaseConfig(theta=theta)
+    # another order, and so other batch neighbours, gives each cell the same step
+    order = data.draw(st.permutations(range(len(cells))))
+    assert solver.first_phase_steps([cells[i] for i in order], options) == [steps[i] for i in order]
+    assert solver.first_phase_steps(cells[1:], options) == steps[1:]
 
 
 # Draws whose QoS floors exceed the budget after the first phase step at one
