@@ -159,6 +159,10 @@ def main(argv=None) -> int:
     for p in (run_p, sweep_p, oracle_p):
         p.add_argument("--seed", type=int, default=None, help="master seed override")
 
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):  # argparse reads '-15,-10' as a flag, not a value
+        if argv[i] == "--values":
+            argv[i:i + 2] = [f"--values={argv[i + 1]}"]
     args = parser.parse_args(argv)
     if args.command == "oracle-check" and args.seed is None:
         args.seed = 7

@@ -38,10 +38,10 @@ class PhaseOptimizationError(RuntimeError):
 class RelaxedSolveOptions:
     """Iteration cap and start count of the relaxed phase solve.
 
-    max_iterations caps each start's iterations. num_restarts counts
-    total starts, run in lockstep: the caller's warm start plus
-    num_restarts - 1 seeded random points. The gradient and
-    objective-decrease tolerances are fixed (1e-6 and 2e-2 of the
+    max_iterations caps each start's iterations. num_restarts counts total starts, run in
+    lockstep: the caller's warm start plus num_restarts - 1 seeded random points. Only the
+    first phase step of alternating_ee_max runs them; its later steps run the warm start
+    alone. The gradient and objective-decrease tolerances are fixed (1e-6 and 2e-2 of the
     objective per radian, and 1e-12).
     """
 
@@ -284,11 +284,8 @@ def solve_relaxed_cells(cells, options: RelaxedSolveOptions | None = None) -> li
         for _, _, warm, seed in cells])
     rows = stack_rows([(channels, powers) for channels, powers, _, _ in cells], r)
     thetas, values = spg_lockstep(starts, *rows, options.max_iterations)
-    steps = []
-    for first in range(0, len(values), r):
-        best = first + int(np.argmin(values[first:first + r]))
-        steps.append((thetas[best], float(values[best])) if np.isfinite(values[best]) else None)
-    return steps
+    best = np.arange(0, len(values), r) + np.argmin(values.reshape(-1, r), axis=1)
+    return [(thetas[i], float(values[i])) if np.isfinite(values[i]) else None for i in best]
 
 
 def quantize_phases(theta: np.ndarray, b: int) -> PhaseConfig:
@@ -309,7 +306,7 @@ def solve_phase_subproblem(channels: ChannelSet, powers: PowerAllocation,
                            warm_start: np.ndarray | None, p_budget: float,
                            options: RelaxedSolveOptions | None = None,
                            seed: int = 0) -> PhaseSolveOutcome:
-    """Solve the relaxed phase problem and test its objective against the caller's budget."""
+    """Relaxed phase solve and budget test: alternating_ee_max's phase step after the first."""
     theta, objective = solve_relaxed(channels, powers, warm_start=warm_start,
                                      options=options, seed=seed)
     return PhaseSolveOutcome(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,6 +41,7 @@ DEFAULT_ENUMERATION_CAP = 2 ** 20
 DEFAULT_MAX_OUTER = 50
 # Candidates exhaustive_search solves together: its arrays stay a few MB up to the 2^20 cap.
 _EXHAUSTIVE_CHUNK = 4096
+_SOLVE_HERE = object()  # alternating_ee_max's default first_step: solve it on the one cell
 
 
 class EnumerationCapError(ValueError):
@@ -192,19 +193,19 @@ def _grid_search(channels: ChannelSet, config: SystemConfig, start: PhaseConfig)
 
 
 def _alternate(channels: ChannelSet, config: SystemConfig, phases: PhaseConfig,
-               rng: np.random.Generator, options: RelaxedSolveOptions | None) -> tuple:
+               options: RelaxedSolveOptions | None) -> tuple:
     """The continuous alternating loop from the first phase step: (iterates, termination).
 
-    Each iterate is scored by _score as a batch of one; it ends "infeasible"
-    when a phase step fails or an iterate scores -inf.
+    A later phase step starts from the previous phases only; each iterate is scored by _score
+    as a batch of one. It ends "infeasible" when a phase step fails or an iterate scores -inf.
     """
+    refine = replace(options or RelaxedSolveOptions(), num_restarts=1)
     iterates = []
     for i in range(DEFAULT_MAX_OUTER):
         try:
             if i:
-                phases = solve_phase_subproblem(
-                    channels, iterates[-1].powers, phases.theta, config.p_budget,
-                    options=options, seed=int(rng.integers(2 ** 63))).phases
+                phases = solve_phase_subproblem(channels, iterates[-1].powers, phases.theta,
+                                                config.p_budget, options=refine).phases
         except PhaseOptimizationError:
             return iterates, "infeasible"
         ee, powers = _score(channels, config, phases.phi[None, :])
@@ -235,47 +236,45 @@ def first_phase_steps(cells, options: RelaxedSolveOptions | None = None) -> list
 
 def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0,
                        options: RelaxedSolveOptions | None = None,
-                       first_step: PhaseConfig | None = None):
+                       first_step=_SOLVE_HERE):
     """Joint phase and power design for energy efficiency.
 
     Starts with a relaxed phase step at a uniform power split and zero
-    phases, first_phase_steps on this one cell. Nothing in this first step
-    depends on b, and the trace returns its relaxed solution as first_step.
-    A caller that already holds the step for the same channels, budget,
-    seed and options, from first_phase_steps or from a solve at another
-    resolution, may pass it in: the solve then skips it and returns an equal
-    report and trace. The harness solves the first steps of many cells in
-    one first_phase_steps batch and passes each cell's in this way.
+    phases, first_phase_steps on this one cell, the only step with seeded
+    random restarts. Nothing in it depends on b, and the trace returns its
+    relaxed solution as first_step. A caller that already holds the step for
+    the same channels, budget, seed and options, from first_phase_steps or
+    from a solve at another resolution, may pass it in (None if it failed):
+    the solve then skips it and returns an equal report and trace. The
+    harness solves the first steps of many cells in one first_phase_steps
+    batch and passes each cell's in this way.
 
     At a finite b the first step is quantized and _grid_search takes over,
     which departs from the paper's alternation: the report is the last point
     the search accepted, and outer_iterations counts the accepted points.
     With continuous phases _alternate runs the paper's loop: phase steps
-    warm-started at the previous phases and powers, each followed by a
-    Dinkelbach power step, until an iterate's ratio is not strictly above
+    from one start, warm at the previous phases and powers, each followed by
+    a Dinkelbach power step, until an iterate's ratio is not strictly above
     the previous one's ("converged") or for DEFAULT_MAX_OUTER (50) iterates
     ("iteration-cap"). The phase step optimizes a feasibility surrogate, so
     an iterate can lose efficiency; the best iterate (the earlier on a tie)
     is reported, and outer_iterations counts the iterates.
 
     Returns (SolveReport, AlternatingTrace). The report has feasible=False
-    when no feasible point is found: every restart of the first phase step
-    is rank deficient, no grid point visited fits the QoS floors (finite
-    b), or the first iterate scores -inf (continuous).
+    when no feasible point is found: the first phase step failed, no grid
+    point visited fits the QoS floors (finite b), or the first iterate
+    scores -inf (continuous).
     """
     tag = resolution_tag(config.b)
-    rng = np.random.default_rng(seed)
-    rng.integers(2 ** 63)  # the first step's seed (first_phase_steps); the loop draws the rest
-    if first_step is None:
+    if first_step is _SOLVE_HERE:
         (first_step,) = first_phase_steps([(channels, config, seed)], options)
     if first_step is None:
-        return SolveReport.infeasible(tag), AlternatingTrace((), "infeasible", None)
-
-    if config.b != CONTINUOUS:
+        iterates, termination = [], "infeasible"
+    elif config.b != CONTINUOUS:
         iterates, termination = _grid_search(channels, config,
                                              quantize_phases(first_step.theta, config.b))
     else:
-        iterates, termination = _alternate(channels, config, first_step, rng, options)
+        iterates, termination = _alternate(channels, config, first_step, options)
     trace = AlternatingTrace(tuple(iterates), termination, first_step)
     if not iterates:
         return SolveReport.infeasible(tag), trace

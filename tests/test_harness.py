@@ -424,16 +424,24 @@ def test_failed_first_phase_step_gives_every_surface_row_the_infeasible_row(monk
         return [None] * len(cells)
 
     calls = counted_first_steps(monkeypatch, rank_deficient)
+    solves = []
+    alternating = harness.alternating_ee_max
+
+    def recording(*args, **kwargs):
+        solves.append(alternating(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(harness, "alternating_ee_max", recording)
     sc = tiny_scenario(methods=(*SURFACE_METHODS, "relay"), values=(-10.0,), trials=2)
     rows = run_scenario(sc)
     surface = [r for r in rows if r.method in SURFACE_METHODS]
     assert len(surface) == 6
     assert all(not r.feasible and (r.ee, r.sum_rate, r.iters) == (0.0, 0.0, 0) for r in surface)
     assert all(r.feasible for r in rows if r.method == "relay")
-    # the run's batch failed both cells, so each surface row tried its own, with its cell's seed
-    batch, *own = calls
-    assert len(own) == 6 and all(len(seeds) == 1 for seeds in own)
-    assert len({seeds[0] for seeds in own}) == 2 and {seeds[0] for seeds in own} == set(batch)
+    # the run's one batch failed both cells, and each surface row took that failure unsolved
+    assert len(calls) == 1 and len(calls[0]) == 2
+    assert len(solves) == 6
+    assert all(trace == AlternatingTrace((), "infeasible", None) for _, trace in solves)
 
 
 def test_tasks_are_chunks_of_equal_n_cells():
@@ -731,6 +739,18 @@ def test_cli_sweep_writes_outputs(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["scenario"]["master_seed"] == 3
     assert manifest["scenario"]["workers"] == 2
+
+
+def test_cli_sweep_takes_negative_values_after_a_space(tmp_path):
+    # argparse alone takes '-15,-10' for a flag and ends with 'expected one argument'
+    common = ["--methods", "relay", "--set", "k=2", "--set", "m=2", "--set", "trials=1"]
+    for form, values in (("space", ["--values", "-15,-10"]), ("equals", ["--values=-15,-10"])):
+        assert cli_main(["sweep", "--axis", "p", *values, *common,
+                         "--out", str(tmp_path / form)]) == 0
+    manifest = json.loads((tmp_path / "space" / "manifest.json").read_text())
+    assert manifest["scenario"]["values"] == [-15.0, -10.0]
+    assert strip_wall_column(tmp_path / "space" / "rows.csv") == \
+        strip_wall_column(tmp_path / "equals" / "rows.csv")
 
 
 def test_cli_rejects_invalid_workers_override(tmp_path):

@@ -12,6 +12,7 @@ from lisopt import (
     InfeasibleError,
     PhaseConfig,
     PowerAllocation,
+    RelaxedSolveOptions,
     RelayParams,
     SingularMatrixError,
     SolveReport,
@@ -219,6 +220,46 @@ def test_alternating_stall_rule_on_element_sweep_cell():
                                            options=scenario.phase_options)
         assert report.feasible
         assert_search_trace(report, trace, ch, mcfg)
+
+
+def paper_default_cells(count):
+    """(channels, continuous config) of the parser's default setup, channel seeds 0 .. count-1."""
+    cfg = scenario_from_pairs({"sweep.p_budget_dbm": "0", "methods": "lis-continuous",
+                               "b": "continuous"}).config
+    return [(sample_channels(cfg, seed), cfg) for seed in range(count)]
+
+
+def test_continuous_loop_draws_nothing_from_the_seed_after_the_first_step():
+    # only the first phase step explores from seeded restarts; given that step, the loop's
+    # report and trace are the same whatever the seed
+    outer = 0
+    for ch, cfg in paper_default_cells(6):
+        first_step = alternating_ee_max(ch, cfg, seed=0)[1].first_step
+        solve = alternating_ee_max(ch, cfg, seed=1, first_step=first_step)
+        assert alternating_ee_max(ch, cfg, seed=2, first_step=first_step) == solve
+        outer += len(solve[1].iterates) - 1
+    assert outer >= 6  # the loop took phase steps after the first
+
+
+def test_continuous_loop_steps_refine_the_previous_iterate(monkeypatch):
+    steps = []
+    step = solver.solve_phase_subproblem
+
+    def spy(channels, powers, warm_start, p_budget, **kwargs):
+        steps.append((powers.p.copy(), np.array(warm_start), kwargs))
+        return step(channels, powers, warm_start, p_budget, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_phase_subproblem", spy)
+    options = RelaxedSolveOptions(max_iterations=60, num_restarts=3)
+    for ch, cfg in paper_default_cells(3):
+        steps.clear()
+        _, trace = alternating_ee_max(ch, cfg, seed=5, options=options)
+        assert trace.termination == "converged" and len(steps) == len(trace.iterates) - 1 >= 1
+        for (p, warm, kwargs), previous in zip(steps, trace.iterates):
+            # one start, warm at the previous iterate's phases and solved at its powers
+            assert kwargs == {"options": RelaxedSolveOptions(max_iterations=60, num_restarts=1)}
+            assert np.array_equal(warm, previous.phases.theta)
+            assert np.array_equal(p, previous.powers.p)
 
 
 # --------------------------------------------------------------- exhaustive
