@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -52,6 +53,7 @@ def _with_overrides(scenario: Scenario, args) -> Scenario:
 
 
 def _run_and_emit(scenario: Scenario, out_dir: str) -> int:
+    _checked(lambda: Path(out_dir).mkdir(parents=True, exist_ok=True))  # a bad --out ends it unrun
     rows = run_scenario(scenario)
     aggregates = aggregate(rows)
     paths = emit_outputs(rows, aggregates, scenario, out_dir)

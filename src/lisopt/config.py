@@ -7,7 +7,7 @@ once, at configuration time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -35,10 +35,10 @@ class PathlossParams:
     d0: float = 1.0
 
     def __post_init__(self):
-        if self.exponent < 0.0:
-            raise ValueError("pathloss exponent must be >= 0")
-        if self.d0 <= 0.0:
-            raise ValueError("reference distance must be positive")
+        if not (math.isfinite(self.exponent) and self.exponent >= 0.0):
+            raise ValueError(f"pathloss exponent must be finite and >= 0, got {self.exponent}")
+        if not (math.isfinite(self.d0) and self.d0 > 0.0):
+            raise ValueError(f"reference distance must be finite and positive, got {self.d0}")
         if not math.isfinite(self.ref_loss_db):
             raise ValueError("reference loss must be finite")
         try:
@@ -61,7 +61,7 @@ class PathlossModel:
     lis_user: PathlossParams = PathlossParams(exponent=2.2)
 
     def for_link(self, link: str) -> PathlossParams:
-        if link not in ("bs_user", "bs_lis", "lis_user"):
+        if link not in {f.name for f in fields(self)}:
             raise ValueError(f"unknown link type {link!r}")
         return getattr(self, link)
 
@@ -80,6 +80,14 @@ class Geometry:
     user_box: tuple = (95.0, 105.0, 85.0, 95.0)
 
     def __post_init__(self):
+        for name in ("bs", "lis"):
+            point = getattr(self, name)
+            if np.shape(point) != (2,) or not np.all(np.isfinite(point)):
+                raise ValueError(f"{name} must be two finite coordinates, got {point}")
+        if np.array_equal(self.bs, self.lis):
+            raise ValueError(f"the BS and the surface share the position {self.bs}")
+        if np.shape(self.user_box) != (4,) or not np.all(np.isfinite(self.user_box)):
+            raise ValueError(f"user rectangle must be four finite values, got {self.user_box}")
         xmin, xmax, ymin, ymax = self.user_box
         if not (xmin < xmax and ymin < ymax):
             raise ValueError(f"degenerate user rectangle {self.user_box}")
@@ -93,14 +101,15 @@ class RelayParams:
     tx_power_w: float = dbm_to_watts(60.0)
 
     def __post_init__(self):
-        if self.alpha < 0.0:
-            raise ValueError("relay gain must be >= 0")
-        if self.tx_power_w < 0.0:
-            raise ValueError("relay transmit power must be >= 0")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+            raise ValueError(f"relay gain must be finite and >= 0, got {self.alpha}")
+        if not (math.isfinite(self.tx_power_w) and self.tx_power_w >= 0.0):
+            raise ValueError(f"relay transmit power must be finite and >= 0, got {self.tx_power_w}")
 
 
 def _default_p_n_map() -> dict:
-    # Per-element consumption defaults: 5/15/45 dBm for 1-bit/2-bit/unquantized.
+    # Per-element consumption defaults: 5/15/45 dBm for 1-bit/2-bit/unquantized. The keys are
+    # the resolutions the harness's surface methods run at and its p_n_dbm.* keys name.
     return {
         1: dbm_to_watts(5.0),
         2: dbm_to_watts(15.0),
@@ -163,8 +172,8 @@ class SystemConfig:
                 raise ValueError(f"per-element power for resolution {key!r} must be positive")
 
         self.mu = self._per_user("mu")
-        if np.any(self.mu < 1.0):
-            raise ValueError("amplifier inefficiency mu must be >= 1")
+        if not np.all(np.isfinite(self.mu) & (self.mu >= 1.0)):
+            raise ValueError("amplifier inefficiency mu must be finite and >= 1")
         self.r_min = self._per_user("r_min")
         if np.any(self.r_min < 0.0) or not np.all(np.isfinite(self.r_min)):
             raise ValueError("minimum rates must be finite and >= 0")

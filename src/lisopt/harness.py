@@ -44,7 +44,7 @@ from .solver import (
 )
 
 # The surface methods and the phase resolution each runs at; the others keep the base config's.
-_RESOLUTIONS = {resolution_tag(b): b for b in (1, 2, CONTINUOUS)}
+_RESOLUTIONS = {resolution_tag(b): b for b in _default_p_n_map()}
 KNOWN_METHODS = (*_RESOLUTIONS, "exhaustive", "relay")
 SWEEP_AXES = ("p_budget_dbm", "n", "snr_db")
 
@@ -409,9 +409,6 @@ def emit_outputs(rows, aggregates, scenario: Scenario, out_dir) -> dict:
 # ---------------------------------------------------------------------------
 # Scenario files: flat "key = value" text format (see README for the key list)
 
-_PATHLOSS_LINKS = ("bs_user", "bs_lis", "lis_user")
-
-
 def _parse_pairs(text: str) -> dict:
     pairs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -459,21 +456,21 @@ def scenario_from_pairs(pairs: dict) -> Scenario:
         return {name: parse(pairs.pop(key)) for name, key in keys.items() if key in pairs}
 
     b_raw = take("b", "1")
-    fields = {
+    config_fields = {
         **given(_scalar_or_floats, mu="mu", r_min="r_min"),
         **given(_dbm, p_c="p_c_dbm"),
         **given(float, epsilon="epsilon"),
     }
-    p_n_of_b = {b: _dbm(pairs.pop(f"p_n_dbm.{b}")) for b in (1, 2, CONTINUOUS)
-                if f"p_n_dbm.{b}" in pairs}
-    if p_n_of_b:
-        fields["p_n_of_b"] = {**_default_p_n_map(), **p_n_of_b}
+    p_n_of_b = _default_p_n_map()
+    p_n_given = {b: _dbm(pairs.pop(f"p_n_dbm.{b}")) for b in p_n_of_b if f"p_n_dbm.{b}" in pairs}
+    if p_n_given:
+        config_fields["p_n_of_b"] = {**p_n_of_b, **p_n_given}
     defaults = PathlossModel()
     pathloss = PathlossModel(**{
         link: replace(defaults.for_link(link), **given(
             float, exponent=f"pathloss.{link}.exponent",
             ref_loss_db=f"pathloss.{link}.ref_loss_db", d0=f"pathloss.{link}.d0"))
-        for link in _PATHLOSS_LINKS
+        for link in (f.name for f in fields(PathlossModel))
     })
     config = SystemConfig(
         m=int(take("m", 4)), k=int(take("k", 4)), n=int(take("n", 8)),
@@ -484,7 +481,7 @@ def scenario_from_pairs(pairs: dict) -> Scenario:
         pathloss=pathloss,
         relay=RelayParams(**given(float, alpha="relay.alpha"),
                           **given(_dbm, tx_power_w="relay.tx_dbm")),
-        **fields,
+        **config_fields,
     )
 
     sweeps = {axis: take(f"sweep.{axis}") for axis in SWEEP_AXES}

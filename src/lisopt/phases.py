@@ -39,10 +39,11 @@ class RelaxedSolveOptions:
     """Iteration cap and start count of the relaxed phase solve.
 
     max_iterations caps each start's iterations. num_restarts counts total starts, run in
-    lockstep: the caller's warm start plus num_restarts - 1 seeded random points. Only the
-    first phase step of alternating_ee_max runs them; its later steps run the warm start
-    alone. The gradient and objective-decrease tolerances are fixed (1e-6 and 2e-2 of the
-    objective per radian, and 1e-12).
+    lockstep: the caller's warm start plus num_restarts - 1 random points drawn from the
+    solve's seed (at 1, no draw and no generator). Only the first phase step of
+    alternating_ee_max runs them; its later steps run the warm start alone. The gradient and
+    objective-decrease tolerances are fixed (1e-6 and 2e-2 of the objective per radian, and
+    1e-12).
     """
 
     max_iterations: int = 80
@@ -239,30 +240,25 @@ def _line_search(x, f, g, d, reference, data) -> tuple:
     return x1, f1, g1, s
 
 
-def solve_relaxed(channels: ChannelSet, powers: PowerAllocation,
-                  warm_start: np.ndarray | None = None,
-                  options: RelaxedSolveOptions | None = None,
-                  seed: int = 0) -> tuple:
-    """Minimize the radiated-power objective over the phase angles.
+def solve_relaxed(channels: ChannelSet, powers: PowerAllocation, warm_start: np.ndarray,
+                  options: RelaxedSolveOptions | None = None, seed: int = 0) -> tuple:
+    """Minimize the radiated-power objective over the phase angles, from warm_start (N,).
 
-    Runs spg_lockstep from the warm start and from num_restarts - 1
-    seeded random points together, with the exact gradient of
-    trace_value_and_grad. Rank-deficient points evaluate to +inf so line
-    searches step away. The result is the lowest end
-    point, ties to the lowest restart, so it is never worse than the warm
-    start, where restart 0 starts and which it never rises above. This is
-    solve_relaxed_cells on one cell.
+    Runs spg_lockstep from the warm start and, when num_restarts > 1, from
+    num_restarts - 1 random points drawn from seed, with the exact gradient
+    of trace_value_and_grad. Rank-deficient points evaluate to +inf so line
+    searches step away. The result is the lowest end point, ties to the
+    lowest restart, so it is never worse than the warm start, where restart
+    0 starts and which it never rises above. This is solve_relaxed_cells on
+    one cell.
 
     Returns (theta, objective): the angles (N,) and their objective, the
     SPG's own value of that end point, equal bit for bit to trace_objective.
     """
     n = channels.h1.shape[0]
-    if warm_start is None:
-        warm = np.zeros(n)
-    else:
-        warm = np.asarray(warm_start, dtype=float)
-        if warm.shape != (n,):
-            raise ValueError(f"warm start must have length {n}, got shape {warm.shape}")
+    warm = np.asarray(warm_start, dtype=float)
+    if warm.shape != (n,):
+        raise ValueError(f"warm start must have length {n}, got shape {warm.shape}")
     (best,) = solve_relaxed_cells([(channels, powers, warm, seed)], options)
     if best is None:
         raise PhaseOptimizationError("all restarts ended in rank-deficient regions")
@@ -272,16 +268,16 @@ def solve_relaxed(channels: ChannelSet, powers: PowerAllocation,
 def solve_relaxed_cells(cells, options: RelaxedSolveOptions | None = None) -> list:
     """solve_relaxed on many cells (channels, powers, warm start (N,), seed) in one lockstep batch.
 
-    The cells must share K, M and N. Each cell's num_restarts rows carry its
-    own channels and powers through one spg_lockstep call. Returns per cell
-    solve_relaxed's (theta, objective), equal to it bit for bit whatever the
+    The cells must share K, M and N. Each cell's starts, solve_relaxed's,
+    carry its channels and powers through one spg_lockstep call. Returns
+    per cell solve_relaxed's (theta, objective), bit for bit whatever the
     cell's batch neighbours, or None where every restart is rank deficient.
     """
     options = options or RelaxedSolveOptions()
     r = options.num_restarts
     starts = np.vstack([
         np.vstack([warm, np.random.default_rng(seed).uniform(0.0, TWO_PI, (r - 1, warm.size))])
-        for _, _, warm, seed in cells])
+        if r > 1 else warm for _, _, warm, seed in cells])
     rows = stack_rows([(channels, powers) for channels, powers, _, _ in cells], r)
     thetas, values = spg_lockstep(starts, *rows, options.max_iterations)
     best = np.arange(0, len(values), r) + np.argmin(values.reshape(-1, r), axis=1)
@@ -303,7 +299,7 @@ def quantize_phases(theta: np.ndarray, b: int) -> PhaseConfig:
 
 
 def solve_phase_subproblem(channels: ChannelSet, powers: PowerAllocation,
-                           warm_start: np.ndarray | None, p_budget: float,
+                           warm_start: np.ndarray, p_budget: float,
                            options: RelaxedSolveOptions | None = None,
                            seed: int = 0) -> PhaseSolveOutcome:
     """Relaxed phase solve and budget test: alternating_ee_max's phase step after the first."""

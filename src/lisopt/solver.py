@@ -141,9 +141,8 @@ def _score(channels: ChannelSet, config: SystemConfig, phi: np.ndarray) -> tuple
     """
     weights = zf_svd(effective_channels(channels.h1, channels.h2, channels.h, phi))[3]
     p_min = qos_min_powers(config)
-    with np.errstate(invalid="ignore"):  # inf * 0 floors of rank-deficient rows
-        fits = np.sum(weights * p_min, axis=1) <= config.p_budget * (1.0 + BUDGET_SLACK)
-    keep = np.all(np.isfinite(weights), axis=1) & fits
+    with np.errstate(invalid="ignore"):  # inf beam norms: an inf or nan (inf * 0) load never fits
+        keep = np.sum(weights * p_min, axis=1) <= config.p_budget * (1.0 + BUDGET_SLACK)
     ee = np.full(len(phi), -np.inf)
     powers = np.zeros(weights.shape)
     if np.any(keep):

@@ -931,9 +931,23 @@ def test_cli_rejects_non_finite_element_counts(argv, tmp_path, capsys):
      "master_seed must be >= 0"),
     (["sweep", "--axis", "p", "--values", "0", "--set", "pathloss.bs_user.ref_loss_db=-5000",
       "--set", "trials=1"], None, "reference loss -5000.0 dB gives a gain beta0 beyond"),
+    *((["sweep", "--axis", "p", "--values", "0", "--set", "k=2", "--set", "m=2", "--set",
+        "trials=1", "--set", setting], None, message) for setting, message in [
+        ("geometry.bs=0,0,0", "bs must be two finite coordinates"),
+        ("geometry.lis=nan,nan", "lis must be two finite coordinates"),
+        ("geometry.bs=100,100", "the BS and the surface share the position"),
+        ("geometry.user_box=0,1,0,inf", "user rectangle must be four finite values"),
+        ("geometry.user_box=0,1,0", "user rectangle must be four finite values"),
+        ("pathloss.bs_lis.exponent=nan", "pathloss exponent must be finite and >= 0"),
+        ("pathloss.bs_lis.d0=nan", "reference distance must be finite and positive"),
+        ("relay.alpha=nan", "relay gain must be finite and >= 0"),
+        ("relay.tx_dbm=nan", "relay transmit power must be finite and >= 0"),
+        ("mu=inf", "amplifier inefficiency mu must be finite and >= 1"),
+    ]),
 ], ids=["sweep-p-inf", "sweep-p-nan", "sweep-p-overflow", "sweep-snr-overflow",
         "file-budget-overflow", "sweep-seed", "oracle-check-seed", "file-seed",
-        "sweep-ref-loss-overflow"])
+        "sweep-ref-loss-overflow", "bs-3d", "lis-nan", "bs-on-surface", "user-box-inf",
+        "user-box-3", "exponent-nan", "d0-nan", "relay-alpha-nan", "relay-tx-nan", "mu-inf"])
 def test_cli_rejects_bad_budgets_and_seeds(argv, text, message, tmp_path, capsys):
     out = tmp_path / "results"
     if text is not None:
@@ -950,3 +964,25 @@ def test_cli_rejects_bad_budgets_and_seeds(argv, text, message, tmp_path, capsys
     assert message in exc.value.code
     assert capsys.readouterr().out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_out_naming_a_file_ends_before_the_run(command, tmp_path, capsys, monkeypatch):
+    def no_run(scenario):
+        raise AssertionError("run_scenario called")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    out = tmp_path / "results"
+    out.write_text("not a directory\n")
+    if command == "run":
+        path = tmp_path / "ok.scn"
+        path.write_text(SCENARIO_TEXT)
+        argv = ["run", str(path)]
+    else:
+        argv = ["sweep", "--axis", "p", "--values", "0", "--methods", "relay"]
+    with pytest.raises(SystemExit) as exc:
+        cli_main([*argv, "--out", str(out)])
+    assert isinstance(exc.value.code, str) and exc.value.code.startswith("lisopt: ")
+    assert str(out) in exc.value.code
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == "not a directory\n"

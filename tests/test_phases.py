@@ -121,6 +121,22 @@ def test_solve_relaxed_scalar_instance_matches_grid_scan():
     assert got <= best + 1e-4 * abs(best)
 
 
+def test_one_start_solve_builds_no_generator(monkeypatch):
+    rng = np.random.default_rng(8)
+    ch = random_channels(rng, k=2, m=3, n=4)
+    powers = PowerAllocation(p=np.array([0.2, 0.3]))
+    warm = rng.uniform(0, TWO_PI, 4)
+    one_start = RelaxedSolveOptions(num_restarts=1)
+
+    def no_generator(seed=None):
+        raise AssertionError("default_rng called")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    theta, value = solve_relaxed(ch, powers, warm, one_start, seed=3)
+    other_theta, other_value = solve_relaxed(ch, powers, warm, one_start, seed=11)
+    assert np.array_equal(theta, other_theta) and value == other_value
+
+
 def test_solve_relaxed_all_singular_raises():
     # no surface link and a rank-deficient direct channel: singular everywhere
     row = np.array([1.0 + 0.0j, 1.0 - 1.0j])
