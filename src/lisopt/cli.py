@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,12 +12,14 @@ import numpy as np
 
 from .harness import (
     Scenario,
+    _config_at,
     aggregate,
     emit_outputs,
     load_scenario,
     run_scenario,
     scenario_from_pairs,
 )
+from .solver import phase_free_bound
 
 _AXIS_KEYS = {"p": "sweep.p_budget_dbm", "n": "sweep.n", "snr": "sweep.snr_db"}
 
@@ -31,6 +34,8 @@ _ORACLE_PAIRS = {
     "pathloss.lis_user.exponent": "0", "pathloss.lis_user.ref_loss_db": "0",
     "methods": "lis-1bit,exhaustive",
 }
+# Relative tolerance of oracle-check's comparisons: the gap sign and the phase-free bound
+_ORACLE_TOLERANCE = 1e-9
 
 
 def _checked(build):
@@ -94,6 +99,7 @@ def _cmd_oracle_check(args) -> int:
     rows = {(r.method, r.sweep, r.trial): r for r in run_scenario(scenario)}
     gaps = []
     false_infeasible = []
+    above_bound = []
     for n in scenario.values:
         size_pairs = [(rows["lis-1bit", n, t], rows["exhaustive", n, t])
                       for t in range(scenario.trials)]
@@ -104,20 +110,29 @@ def _cmd_oracle_check(args) -> int:
                      if alt.feasible and exh.feasible]
         gaps.extend(size_gaps)
         false_infeasible += [(n, t) for t in size_false]
+        # EE° depends on the config alone, so one bound serves every trial of a size
+        ee_bound = phase_free_bound(_config_at(scenario, n))[0]
+        size_rows = [(method, t, rows[method, n, t])
+                     for method in scenario.methods for t in range(scenario.trials)]
+        on_bound = Counter(method for method, _, r in size_rows
+                           if r.ee >= ee_bound * (1.0 - _ORACLE_TOLERANCE))
+        above_bound += [(n, method, t, r.ee / ee_bound - 1.0) for method, t, r in size_rows
+                        if r.ee > ee_bound * (1.0 + _ORACLE_TOLERANCE)]
         dropped = f"false-infeasible={len(size_false)} both-infeasible={both_infeasible}"
+        at_bound = " ".join(f"{method}={on_bound[method]}" for method in scenario.methods)
         if size_gaps:
             print(f"n={int(n):3d}: instances={len(size_gaps)} {dropped} "
                   f"median gap={np.median(size_gaps):.4%} max gap={max(size_gaps):.4%} "
-                  f"mean gap={np.mean(size_gaps):.4%}")
+                  f"mean gap={np.mean(size_gaps):.4%} at bound: {at_bound}")
         else:
-            print(f"n={int(n):3d}: no feasible paired instances, {dropped}")
+            print(f"n={int(n):3d}: no feasible paired instances, {dropped} at bound: {at_bound}")
     if not gaps:
         print("no paired results")
         return 1
     print(f"overall: median gap={np.median(gaps):.4%} max gap={max(gaps):.4%} "
           f"mean gap={np.mean(gaps):.4%}")
     status = 0
-    if min(gaps) < -1e-9:
+    if min(gaps) < -_ORACLE_TOLERANCE:
         print("ERROR: alternating solver exceeded the exhaustive oracle", file=sys.stderr)
         status = 1
     if false_infeasible:
@@ -125,6 +140,12 @@ def _cmd_oracle_check(args) -> int:
               "but not for the alternating solver:", file=sys.stderr)
         for n, t in false_infeasible:
             print(f"  n={int(n)}, trial={t}", file=sys.stderr)
+        status = 1
+    if above_bound:
+        print(f"ERROR: {len(above_bound)} rows exceed the phase-free efficiency bound:",
+              file=sys.stderr)
+        for n, method, t, excess in above_bound:
+            print(f"  n={int(n)}, {method}, trial={t}: {excess:.3g} above", file=sys.stderr)
         status = 1
     return status
 

@@ -159,6 +159,41 @@ def dinkelbach_batch(weights, p_min, mu, sigma2: float, p_budget: float,
     return np.array(lambdas_seen), powers, iterations
 
 
+def efficiency_bound(p_min, mu, sigma2: float, power_offset: float) -> tuple:
+    """Phase-free efficiency bound: (EE°, p°), the ratio problem with no budget.
+
+    EE° is the maximum of sum_k log2(1 + p_k / sigma2) / (mu . p + power_offset)
+    over p >= p_min, and p° attains it. Without the budget Dinkelbach's inner
+    step is closed form, p_k = max(1/(ln2 lam mu_k) - sigma2, p_min_k). The
+    ratio starts at the efficiency of p = max(p_min, sigma2) and follows the
+    updates while they raise it, so it stops at Dinkelbach's fixed point with
+    no absolute tolerance, at any scale. mu > 0 (a config holds mu >= 1)
+    keeps EE° finite.
+
+    Under ZF every user's SINR is p_k / sigma2, so no phase vector beats EE°,
+    and one whose beam norms w satisfy w . p° <= P attains it.
+    Raises NonConvergenceError if the ratio still rises after
+    _DINKELBACH_ITERATIONS updates.
+    """
+    p_min = np.asarray(p_min, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+
+    def ratio(p):
+        return np.log2(1.0 + p / sigma2).sum() / ((mu * p).sum() + power_offset)
+
+    p = np.maximum(p_min, sigma2)
+    lam = ratio(p)
+    for _ in range(_DINKELBACH_ITERATIONS):
+        p_next = np.maximum(1.0 / (LN2 * lam * mu) - sigma2, p_min)
+        lam_next = ratio(p_next)
+        if not lam_next > lam:
+            return float(lam), p
+        lam, p = lam_next, p_next
+    raise NonConvergenceError(
+        f"phase-free ratio still rising after {_DINKELBACH_ITERATIONS} updates"
+    )
+
+
 def dinkelbach_allocation(weights, p_min, mu, sigma2: float, p_budget: float,
                           power_offset: float, epsilon: float):
     """Ratio maximization for one weight vector: dinkelbach_batch on a batch of one.

@@ -32,6 +32,7 @@ from .power import (
     InfeasibleError,
     dinkelbach_allocation,
     dinkelbach_batch,
+    efficiency_bound,
     qos_min_powers,
     solve_inner,
     zf_power_weights,
@@ -64,11 +65,16 @@ class AlternatingTrace:
     when feasible) and each move the discrete search accepted, so their
     efficiencies rise strictly and the last is the report's. With
     continuous phases they are the alternating loop's outer iterates, whose
-    efficiencies rise strictly except that a "converged" trace ends with the
-    first iterate that did not rise. termination is one of "converged",
-    "infeasible" (no feasible point, or a step failed) or "iteration-cap"
-    (continuous phases only). first_step holds the relaxed phases the first
-    phase step returned, before quantization, or None if that step failed.
+    efficiencies rise strictly except that a "converged" or "bound" trace
+    ends with an iterate that need not rise. termination is one of "bound"
+    (a point the search reached or compared against, or the loop's last
+    iterate, attains the phase-free bound EE° of phase_free_bound, so no
+    phase vector at this resolution does better), "converged" (no
+    single-element move, or no further loop iterate, raised the
+    efficiency), "infeasible" (no feasible point, or a step failed) or
+    "iteration-cap" (continuous phases only). first_step holds the relaxed
+    phases the first phase step returned, before quantization, or None if
+    that step failed.
     """
 
     iterates: tuple
@@ -131,19 +137,29 @@ def evaluate(channels: ChannelSet, config: SystemConfig, phases: PhaseConfig | N
     )
 
 
-def _score(channels: ChannelSet, config: SystemConfig, phi: np.ndarray) -> tuple:
-    """Dinkelbach efficiency and powers of the surface at responses phi (B, N), in one batch.
+def _beam_loads(channels: ChannelSet, phi: np.ndarray) -> np.ndarray:
+    """Squared ZF beam norms (B, K) of the surface at responses phi (B, N): one stacked SVD.
 
-    The power step of every surface candidate. Returns ee (B,) and powers
-    (B, K). A row whose effective channel is rank deficient, or whose QoS
-    floors need more than the budget, scores -inf with zero powers. Each
-    row's figures equal dinkelbach_allocation's on its own weights bit for bit.
+    Rows whose effective channel is rank deficient hold inf.
     """
-    weights = zf_svd(effective_channels(channels.h1, channels.h2, channels.h, phi))[3]
-    p_min = qos_min_powers(config)
+    return zf_svd(effective_channels(channels.h1, channels.h2, channels.h, phi))[3]
+
+
+def _fits(weights: np.ndarray, p: np.ndarray, p_budget: float) -> np.ndarray:
+    """Rows of weights (B, K) that radiate powers p within the budget, up to BUDGET_SLACK."""
     with np.errstate(invalid="ignore"):  # inf beam norms: an inf or nan (inf * 0) load never fits
-        keep = np.sum(weights * p_min, axis=1) <= config.p_budget * (1.0 + BUDGET_SLACK)
-    ee = np.full(len(phi), -np.inf)
+        return np.sum(weights * p, axis=1) <= p_budget * (1.0 + BUDGET_SLACK)
+
+
+def _power_steps(config: SystemConfig, weights: np.ndarray) -> tuple:
+    """Dinkelbach efficiency and powers of each row of beam norms (B, K), in one batch.
+
+    A row whose beam norms are inf (rank deficient), or whose QoS floors
+    need more than the budget, scores -inf with zero powers.
+    """
+    p_min = qos_min_powers(config)
+    keep = _fits(weights, p_min, config.p_budget)
+    ee = np.full(len(weights), -np.inf)
     powers = np.zeros(weights.shape)
     if np.any(keep):
         lambdas, powers[keep], _ = dinkelbach_batch(
@@ -154,17 +170,46 @@ def _score(channels: ChannelSet, config: SystemConfig, phi: np.ndarray) -> tuple
     return ee, powers
 
 
-def _grid_search(channels: ChannelSet, config: SystemConfig, start: PhaseConfig) -> tuple:
+def _score(channels: ChannelSet, config: SystemConfig, phi: np.ndarray) -> tuple:
+    """Dinkelbach efficiency and powers of the surface at responses phi (B, N), in one batch.
+
+    The power step of every surface candidate: _power_steps on _beam_loads.
+    Returns ee (B,) and powers (B, K); a row that cannot be powered scores
+    -inf with zero powers. Each row's figures equal dinkelbach_allocation's
+    on its own weights bit for bit.
+    """
+    return _power_steps(config, _beam_loads(channels, phi))
+
+
+def phase_free_bound(config: SystemConfig) -> tuple:
+    """(EE°, p°) of config: power.efficiency_bound at its floors, mu, noise and fixed draw.
+
+    No surface report at resolution config.b exceeds EE°, and phases whose
+    beam norms w satisfy w . p° <= P (up to BUDGET_SLACK) attain it. EE°
+    depends on the config alone: K, N, b, mu, the noise, the floors and the
+    circuit powers, not the channels or the budget.
+    """
+    return efficiency_bound(qos_min_powers(config), config.mu, config.sigma2,
+                            _power_offset(config))
+
+
+def _grid_search(channels: ChannelSet, config: SystemConfig, start: PhaseConfig,
+                 p_bound: np.ndarray) -> tuple:
     """Best-improvement search over single-element moves on the b-bit grid, from start.
 
-    Each sweep scores the current phase vector and the N (2^b - 1) vectors
-    that differ from it in one element, in one _score batch, and moves to
-    the best of them while that raises the efficiency strictly (a tie goes
-    to the current point, then to the lowest element and the fewest grid
-    steps up). An infeasible start scores -inf, so the
-    search moves to any feasible neighbour. Returns (iterates, termination):
-    the feasible points visited, with strictly rising efficiencies, and
-    "converged", or "infeasible" when no point scored.
+    Each sweep takes the beam norms of the current phase vector and the
+    N (2^b - 1) vectors that differ from it in one element, in one stacked
+    SVD. A row that radiates p_bound (phase_free_bound's p°) within the
+    budget attains EE° and is certified: only the lowest-index one (and the
+    start, in the first sweep) gets a power step, the search moves there if
+    that raises the efficiency strictly, and it ends "bound". Otherwise all
+    rows get one _power_steps batch, and the search moves to the best while
+    that raises the efficiency strictly (a tie goes to the current point,
+    then to the lowest element and the fewest grid steps up). An infeasible
+    start scores -inf, so the search moves to any feasible neighbour.
+    Returns (iterates, termination): the feasible points visited, with
+    strictly rising efficiencies, and "bound", "converged", or "infeasible"
+    when no point scored.
     """
     levels = 1 << config.b
     grid = phase_grid(config.b)
@@ -173,30 +218,43 @@ def _grid_search(channels: ChannelSet, config: SystemConfig, start: PhaseConfig)
     digits = np.rint(start.theta / grid[1]).astype(int)
     iterates = []
 
-    def visit(row):
+    def visit(candidate, ee, p):
         iterates.append(AlternatingIterate(
-            PhaseConfig(theta=grid[candidates[row]], resolution=config.b),
-            PowerAllocation(p=powers[row]), float(ee[row])))
+            PhaseConfig(theta=grid[candidate], resolution=config.b),
+            PowerAllocation(p=p), float(ee)))
 
     while True:
         candidates = np.tile(digits, (moves.size + 1, 1))  # row 0 is the current point
         candidates[moves + 1, element] = (digits[element] + shift) % levels
-        ee, powers = _score(channels, config, np.exp(1j * grid)[candidates])
+        weights = _beam_loads(channels, np.exp(1j * grid)[candidates])
+        certified = np.flatnonzero(_fits(weights, p_bound, config.p_budget))
+        if certified.size:
+            rows = [certified[0]] if iterates else sorted({0, certified[0]})
+            ee, powers = _power_steps(config, weights[rows])
+            if not iterates and ee[0] > -np.inf:
+                visit(candidates[0], ee[0], powers[0])  # the start
+            if ee[-1] > (iterates[-1].ee if iterates else -np.inf):
+                visit(candidates[rows[-1]], ee[-1], powers[-1])
+            return iterates, "bound"
+        ee, powers = _power_steps(config, weights)
         if not iterates and ee[0] > -np.inf:
-            visit(0)  # the start
+            visit(candidates[0], ee[0], powers[0])  # the start
         i = int(np.argmax(ee))
         if i == 0:
             return iterates, "converged" if iterates else "infeasible"
         digits = candidates[i]
-        visit(i)
+        visit(digits, ee[i], powers[i])
 
 
 def _alternate(channels: ChannelSet, config: SystemConfig, phases: PhaseConfig,
-               options: RelaxedSolveOptions | None) -> tuple:
+               options: RelaxedSolveOptions | None, p_bound: np.ndarray) -> tuple:
     """The continuous alternating loop from the first phase step: (iterates, termination).
 
-    A later phase step starts from the previous phases only; each iterate is scored by _score
-    as a batch of one. It ends "infeasible" when a phase step fails or an iterate scores -inf.
+    A later phase step starts from the previous phases only; each iterate is
+    scored by _power_steps as a batch of one. It ends "bound" after the first
+    iterate whose beam norms radiate the phase-free optimum p_bound within
+    the budget (that iterate attains EE°), and "infeasible" when a phase
+    step fails or an iterate scores -inf.
     """
     refine = replace(options or RelaxedSolveOptions(), num_restarts=1)
     iterates = []
@@ -207,10 +265,13 @@ def _alternate(channels: ChannelSet, config: SystemConfig, phases: PhaseConfig,
                                                 config.p_budget, options=refine).phases
         except PhaseOptimizationError:
             return iterates, "infeasible"
-        ee, powers = _score(channels, config, phases.phi[None, :])
+        weights = _beam_loads(channels, phases.phi[None, :])
+        ee, powers = _power_steps(config, weights)
         if ee[0] == -np.inf:
             return iterates, "infeasible"
         iterates.append(AlternatingIterate(phases, PowerAllocation(p=powers[0]), float(ee[0])))
+        if _fits(weights, p_bound, config.p_budget)[0]:
+            return iterates, "bound"
         if len(iterates) > 1 and iterates[-1].ee <= iterates[-2].ee:
             return iterates, "converged"
     return iterates, "iteration-cap"
@@ -248,16 +309,20 @@ def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0
     harness solves the first steps of many cells in one first_phase_steps
     batch and passes each cell's in this way.
 
+    Both branches stop early at the phase-free bound (phase_free_bound,
+    computed once per solve): a point whose beam norms radiate the powers
+    p° within the budget attains EE°, and the solve ends "bound" there.
     At a finite b the first step is quantized and _grid_search takes over,
     which departs from the paper's alternation: the report is the last point
     the search accepted, and outer_iterations counts the accepted points.
     With continuous phases _alternate runs the paper's loop: phase steps
     from one start, warm at the previous phases and powers, each followed by
-    a Dinkelbach power step, until an iterate's ratio is not strictly above
-    the previous one's ("converged") or for DEFAULT_MAX_OUTER (50) iterates
-    ("iteration-cap"). The phase step optimizes a feasibility surrogate, so
-    an iterate can lose efficiency; the best iterate (the earlier on a tie)
-    is reported, and outer_iterations counts the iterates.
+    a Dinkelbach power step, until an iterate attains the bound ("bound"),
+    an iterate's ratio is not strictly above the previous one's
+    ("converged") or for DEFAULT_MAX_OUTER (50) iterates ("iteration-cap").
+    The phase step optimizes a feasibility surrogate, so an iterate can lose
+    efficiency; the best iterate (the earlier on a tie) is reported, and
+    outer_iterations counts the iterates.
 
     Returns (SolveReport, AlternatingTrace). The report has feasible=False
     when no feasible point is found: the first phase step failed, no grid
@@ -271,9 +336,11 @@ def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0
         iterates, termination = [], "infeasible"
     elif config.b != CONTINUOUS:
         iterates, termination = _grid_search(channels, config,
-                                             quantize_phases(first_step.theta, config.b))
+                                             quantize_phases(first_step.theta, config.b),
+                                             phase_free_bound(config)[1])
     else:
-        iterates, termination = _alternate(channels, config, first_step, options)
+        iterates, termination = _alternate(channels, config, first_step, options,
+                                           phase_free_bound(config)[1])
     trace = AlternatingTrace(tuple(iterates), termination, first_step)
     if not iterates:
         return SolveReport.infeasible(tag), trace

@@ -837,6 +837,27 @@ def test_cli_oracle_check_prints_mean_gaps_and_lists_false_infeasibles(monkeypat
     assert captured.err.splitlines()[1:] == ["  n=2, trial=1", "  n=3, trial=1"]
 
 
+@pytest.mark.parametrize("bound, status", [(1.0, 0), (1.0 - 2e-9, 1)], ids=["at", "below"])
+def test_cli_oracle_check_counts_rows_at_the_bound_and_fails_above_it(monkeypatch, capsys,
+                                                                       bound, status):
+    # every row reaches 1.0, except the second instance's alternating row at 0.5
+    reports = iter([stub_report(True), replace(stub_report(True), ee=0.5)])
+    monkeypatch.setattr(harness, "alternating_ee_max", stub_alternating(reports))
+    monkeypatch.setattr(harness, "exhaustive_search", lambda ch, cfg: stub_report(True))
+    bounds = []
+    monkeypatch.setattr(cli, "phase_free_bound", lambda cfg: bounds.append(cfg.n) or (bound, None))
+    assert cli_main(["oracle-check", "--sizes", "2", "--instances", "2"]) == status
+    captured = capsys.readouterr()
+    assert bounds == [2]  # one bound per size
+    assert "at bound: lis-1bit=1 exhaustive=2" in captured.out
+    above = "ERROR: 3 rows exceed the phase-free efficiency bound:"
+    assert (above in captured.err) == bool(status)
+    if status:
+        assert captured.err.splitlines()[1:] == [
+            f"  n=2, {method}, trial={t}: 2e-09 above" for method, t in
+            (("lis-1bit", 0), ("exhaustive", 0), ("exhaustive", 1))]
+
+
 def test_cli_oracle_check_counts_equal_run_scenario_rows(capsys):
     scenario = scenario_from_pairs({**cli._ORACLE_PAIRS, "sweep.n": "2,4", "trials": "6",
                                     "master_seed": "3"})

@@ -19,6 +19,7 @@ from lisopt import (
     transmit_power_used,
     zf_precoder,
 )
+from lisopt import phases
 from util import complex_gaussian, random_channels
 
 TWO_PI = 2.0 * np.pi
@@ -145,6 +146,54 @@ def test_solve_relaxed_all_singular_raises():
                     h=np.vstack([row, row]))
     with pytest.raises(PhaseOptimizationError):
         solve_relaxed(ch, PowerAllocation(p=np.ones(2)), warm_start=np.zeros(2), seed=0)
+
+
+def line_search_rows(seed, rows=3):
+    """Interior phases (rows, 4), their objectives and gradients, and trace_value_and_grad's
+    per-row channels and powers, each row with its own draw."""
+    rng = np.random.default_rng(seed)
+    pairs = [(random_channels(rng, k=2, m=3, n=4), PowerAllocation(p=rng.uniform(0.1, 1.0, 2)))
+             for _ in range(rows)]
+    data = phases.stack_rows(pairs, 1)
+    x = rng.uniform(1.0, TWO_PI - 1.0, (rows, 4))
+    f, g = phases.trace_value_and_grad(x, *data)
+    return x, f, g, data
+
+
+def test_line_search_restores_a_row_whose_every_trial_fails():
+    # row 1 steps up its gradient, so no trial can decrease; rows 0 and 2 step down it
+    x, f, g, data = line_search_rows(seed=12)
+    d = -0.01 * g
+    d[1] = 0.01 * g[1]
+    x1, f1, g1, s = phases._line_search(x, f, g, d, f, data)
+    assert np.array_equal(x1[1], x[1]) and f1[1] == f[1] and np.array_equal(g1[1], g[1])
+    assert not s[1].any()
+    for row in (0, 2):
+        alone = phases._line_search(x[[row]], f[[row]], g[[row]], d[[row]], f[[row]],
+                                    tuple(a[[row]] for a in data))
+        assert all(np.array_equal(got[row], want[0]) for got, want in zip((x1, f1, g1, s), alone))
+        assert f1[row] < f[row]
+
+
+def test_spg_lockstep_ends_a_row_at_its_start_when_its_line_search_fails(monkeypatch):
+    x, f, _, data = line_search_rows(seed=13)
+    want_ends, want_values = phases.spg_lockstep(x, *data, max_iterations=30)
+    real = phases._line_search
+    calls = []
+
+    def ascend_row_1_first(x, f, g, d, reference, data):
+        if not calls:
+            d = d.copy()
+            d[1] = -d[1]
+        calls.append(len(x))
+        return real(x, f, g, d, reference, data)
+
+    monkeypatch.setattr(phases, "_line_search", ascend_row_1_first)
+    ends, values = phases.spg_lockstep(x, *data, max_iterations=30)
+    assert calls[0] == 3 and max(calls[1:]) == 2  # row 1 left after its failed search
+    assert np.array_equal(ends[1], x[1]) and values[1] == f[1]
+    assert np.array_equal(ends[[0, 2]], want_ends[[0, 2]])
+    assert np.array_equal(values[[0, 2]], want_values[[0, 2]])
 
 
 def test_relaxed_options_validation():

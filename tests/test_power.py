@@ -9,6 +9,8 @@ from lisopt import (
     PhaseConfig,
     PowerAllocation,
     SingularMatrixError,
+    SystemConfig,
+    dbm_to_watts,
     dinkelbach_allocation,
     effective_channel,
     evaluate,
@@ -342,3 +344,58 @@ def test_dinkelbach_ratio_matches_evaluated_ee():
     report = evaluate(ch, cfg, phases, alloc, trace.iterations, "lis-continuous")
     assert report.total_power == pytest.approx(float(np.dot(cfg.mu, alloc.p)) + offset, rel=1e-15)
     assert report.ee == pytest.approx(trace.lambdas[-1], rel=1e-9)
+
+
+# (config, log10 range of the weight scales): the budget binds on some rows and not on
+# others. At paper scale p° is ~1e5 W, so only weights below ~1e-9 let it fit; below
+# 1e-12, Dinkelbach's absolute epsilon stops it after one update, far below EE°.
+BOUND_CASES = {
+    "desk": (make_config(k=3, m=3, n=4), (-8.0, 1.0)),
+    "desk-floors": (make_config(k=3, m=3, n=4, r_min=0.5, mu=[1.0, 1.2, 2.0]), (-8.0, -0.5)),
+    "paper": (SystemConfig(m=3, k=3, n=4, b=1, p_budget=dbm_to_watts(-10.0),
+                           sigma2=dbm_to_watts(-100.0)), (-16.0, 0.0)),
+    "paper-floors": (SystemConfig(m=2, k=2, n=4, b=2, p_budget=dbm_to_watts(0.0),
+                                  sigma2=dbm_to_watts(-100.0), r_min=3.0), (-16.0, 0.0)),
+    "K=1": (make_config(k=1, m=1, n=2), (-8.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUND_CASES))
+def test_efficiency_bound_is_dinkelbachs_fixed_point_and_bounds_every_weight_row(case):
+    cfg, (low, high) = BOUND_CASES[case]
+    p_min = qos_min_powers(cfg)
+    offset = cfg.k * cfg.p_c + cfg.n * cfg.p_n_of_b[cfg.b]
+    ee, p = power.efficiency_bound(p_min, cfg.mu, cfg.sigma2, offset)
+    assert np.all(p >= p_min) and (p > p_min).any()
+    assert (p_min > 0.0).any() == ("floors" in case)
+
+    def ratio(p):
+        return np.log2(1.0 + p / cfg.sigma2).sum() / ((cfg.mu * p).sum() + offset)
+
+    assert ratio(p) == ee
+    # a further update does not raise the ratio
+    assert ratio(np.maximum(1.0 / (LN2 * ee * cfg.mu) - cfg.sigma2, p_min)) <= ee
+
+    rng = np.random.default_rng(len(case))
+    weights = 10.0 ** rng.uniform(low, high, (60, 1)) * rng.exponential(size=(60, cfg.k))
+    weights = weights[weights @ p_min <= cfg.p_budget]  # the floors fit
+    fits = weights @ p <= cfg.p_budget
+    assert 0 < np.count_nonzero(fits) < len(weights)
+    args = (p_min, cfg.mu, cfg.sigma2, cfg.p_budget, offset)
+    coarse, _, iterations = power.dinkelbach_batch(weights, *args, cfg.epsilon)
+    coarse = coarse[-1]
+    fine = power.dinkelbach_batch(weights, *args, 1e-13 * ee)[0][-1]  # free of scale
+    # rounding leaves a ratio near the fixed point up to a few ulps either side of it
+    assert np.all(coarse <= ee * (1.0 + 1e-15)) and np.all(fine <= ee * (1.0 + 1e-15))
+    assert np.allclose(fine[fits], ee, rtol=1e-12, atol=0.0)
+    assert np.all(fine[~fits] < ee * (1.0 - 1e-12))
+    if case.startswith("paper"):
+        # the first ratio is below epsilon, so Dinkelbach stops there, far below EE°
+        tiny = np.flatnonzero(weights.max(axis=1) < 1e-12)
+        assert tiny.size and np.all(iterations[tiny] == 1) and np.all(coarse[tiny] < 0.5 * ee)
+
+
+def test_efficiency_bound_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(power, "_DINKELBACH_ITERATIONS", 1)
+    with pytest.raises(NonConvergenceError):
+        power.efficiency_bound(np.zeros(2), np.ones(2), 1e-4, 1e-3)

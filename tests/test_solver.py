@@ -145,7 +145,8 @@ def test_alternating_stops_when_efficiency_stops_rising(n):
         if cfg.n == n:
             ch = sample_channels(cfg, channel_seed)
             continuous = replace(cfg, b=CONTINUOUS)
-            assert_stall_trace(*alternating_ee_max(ch, continuous, seed=solver_seed))
+            assert_stall_trace(*alternating_ee_max(ch, continuous, seed=solver_seed),
+                               ch, continuous)
             assert_search_trace(*alternating_ee_max(ch, cfg, seed=solver_seed), ch, cfg)
 
 
@@ -162,7 +163,7 @@ def test_alternating_continues_past_unmoved_start_phases():
     assert report.ee > trace.iterates[0].ee * 1.1
     continuous = replace(cfg, b=CONTINUOUS)
     report, trace = alternating_ee_max(ch, continuous, seed=solver_seed)
-    assert_stall_trace(report, trace)
+    assert_stall_trace(report, trace, ch, continuous)
     assert trace.termination == "converged"
     assert report.ee > trace.iterates[0].ee * 1.1
 
@@ -179,7 +180,8 @@ def test_alternating_feasible_where_the_start_phases_miss_the_budget():
         report, trace = alternating_ee_max(ch, replace(cfg, b=b), seed=solver_seed)
         assert trace_objective(trace.iterates[0].phases.theta, ch, start_powers) > cfg.p_budget
         assert report.feasible
-    assert_stall_trace(*alternating_ee_max(ch, replace(cfg, b=CONTINUOUS), seed=solver_seed))
+    continuous = replace(cfg, b=CONTINUOUS)
+    assert_stall_trace(*alternating_ee_max(ch, continuous, seed=solver_seed), ch, continuous)
     assert_search_trace(report, trace, ch, cfg)
     oracle = exhaustive_search(ch, cfg)
     assert report.ee <= oracle.ee * (1.0 + 1e-9)
@@ -190,11 +192,12 @@ def test_alternating_paper_default_draw_runs_past_the_first_phase_step():
     cfg = scenario_from_pairs({"sweep.p_budget_dbm": "0", "methods": "lis-1bit"}).config
     assert (cfg.k, cfg.m, cfg.n, cfg.b) == (4, 4, 8, 1)
     ch = sample_channels(cfg, 0)
-    report, trace = alternating_ee_max(ch, replace(cfg, b=CONTINUOUS), seed=0)
+    continuous = replace(cfg, b=CONTINUOUS)
+    report, trace = alternating_ee_max(ch, continuous, seed=0)
     assert report.feasible
     assert report.outer_iterations >= 2
     assert trace.termination != "infeasible"
-    assert_stall_trace(report, trace)
+    assert_stall_trace(report, trace, ch, continuous)
     report, trace = alternating_ee_max(ch, cfg, seed=0)
     assert report.feasible
     assert_search_trace(report, trace, ch, cfg)
@@ -210,10 +213,11 @@ def test_alternating_stall_rule_on_element_sweep_cell():
     channel_seed, solver_seed = (int(s) for s in ss.generate_state(2, dtype=np.uint64))
     cfg = _config_at(scenario, 8)
     ch = sample_channels(cfg, channel_seed)
-    report, trace = alternating_ee_max(ch, replace(cfg, b=CONTINUOUS), seed=solver_seed,
+    continuous = replace(cfg, b=CONTINUOUS)
+    report, trace = alternating_ee_max(ch, continuous, seed=solver_seed,
                                        options=scenario.phase_options)
     assert report.feasible
-    assert_stall_trace(report, trace)
+    assert_stall_trace(report, trace, ch, continuous)
     for method in scenario.methods:
         mcfg = _method_config(cfg, method)
         report, trace = alternating_ee_max(ch, mcfg, seed=solver_seed,
@@ -260,6 +264,46 @@ def test_continuous_loop_steps_refine_the_previous_iterate(monkeypatch):
             assert kwargs == {"options": RelaxedSolveOptions(max_iterations=60, num_restarts=1)}
             assert np.array_equal(warm, previous.phases.theta)
             assert np.array_equal(p, previous.powers.p)
+
+
+def budget_sweep_cell(budget_dbm, trial, method):
+    """(channels, method config, solver seed, options) of an ee_vs_budget.scn cell."""
+    scenario = load_scenario(SCENARIOS / "ee_vs_budget.scn")
+    ss = np.random.SeedSequence(scenario.master_seed,
+                                spawn_key=(scenario.values.index(budget_dbm), trial))
+    channel_seed, solver_seed = (int(s) for s in ss.generate_state(2, dtype=np.uint64))
+    cfg = _method_config(_config_at(scenario, budget_dbm), method)
+    return sample_channels(cfg, channel_seed), cfg, solver_seed, scenario.phase_options
+
+
+# ee_vs_budget.scn cells (budget dBm, trial, method) -> (termination, iterates, report
+# efficiency). The first two attain EE°: the 1-bit search moves three times, the last
+# onto a certified neighbour, where it used to sweep once more; the continuous loop
+# stops at its first iterate, where it used to run a second. The third search stops
+# at a local optimum 1.3% below EE° with no certified neighbour.
+PINNED_STOPS = {
+    (-15.0, 1, "lis-1bit"): ("bound", 4, 16339.97421074),
+    (-10.0, 2, "lis-continuous"): ("bound", 1, 3404.977322897),
+    (-15.0, 3, "lis-1bit"): ("converged", 2, 16134.82666864),
+}
+
+
+@pytest.mark.parametrize("budget_dbm, trial, method", sorted(PINNED_STOPS))
+def test_pinned_draws_stop_at_the_bound_or_converge(budget_dbm, trial, method):
+    ch, cfg, seed, options = budget_sweep_cell(budget_dbm, trial, method)
+    report, trace = alternating_ee_max(ch, cfg, seed=seed, options=options)
+    termination, iterates, ee = PINNED_STOPS[budget_dbm, trial, method]
+    assert (trace.termination, len(trace.iterates)) == (termination, iterates)
+    assert report.ee == pytest.approx(ee, rel=1e-10)
+    ee_bound = solver.phase_free_bound(cfg)[0]
+    if termination == "bound":
+        assert report.ee == pytest.approx(ee_bound, rel=1e-12)
+    else:
+        assert report.ee < ee_bound * 0.99
+    if cfg.b == CONTINUOUS:
+        assert_stall_trace(report, trace, ch, cfg)
+    else:
+        assert_search_trace(report, trace, ch, cfg)
 
 
 # --------------------------------------------------------------- exhaustive

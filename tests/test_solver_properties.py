@@ -5,7 +5,9 @@ noise, 0 dBm circuit power) and at paper scale (-100 dBm noise, 100 dBm
 circuit power). Channels are distance-flat unit-variance draws. Every
 feasible report is checked against the budget, the QoS floors, its own
 efficiency, the exhaustive oracle and the discrete search's stopping rule,
-the continuous solve of each draw against the alternating loop's, and the
+the continuous solve of each draw against the alternating loop's, no
+report at any resolution, the oracle's included, exceeds the phase-free
+bound EE°(b), and the
 solver must find a feasible point wherever the oracle does. The relay baseline and the
 max-rate fill of both are checked against the budget, the floors, their
 efficiency and their power draw, and every surface report against the ZF
@@ -48,6 +50,7 @@ from lisopt import (
 from lisopt import cli, scenario_from_pairs, solver
 from lisopt.harness import _config_at
 from util import (
+    BOUND_TOLERANCE,
     assert_search_trace,
     assert_stall_trace,
     make_config,
@@ -84,7 +87,8 @@ def instances(draw, scale, single=False):
 @given(data=st.data())
 def test_alternating_solve_properties(scale, data):
     cfg, channels, seed = data.draw(instances(scale))
-    assert_stall_trace(*alternating_ee_max(channels, replace(cfg, b=CONTINUOUS), seed=seed))
+    continuous = replace(cfg, b=CONTINUOUS)
+    assert_stall_trace(*alternating_ee_max(channels, continuous, seed=seed), channels, continuous)
     report, trace = alternating_ee_max(channels, cfg, seed=seed)
     assert_search_trace(report, trace, channels, cfg)
     if not report.feasible:
@@ -96,6 +100,21 @@ def test_alternating_solve_properties(scale, data):
     oracle = exhaustive_search(channels, cfg)
     assert oracle.feasible
     assert report.ee <= oracle.ee * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("scale", sorted(SCALES))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_no_report_exceeds_the_phase_free_bound(scale, data):
+    cfg, channels, seed = data.draw(instances(scale))
+    for b in (1, 2, CONTINUOUS):
+        cell = replace(cfg, b=b)
+        ceiling = solver.phase_free_bound(cell)[0] * (1.0 + BOUND_TOLERANCE)
+        reports = [alternating_ee_max(channels, cell, seed=seed)[0]]
+        if b != CONTINUOUS:
+            reports.append(exhaustive_search(channels, cell))
+        for report in reports:
+            assert report.ee <= ceiling, (report.method_tag, report.ee / ceiling)
 
 
 @pytest.mark.parametrize("single", [False, True], ids=["drawn", "K=N=1"])

@@ -21,6 +21,11 @@ from lisopt import (
     quantize_phases,
     zf_power_weights,
 )
+from lisopt.model import BUDGET_SLACK
+from lisopt.solver import phase_free_bound
+
+# Relative excess over the phase-free bound EE° that rounding may leave in a reported efficiency
+BOUND_TOLERANCE = 1e-12
 
 
 def unit_pathloss(direct_loss_db=10.0):
@@ -67,18 +72,36 @@ def strip_wall_column(path):
     return [row[:wall] + row[wall + 1:] for row in rows]
 
 
-def assert_stall_trace(report, trace):
+def attains_bound_load(channels, config, theta, p_bound):
+    """Whether the surface at phases theta radiates p_bound (phase_free_bound's p°) within the
+    budget; False when the effective channel is rank deficient."""
+    try:
+        weights = zf_power_weights(effective_channel(channels, PhaseConfig(theta, config.b)))
+    except SingularMatrixError:
+        return False
+    return np.sum(weights * p_bound) <= config.p_budget * (1.0 + BUDGET_SLACK)
+
+
+def assert_stall_trace(report, trace, channels, config):
     """The continuous alternating loop's stopping rule, read off its report and trace.
 
     The efficiencies rise strictly up to the last iterate, and a converged
-    trace ends with one no higher than the one before it. A feasible report
-    holds the best iterate.
+    trace ends with one no higher than the one before it. Only the last
+    iterate of a "bound" trace radiates the phase-free optimum p° within the
+    budget, and no iterate beats EE°. A feasible report holds the best
+    iterate.
     """
     ees = [it.ee for it in trace.iterates]
-    rising = ees[:-1] if trace.termination == "converged" else ees
+    rising = ees[:-1] if trace.termination in ("converged", "bound") else ees
     assert all(b > a for a, b in zip(rising, rising[1:])), ees
     if trace.termination == "converged":
         assert len(ees) >= 2 and ees[-1] <= ees[-2], ees
+    ee_bound, p_bound = phase_free_bound(config)
+    certified = [attains_bound_load(channels, config, it.phases.theta, p_bound)
+                 for it in trace.iterates]
+    assert not any(certified[:-1]), certified
+    assert (certified[-1:] == [True]) == (trace.termination == "bound"), certified
+    assert all(ee <= ee_bound * (1.0 + BOUND_TOLERANCE) for ee in ees)
     assert report.outer_iterations == len(ees)
     assert report.feasible == bool(ees)
     if ees:
@@ -123,15 +146,20 @@ def assert_search_trace(report, trace, channels, config):
 
     The iterates (the quantized first step when it is feasible, then each
     accepted move) rise strictly in efficiency, one element changes per
-    move, the report counts the iterates and holds the last, and no
-    single-element neighbour of the last point scores higher. Each point is
-    scored on its own through dinkelbach_allocation.
+    move, and the report counts the iterates and holds the last. Each point
+    is scored on its own through dinkelbach_allocation. No point before the
+    last radiates the phase-free optimum p° within the budget. A "bound"
+    trace ends at a point that does, or at one that scores no lower than a
+    neighbour that does, and neither it nor any single-element neighbour
+    scores above EE°: a global statement. A "converged" trace ends at a
+    point that no single-element neighbour beats, and neither it nor any of
+    them radiates p° within the budget: a local statement.
     """
     ees = [it.ee for it in trace.iterates]
     assert all(b > a for a, b in zip(ees, ees[1:])), ees
     assert report.outer_iterations == len(ees)
     assert report.feasible == bool(ees)
-    assert trace.termination == ("converged" if ees else "infeasible")
+    assert trace.termination in (("bound", "converged") if ees else ("infeasible",))
     if trace.first_step is None:
         assert not ees
         return
@@ -146,9 +174,22 @@ def assert_search_trace(report, trace, channels, config):
     for it in trace.iterates:
         assert it.phases.resolution == config.b
         assert it.ee == grid_point_ee(channels, config, it.phases.theta)
+    ee_bound, p_bound = phase_free_bound(config)
+    assert not any(attains_bound_load(channels, config, theta, p_bound) for theta in walk[:-1])
     if ees:
         assert report.phases == trace.iterates[-1].phases
         assert report.powers == trace.iterates[-1].powers
     last_ee = ees[-1] if ees else -np.inf
-    for moved in grid_neighbours(walk[-1], config.b):
-        assert not grid_point_ee(channels, config, moved) > last_ee, moved
+    neighbours = {tuple(moved): grid_point_ee(channels, config, moved)
+                  for moved in grid_neighbours(walk[-1], config.b)}
+    if trace.termination == "bound":
+        ceiling = ee_bound * (1.0 + BOUND_TOLERANCE)
+        assert last_ee <= ceiling and max(neighbours.values(), default=-np.inf) <= ceiling
+        assert attains_bound_load(channels, config, walk[-1], p_bound) or any(
+            attains_bound_load(channels, config, np.array(moved), p_bound) and ee <= last_ee
+            for moved, ee in neighbours.items())
+    else:
+        assert not attains_bound_load(channels, config, walk[-1], p_bound)
+        for moved, ee in neighbours.items():
+            assert not ee > last_ee, moved
+            assert not attains_bound_load(channels, config, np.array(moved), p_bound), moved
