@@ -167,8 +167,11 @@ def spg_lockstep(starts: np.ndarray, h1: np.ndarray, h2: np.ndarray, h: np.ndarr
     row, is one stacked trace_value_and_grad call. No row's figures depend
     on the other rows, so each equals a batch-of-one solve.
 
-    Returns the end points (B, N), in [0, 2*pi], and their objectives (B,),
-    none above its start's (clipped to the box).
+    The nonmonotone search can leave a row's last iterate above a point it
+    accepted earlier, so each row returns the lowest point it accepted (the
+    earliest on a tie), its start included. Returns these points (B, N), in
+    [0, 2*pi], and their objectives (B,), none above its start's (clipped
+    to the box).
     """
     x = np.asarray(starts, dtype=float).clip(0.0, TWO_PI)
     f, g = trace_value_and_grad(x, h1, h2, h, p)
@@ -176,6 +179,7 @@ def spg_lockstep(starts: np.ndarray, h1: np.ndarray, h2: np.ndarray, h: np.ndarr
     apg, stationary = _projected(x, f, g)
     rows = (~stationary).nonzero()[0]
     x, f, g, apg = x[rows], f[rows], g[rows], apg[rows]
+    best_x, best_f = x.copy(), f.copy()  # each row's lowest accepted point
     data = (h1[rows], h2[rows], h[rows], p[rows])
     history = np.repeat(f[:, None], _HISTORY, axis=1)
     alpha = 1.0 / np.sqrt(np.einsum("bn,bn->b", apg, apg))
@@ -187,20 +191,24 @@ def spg_lockstep(starts: np.ndarray, h1: np.ndarray, h2: np.ndarray, h: np.ndarr
         sy = np.einsum("bn,bn->b", s, g1 - g)
         small = np.abs(f - f1) <= _STEP_TOLERANCE * np.maximum(f, 1.0)
         x, f, g = x1, f1, g1
+        lower = f < best_f
+        np.copyto(best_x, x, where=lower[:, None])
+        np.copyto(best_f, f, where=lower)
         apg, stationary = _projected(x, f, g)
         history[:, i % _HISTORY] = f
 
         # a failed line search restored its row, and a zero change is small
         done = small | stationary
         if np.count_nonzero(done):
-            ends[rows[done]], values[rows[done]] = x[done], f[done]
+            ends[rows[done]], values[rows[done]] = best_x[done], best_f[done]
             live = ~done
             rows, x, f, g, apg = rows[live], x[live], f[live], g[live], apg[live]
+            best_x, best_f = best_x[live], best_f[live]
             history, s, sy = history[live], s[live], sy[live]
             data = tuple(a[live] for a in data)
         fallback = None if (sy > 0.0).all() else 1.0 / np.sqrt(np.einsum("bn,bn->b", apg, apg))
         alpha = np.divide(np.einsum("bn,bn->b", s, s), sy, out=fallback, where=sy > 0.0)
-    ends[rows], values[rows] = x, f
+    ends[rows], values[rows] = best_x, best_f
     return ends, values
 
 

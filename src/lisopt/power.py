@@ -120,13 +120,17 @@ def solve_inner(lam, weights, p_min, mu, sigma2: float, p_budget: float):
 
 
 def dinkelbach_batch(weights, p_min, mu, sigma2: float, p_budget: float,
-                     power_offset: float, epsilon: float):
+                     power_offset: float, epsilon: float, start: float = 0.0):
     """Ratio maximization for every row of a (B, K) weight batch at once.
 
-    Each row starts its ratio parameter at zero and alternates the concave
+    Each row starts its ratio parameter at start and alternates the concave
     inner solve with ratio updates until consecutive values differ by less
     than epsilon, for at most _DINKELBACH_ITERATIONS updates; a settled row
-    is left alone while the others go on.
+    is left alone while the others go on. A row whose first update gives a
+    ratio at most start also settles there: with F(lam) the inner solve's
+    maximum of rate minus lam times power, F(start) <= 0, so no allocation
+    of that row beats start (Dinkelbach 1967). At start = 0 that test adds
+    nothing to the epsilon test.
     Returns (lambdas, powers, iterations): lambdas of shape (I, B) holds
     the ratio after each of the I updates, frozen once a row settled, so
     lambdas[-1] is the result; powers (B, K) are the final inner maximizers;
@@ -135,7 +139,7 @@ def dinkelbach_batch(weights, p_min, mu, sigma2: float, p_budget: float,
     """
     weights = np.asarray(weights, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    lam = np.zeros(weights.shape[0])
+    lam = np.full(weights.shape[0], start, dtype=float)
     powers = np.zeros(weights.shape)
     iterations = np.zeros(weights.shape[0], dtype=int)
     lambdas_seen = []
@@ -147,6 +151,8 @@ def dinkelbach_batch(weights, p_min, mu, sigma2: float, p_budget: float,
         rate = np.log2(1.0 + p / sigma2).sum(axis=1)
         lam_next = rate / ((mu * p).sum(axis=1) + power_offset)
         settled = np.abs(lam_next - lam[rows]) < epsilon
+        if i == 0:
+            settled |= lam_next <= start
         lam[rows] = lam_next
         lambdas_seen.append(lam.copy())
         if np.count_nonzero(settled):

@@ -60,10 +60,14 @@ class AlternatingIterate:
 class AlternatingTrace:
     """Record of one alternating_ee_max solve.
 
-    iterates holds the feasible points the solve visited, in order. At a
-    finite resolution they are the start (the quantized first phase step,
-    when feasible) and each move the discrete search accepted, so their
-    efficiencies rise strictly and the last is the report's. With
+    iterates holds the feasible points the solve visited, in order, each
+    with the efficiency and powers its power step scored: (EE°, p°) of
+    phase_free_bound when its beam norms radiate p° within the budget, else
+    Dinkelbach's, from ratio 0 for the first sweep's points and continuous
+    iterates, and from the previous point's ratio for later search moves.
+    At a finite resolution they are the start (the quantized first phase
+    step, when feasible) and each move the discrete search accepted, so
+    their efficiencies rise strictly and the last is the report's. With
     continuous phases they are the alternating loop's outer iterates, whose
     efficiencies rise strictly except that a "converged" or "bound" trace
     ends with an iterate that need not rise. termination is one of "bound"
@@ -151,34 +155,42 @@ def _fits(weights: np.ndarray, p: np.ndarray, p_budget: float) -> np.ndarray:
         return np.sum(weights * p, axis=1) <= p_budget * (1.0 + BUDGET_SLACK)
 
 
-def _power_steps(config: SystemConfig, weights: np.ndarray) -> tuple:
-    """Dinkelbach efficiency and powers of each row of beam norms (B, K), in one batch.
+def _power_steps(config: SystemConfig, weights: np.ndarray, bound: tuple,
+                 start: float = 0.0) -> tuple:
+    """Efficiency and powers of each row of beam norms (B, K), in one batch.
 
-    A row whose beam norms are inf (rank deficient), or whose QoS floors
-    need more than the budget, scores -inf with zero powers.
+    bound is the cell's phase_free_bound (EE°, p°). A row that radiates p°
+    within the budget is certified and scores exactly (EE°, p°), with no
+    Dinkelbach run. The other rows run one dinkelbach_batch from ratio
+    start, so each scores as dinkelbach_allocation would on its own weights
+    (at start 0) bit for bit. A row whose beam norms are inf (rank
+    deficient), or whose QoS floors need more than the budget, scores -inf
+    with zero powers.
     """
     p_min = qos_min_powers(config)
-    keep = _fits(weights, p_min, config.p_budget)
-    ee = np.full(len(weights), -np.inf)
-    powers = np.zeros(weights.shape)
+    certified = _fits(weights, bound[1], config.p_budget)
+    keep = _fits(weights, p_min, config.p_budget) & ~certified
+    ee = np.where(certified, bound[0], -np.inf)
+    powers = np.where(certified[:, None], bound[1], 0.0)
     if np.any(keep):
         lambdas, powers[keep], _ = dinkelbach_batch(
             weights[keep], p_min, config.mu, config.sigma2, config.p_budget,
-            _power_offset(config), config.epsilon,
+            _power_offset(config), config.epsilon, start,
         )
         ee[keep] = lambdas[-1]
     return ee, powers
 
 
-def _score(channels: ChannelSet, config: SystemConfig, phi: np.ndarray) -> tuple:
-    """Dinkelbach efficiency and powers of the surface at responses phi (B, N), in one batch.
+def _score(channels: ChannelSet, config: SystemConfig, phi: np.ndarray, bound: tuple) -> tuple:
+    """Efficiency and powers of the surface at responses phi (B, N), in one batch.
 
-    The power step of every surface candidate: _power_steps on _beam_loads.
-    Returns ee (B,) and powers (B, K); a row that cannot be powered scores
-    -inf with zero powers. Each row's figures equal dinkelbach_allocation's
-    on its own weights bit for bit.
+    The power step of every surface candidate: _power_steps on _beam_loads,
+    from ratio 0, with the cell's bound (EE°, p°). Returns ee (B,) and powers
+    (B, K): a certified row scores (EE°, p°), any other row its
+    dinkelbach_allocation bit for bit, and a row that cannot be powered -inf
+    with zero powers.
     """
-    return _power_steps(config, _beam_loads(channels, phi))
+    return _power_steps(config, _beam_loads(channels, phi), bound)
 
 
 def phase_free_bound(config: SystemConfig) -> tuple:
@@ -194,22 +206,27 @@ def phase_free_bound(config: SystemConfig) -> tuple:
 
 
 def _grid_search(channels: ChannelSet, config: SystemConfig, start: PhaseConfig,
-                 p_bound: np.ndarray) -> tuple:
+                 bound: tuple) -> tuple:
     """Best-improvement search over single-element moves on the b-bit grid, from start.
 
-    Each sweep takes the beam norms of the current phase vector and the
-    N (2^b - 1) vectors that differ from it in one element, in one stacked
-    SVD. A row that radiates p_bound (phase_free_bound's p°) within the
-    budget attains EE° and is certified: only the lowest-index one (and the
-    start, in the first sweep) gets a power step, the search moves there if
-    that raises the efficiency strictly, and it ends "bound". Otherwise all
-    rows get one _power_steps batch, and the search moves to the best while
-    that raises the efficiency strictly (a tie goes to the current point,
-    then to the lowest element and the fewest grid steps up). An infeasible
-    start scores -inf, so the search moves to any feasible neighbour.
-    Returns (iterates, termination): the feasible points visited, with
-    strictly rising efficiencies, and "bound", "converged", or "infeasible"
-    when no point scored.
+    bound is the cell's phase_free_bound (EE°, p°); every point is scored
+    by _power_steps, so a point whose beam norms radiate p° within the
+    budget is certified and scores (EE°, p°). A certified start ends the
+    search "bound" at once, after one SVD. Otherwise the first sweep takes
+    the beam norms of the N (2^b - 1) vectors that differ from the start in
+    one element, in one stacked SVD, and scores the start with them, from
+    ratio 0. Each later sweep scores only the neighbours of the current
+    point, whose score is known, with Dinkelbach started at its ratio: a
+    neighbour whose first update does not rise above it stops there, as it
+    cannot beat the current point. When a neighbour is certified, the
+    search moves to the lowest-index one if EE° is strictly above the
+    current score, and ends "bound". Otherwise it moves to the best
+    neighbour while that is strictly above the current score (a tie goes to
+    the current point, then to the lowest element and the fewest grid steps
+    up). An infeasible start scores -inf, so the search moves to any
+    feasible neighbour. Returns (iterates, termination): the feasible
+    points visited, with strictly rising efficiencies, and "bound",
+    "converged", or "infeasible" when no point scored.
     """
     levels = 1 << config.b
     grid = phase_grid(config.b)
@@ -223,38 +240,49 @@ def _grid_search(channels: ChannelSet, config: SystemConfig, start: PhaseConfig,
             PhaseConfig(theta=grid[candidate], resolution=config.b),
             PowerAllocation(p=p), float(ee)))
 
+    def sweep(digits):
+        """The single-element moves from digits, their beam norms and the certified ones."""
+        moved = np.tile(digits, (moves.size, 1))
+        moved[moves, element] = (digits[element] + shift) % levels
+        weights = _beam_loads(channels, np.exp(1j * grid)[moved])
+        return moved, weights, np.flatnonzero(_fits(weights, bound[1], config.p_budget))
+
+    loads = _beam_loads(channels, np.exp(1j * grid)[digits][None, :])
+    if _fits(loads, bound[1], config.p_budget)[0]:
+        visit(digits, *bound)
+        return iterates, "bound"
+    moved, weights, certified = sweep(digits)
+    # the start, scored with its neighbours, or alone beside a certified one
+    ee, powers = _power_steps(config, np.vstack([loads, weights[:0 if certified.size else None]]),
+                              bound)
+    ratio = ee[0]
+    if ratio > -np.inf:
+        visit(digits, ratio, powers[0])
+    ee, powers = ee[1:], powers[1:]
     while True:
-        candidates = np.tile(digits, (moves.size + 1, 1))  # row 0 is the current point
-        candidates[moves + 1, element] = (digits[element] + shift) % levels
-        weights = _beam_loads(channels, np.exp(1j * grid)[candidates])
-        certified = np.flatnonzero(_fits(weights, p_bound, config.p_budget))
         if certified.size:
-            rows = [certified[0]] if iterates else sorted({0, certified[0]})
-            ee, powers = _power_steps(config, weights[rows])
-            if not iterates and ee[0] > -np.inf:
-                visit(candidates[0], ee[0], powers[0])  # the start
-            if ee[-1] > (iterates[-1].ee if iterates else -np.inf):
-                visit(candidates[rows[-1]], ee[-1], powers[-1])
+            if bound[0] > ratio:
+                visit(moved[certified[0]], *bound)
             return iterates, "bound"
-        ee, powers = _power_steps(config, weights)
-        if not iterates and ee[0] > -np.inf:
-            visit(candidates[0], ee[0], powers[0])  # the start
         i = int(np.argmax(ee))
-        if i == 0:
+        if not ee[i] > ratio:
             return iterates, "converged" if iterates else "infeasible"
-        digits = candidates[i]
-        visit(digits, ee[i], powers[i])
+        digits, ratio = moved[i], ee[i]
+        visit(digits, ratio, powers[i])
+        moved, weights, certified = sweep(digits)
+        if not certified.size:
+            ee, powers = _power_steps(config, weights, bound, ratio)
 
 
 def _alternate(channels: ChannelSet, config: SystemConfig, phases: PhaseConfig,
-               options: RelaxedSolveOptions | None, p_bound: np.ndarray) -> tuple:
+               options: RelaxedSolveOptions | None, bound: tuple) -> tuple:
     """The continuous alternating loop from the first phase step: (iterates, termination).
 
     A later phase step starts from the previous phases only; each iterate is
-    scored by _power_steps as a batch of one. It ends "bound" after the first
-    iterate whose beam norms radiate the phase-free optimum p_bound within
-    the budget (that iterate attains EE°), and "infeasible" when a phase
-    step fails or an iterate scores -inf.
+    scored by _power_steps as a batch of one, from ratio 0, with the cell's
+    bound (EE°, p°). It ends "bound" after the first iterate whose beam
+    norms radiate p° within the budget (that iterate scores (EE°, p°)), and
+    "infeasible" when a phase step fails or an iterate scores -inf.
     """
     refine = replace(options or RelaxedSolveOptions(), num_restarts=1)
     iterates = []
@@ -266,11 +294,11 @@ def _alternate(channels: ChannelSet, config: SystemConfig, phases: PhaseConfig,
         except PhaseOptimizationError:
             return iterates, "infeasible"
         weights = _beam_loads(channels, phases.phi[None, :])
-        ee, powers = _power_steps(config, weights)
+        ee, powers = _power_steps(config, weights, bound)
         if ee[0] == -np.inf:
             return iterates, "infeasible"
         iterates.append(AlternatingIterate(phases, PowerAllocation(p=powers[0]), float(ee[0])))
-        if _fits(weights, p_bound, config.p_budget)[0]:
+        if _fits(weights, bound[1], config.p_budget)[0]:
             return iterates, "bound"
         if len(iterates) > 1 and iterates[-1].ee <= iterates[-2].ee:
             return iterates, "converged"
@@ -311,10 +339,13 @@ def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0
 
     Both branches stop early at the phase-free bound (phase_free_bound,
     computed once per solve): a point whose beam norms radiate the powers
-    p° within the budget attains EE°, and the solve ends "bound" there.
+    p° within the budget scores (EE°, p°) with no Dinkelbach run, and the
+    solve ends "bound" there.
     At a finite b the first step is quantized and _grid_search takes over,
     which departs from the paper's alternation: the report is the last point
     the search accepted, and outer_iterations counts the accepted points.
+    Its later sweeps start the neighbours' Dinkelbach at the current point's
+    ratio and drop those whose first update does not rise above it.
     With continuous phases _alternate runs the paper's loop: phase steps
     from one start, warm at the previous phases and powers, each followed by
     a Dinkelbach power step, until an iterate attains the bound ("bound"),
@@ -337,10 +368,10 @@ def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0
     elif config.b != CONTINUOUS:
         iterates, termination = _grid_search(channels, config,
                                              quantize_phases(first_step.theta, config.b),
-                                             phase_free_bound(config)[1])
+                                             phase_free_bound(config))
     else:
         iterates, termination = _alternate(channels, config, first_step, options,
-                                           phase_free_bound(config)[1])
+                                           phase_free_bound(config))
     trace = AlternatingTrace(tuple(iterates), termination, first_step)
     if not iterates:
         return SolveReport.infeasible(tag), trace
@@ -354,20 +385,23 @@ def exhaustive_search(channels: ChannelSet, config: SystemConfig) -> SolveReport
     Candidates whose effective channel is rank deficient or whose QoS floors
     do not fit the budget are skipped. Candidate i sets element j to grid
     level (i // 2^(b*j)) mod 2^b. Candidates are scored _EXHAUSTIVE_CHUNK at
-    a time by _score, the discrete search's scorer: one stacked SVD for the
-    beam norms, one batched Dinkelbach solve.
+    a time by _score with the bound (EE°, p°) of phase_free_bound, computed
+    once per call: one stacked SVD for the beam norms; a candidate that
+    radiates p° within the budget scores (EE°, p°), as it does in the
+    search, and one batched Dinkelbach solve from ratio 0 scores the rest.
     Deterministic: equal efficiencies resolve to the lowest enumeration
     index. outer_iterations reports the number of candidates enumerated.
     More than DEFAULT_ENUMERATION_CAP (2^20) candidates raise
     EnumerationCapError before any is scored.
     """
     total = enumeration_count(config.n, config.b)
+    bound = phase_free_bound(config)
     levels = 1 << config.b
     place = levels ** np.arange(config.n)
     best = (-np.inf, None, None)  # (ee, digits, powers)
     for first in range(0, total, _EXHAUSTIVE_CHUNK):
         digits = np.arange(first, min(first + _EXHAUSTIVE_CHUNK, total))[:, None] // place % levels
-        ee, powers = _score(channels, config, np.exp(1j * phase_grid(config.b))[digits])
+        ee, powers = _score(channels, config, np.exp(1j * phase_grid(config.b))[digits], bound)
         i = int(np.argmax(ee))
         if ee[i] > best[0]:
             best = (ee[i], digits[i], powers[i])

@@ -18,7 +18,6 @@ from lisopt import (
     ChannelSet,
     PhaseConfig,
     PowerAllocation,
-    SingularMatrixError,
     dbm_to_watts,
     evaluate,
     exhaustive_search,
@@ -29,8 +28,8 @@ from lisopt import (
 from lisopt import phases
 from lisopt.model import effective_channels, zf_svd
 from lisopt.phases import solve_relaxed, spg_lockstep, stack_rows, trace_value_and_grad
-from lisopt.solver import _score
-from util import complex_gaussian, make_config, random_channels, single_power_step
+from lisopt.solver import _score, phase_free_bound
+from util import bound_rule_score, complex_gaussian, make_config, random_channels
 
 TWO_PI = 2.0 * np.pi
 
@@ -181,15 +180,15 @@ def test_rank_deficient_rows_raise_no_warnings_and_leave_healthy_rows_alone(name
 
         # the oracle skips the rank-deficient candidates and solves the others as alone
         config = make_config(k=2, m=2, n=2, b=1)
-        assert np.array_equal(_score(channels, config, np.exp(1j * thetas))[0] == -np.inf, bad)
+        scores = _score(channels, config, np.exp(1j * thetas), phase_free_bound(config))[0]
+        assert np.array_equal(scores == -np.inf, bad)
         healthy = []
         for theta in thetas[:4]:
             candidate = PhaseConfig(theta=theta, resolution=1)
-            try:
-                alloc, _ = single_power_step(channels, config, candidate)
-            except SingularMatrixError:
-                continue
-            healthy.append(evaluate(channels, config, candidate, alloc, 4, "exhaustive"))
+            ee, p = bound_rule_score(channels, config, candidate)
+            if ee > -np.inf:
+                healthy.append(evaluate(channels, config, candidate, PowerAllocation(p=p), 4,
+                                        "exhaustive"))
         assert 0 < len(healthy) < 4
         assert exhaustive_search(channels, config) == max(healthy, key=lambda r: r.ee)
 

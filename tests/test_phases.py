@@ -19,7 +19,7 @@ from lisopt import (
     transmit_power_used,
     zf_precoder,
 )
-from lisopt import phases
+from lisopt import cli, phases, sample_channels, scenario_from_pairs
 from util import complex_gaussian, random_channels
 
 TWO_PI = 2.0 * np.pi
@@ -194,6 +194,29 @@ def test_spg_lockstep_ends_a_row_at_its_start_when_its_line_search_fails(monkeyp
     assert np.array_equal(ends[1], x[1]) and values[1] == f[1]
     assert np.array_equal(ends[[0, 2]], want_ends[[0, 2]])
     assert np.array_equal(values[[0, 2]], want_values[[0, 2]])
+
+
+def test_spg_lockstep_returns_each_rows_lowest_accepted_point(monkeypatch):
+    # the oracle-check setup at n = 2, channel seed 59, from the first random start that
+    # default_rng(59) draws: the nonmonotone search last accepts a point 2.27x above one
+    # it accepted earlier, and the row returns the earlier one
+    cfg = scenario_from_pairs({**cli._ORACLE_PAIRS, "n": "2", "sweep.n": "2"}).config
+    powers = PowerAllocation(p=np.full(cfg.k, cfg.p_budget / cfg.k))
+    data = phases.stack_rows([(sample_channels(cfg, 59), powers)], 1)
+    start = np.random.default_rng(59).uniform(0.0, TWO_PI, (1, cfg.n))
+    accepted = [phases.trace_value_and_grad(start, *data)[0][0]]
+    real = phases._line_search
+
+    def logging(*args):
+        found = real(*args)
+        accepted.append(found[1][0])
+        return found
+
+    monkeypatch.setattr(phases, "_line_search", logging)
+    ends, values = phases.spg_lockstep(start, *data, max_iterations=80)
+    assert accepted[-1] > 2.0 * min(accepted)
+    assert values[0] == min(accepted) < accepted[0]
+    assert values[0] == phases.trace_value_and_grad(ends, *data)[0][0]
 
 
 def test_relaxed_options_validation():

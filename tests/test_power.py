@@ -9,8 +9,6 @@ from lisopt import (
     PhaseConfig,
     PowerAllocation,
     SingularMatrixError,
-    SystemConfig,
-    dbm_to_watts,
     dinkelbach_allocation,
     effective_channel,
     evaluate,
@@ -22,7 +20,7 @@ from lisopt import (
     zf_precoder,
 )
 from lisopt import power
-from util import complex_gaussian, make_config, random_channels
+from util import BOUND_CASES, bound_case_weights, complex_gaussian, make_config, random_channels
 
 LN2 = np.log(2.0)
 TWO_PI = 2.0 * np.pi
@@ -346,23 +344,9 @@ def test_dinkelbach_ratio_matches_evaluated_ee():
     assert report.ee == pytest.approx(trace.lambdas[-1], rel=1e-9)
 
 
-# (config, log10 range of the weight scales): the budget binds on some rows and not on
-# others. At paper scale p° is ~1e5 W, so only weights below ~1e-9 let it fit; below
-# 1e-12, Dinkelbach's absolute epsilon stops it after one update, far below EE°.
-BOUND_CASES = {
-    "desk": (make_config(k=3, m=3, n=4), (-8.0, 1.0)),
-    "desk-floors": (make_config(k=3, m=3, n=4, r_min=0.5, mu=[1.0, 1.2, 2.0]), (-8.0, -0.5)),
-    "paper": (SystemConfig(m=3, k=3, n=4, b=1, p_budget=dbm_to_watts(-10.0),
-                           sigma2=dbm_to_watts(-100.0)), (-16.0, 0.0)),
-    "paper-floors": (SystemConfig(m=2, k=2, n=4, b=2, p_budget=dbm_to_watts(0.0),
-                                  sigma2=dbm_to_watts(-100.0), r_min=3.0), (-16.0, 0.0)),
-    "K=1": (make_config(k=1, m=1, n=2), (-8.0, 1.0)),
-}
-
-
 @pytest.mark.parametrize("case", sorted(BOUND_CASES))
 def test_efficiency_bound_is_dinkelbachs_fixed_point_and_bounds_every_weight_row(case):
-    cfg, (low, high) = BOUND_CASES[case]
+    cfg = BOUND_CASES[case][0]
     p_min = qos_min_powers(cfg)
     offset = cfg.k * cfg.p_c + cfg.n * cfg.p_n_of_b[cfg.b]
     ee, p = power.efficiency_bound(p_min, cfg.mu, cfg.sigma2, offset)
@@ -376,9 +360,7 @@ def test_efficiency_bound_is_dinkelbachs_fixed_point_and_bounds_every_weight_row
     # a further update does not raise the ratio
     assert ratio(np.maximum(1.0 / (LN2 * ee * cfg.mu) - cfg.sigma2, p_min)) <= ee
 
-    rng = np.random.default_rng(len(case))
-    weights = 10.0 ** rng.uniform(low, high, (60, 1)) * rng.exponential(size=(60, cfg.k))
-    weights = weights[weights @ p_min <= cfg.p_budget]  # the floors fit
+    weights = bound_case_weights(case)
     fits = weights @ p <= cfg.p_budget
     assert 0 < np.count_nonzero(fits) < len(weights)
     args = (p_min, cfg.mu, cfg.sigma2, cfg.p_budget, offset)
@@ -393,6 +375,51 @@ def test_efficiency_bound_is_dinkelbachs_fixed_point_and_bounds_every_weight_row
         # the first ratio is below epsilon, so Dinkelbach stops there, far below EE°
         tiny = np.flatnonzero(weights.max(axis=1) < 1e-12)
         assert tiny.size and np.all(iterations[tiny] == 1) and np.all(coarse[tiny] < 0.5 * ee)
+
+
+def plain_dinkelbach(weights, p_min, mu, sigma2, p_budget, offset, epsilon):
+    """Dinkelbach on one weight vector from ratio 0, one solve_inner call per update:
+    (ratios, powers), the ratio after each update and the last inner maximizer."""
+    lam, ratios = 0.0, []
+    while True:
+        p = solve_inner(lam, weights[None, :], p_min, mu, sigma2, p_budget)
+        ratios.append((np.log2(1.0 + p / sigma2).sum(axis=1)
+                       / ((mu * p).sum(axis=1) + offset))[0])
+        if abs(ratios[-1] - lam) < epsilon:
+            return ratios, p[0]
+        lam = ratios[-1]
+
+
+@pytest.mark.parametrize("case", sorted(BOUND_CASES))
+def test_dinkelbach_batch_start_ratio_screens_rows_that_cannot_beat_it(case):
+    cfg = BOUND_CASES[case][0]
+    p_min = qos_min_powers(cfg)
+    offset = cfg.k * cfg.p_c + cfg.n * cfg.p_n_of_b[cfg.b]
+    ee_bound, p_bound = power.efficiency_bound(p_min, cfg.mu, cfg.sigma2, offset)
+    weights = bound_case_weights(case)
+    args = (p_min, cfg.mu, cfg.sigma2, cfg.p_budget, offset)
+    epsilon = 1e-13 * ee_bound  # free of scale
+    # start 0 is the plain loop, bit for bit
+    lambdas, powers, iterations = power.dinkelbach_batch(weights, *args, epsilon)
+    for i, w in enumerate(weights):
+        ratios, p = plain_dinkelbach(w, *args, epsilon)
+        assert iterations[i] == len(ratios)
+        assert np.array_equal(lambdas[:len(ratios), i], ratios)
+        assert np.array_equal(powers[i], p)
+    assert np.array_equal(power.dinkelbach_batch(weights, *args, epsilon, 0.0)[0], lambdas)
+
+    cold = lambdas[-1]
+    budget_bound = np.sort(cold[weights @ p_bound > cfg.p_budget])
+    middle = budget_bound.size // 2
+    for start in (0.5 * (budget_bound[middle - 1] + budget_bound[middle]),
+                  ee_bound * (1.0 + 1e-9)):
+        lambdas, powers, iterations = power.dinkelbach_batch(weights, *args, epsilon, start)
+        below = cold <= start
+        assert below.any() and (start > ee_bound or not below.all())
+        # F(start) <= 0: one update, and no ratio above the start
+        assert np.all(iterations[below] == 1) and np.all(lambdas[-1, below] <= start)
+        assert np.allclose(lambdas[-1, ~below], cold[~below], rtol=1e-12, atol=0.0)
+        assert np.all(lambdas[-1, ~below] > start)
 
 
 def test_efficiency_bound_iteration_cap_raises(monkeypatch):

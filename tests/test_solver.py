@@ -9,12 +9,10 @@ from lisopt import (
     CONTINUOUS,
     ChannelSet,
     EnumerationCapError,
-    InfeasibleError,
     PhaseConfig,
     PowerAllocation,
     RelaxedSolveOptions,
     RelayParams,
-    SingularMatrixError,
     SolveReport,
     alternating_ee_max,
     dinkelbach_allocation,
@@ -32,10 +30,14 @@ from lisopt import (
 )
 from lisopt import cli, load_scenario, scenario_from_pairs, solver
 from lisopt.harness import _config_at, _method_config
+from lisopt.model import BUDGET_SLACK
 from lisopt.power import dinkelbach_batch
 from util import (
+    BOUND_CASES,
     assert_search_trace,
     assert_stall_trace,
+    bound_case_weights,
+    bound_rule_score,
     make_config,
     random_channels,
     unit_pathloss,
@@ -306,6 +308,67 @@ def test_pinned_draws_stop_at_the_bound_or_converge(budget_dbm, trial, method):
         assert_search_trace(report, trace, ch, cfg)
 
 
+# ee_vs_budget.scn 1-bit cells (budget dBm, trial) -> rows of each _beam_loads call and
+# of each dinkelbach_batch call. The first start is certified: one SVD of one row and no
+# Dinkelbach. The second search moves once and converges: the start alone, then the first
+# sweep scores it with its 8 neighbours from ratio 0, and the later sweep scores only the
+# 8 neighbours of the point it moved to, from that point's ratio.
+SEARCH_CALLS = {
+    (-10.0, 0): ([1], []),
+    (-15.0, 3): ([1, 8, 8], [9, 8]),
+}
+
+
+@pytest.mark.parametrize("budget_dbm, trial", sorted(SEARCH_CALLS))
+def test_search_scores_only_what_the_bound_and_the_incumbent_leave_open(budget_dbm, trial,
+                                                                       monkeypatch):
+    ch, cfg, seed, options = budget_sweep_cell(budget_dbm, trial, "lis-1bit")
+    loads, solves = [], []
+
+    def beam_loads(channels, phi):
+        loads.append(len(phi))
+        return beam_loads.real(channels, phi)
+
+    def batch(weights, *args):
+        solves.append((len(weights), args[-1]))
+        return dinkelbach_batch(weights, *args)
+
+    beam_loads.real = solver._beam_loads
+    monkeypatch.setattr(solver, "_beam_loads", beam_loads)
+    monkeypatch.setattr(solver, "dinkelbach_batch", batch)
+    report, trace = alternating_ee_max(ch, cfg, seed=seed, options=options)
+    want_loads, want_rows = SEARCH_CALLS[budget_dbm, trial]
+    assert loads == want_loads
+    assert [rows for rows, _ in solves] == want_rows
+    # cold for the first sweep, then from the current point's ratio
+    starts = [0.0] + [it.ee for it in trace.iterates[1:]]
+    assert [start for _, start in solves] == starts[:len(want_rows)]
+    assert cfg.n * ((1 << cfg.b) - 1) == 8
+    assert trace.termination == ("bound" if not want_rows else "converged")
+    assert_search_trace(report, trace, ch, cfg)
+
+
+@pytest.mark.parametrize("case", sorted(BOUND_CASES))
+def test_power_steps_score_certified_rows_in_closed_form(case):
+    cfg = BOUND_CASES[case][0]
+    bound = solver.phase_free_bound(cfg)
+    weights = bound_case_weights(case)
+    weights[1] = np.inf  # a rank-deficient row
+    certified = weights @ bound[1] <= cfg.p_budget * (1.0 + BUDGET_SLACK)
+    assert 0 < np.count_nonzero(certified) < len(weights) - 1
+    ee, powers = solver._power_steps(cfg, weights, bound)
+    assert np.all(ee[certified] == bound[0]) and np.all(powers[certified] == bound[1])
+    assert ee[1] == -np.inf and not powers[1].any()
+    offset = cfg.k * cfg.p_c + cfg.n * cfg.p_n_of_b[cfg.b]
+    for i, w in enumerate(weights):
+        one_ee, one_powers = solver._power_steps(cfg, w[None, :], bound)
+        assert one_ee[0] == ee[i] and np.array_equal(one_powers[0], powers[i])
+        if not certified[i] and i != 1:
+            alloc, dtrace = dinkelbach_allocation(w, qos_min_powers(cfg), cfg.mu, cfg.sigma2,
+                                                  cfg.p_budget, offset, cfg.epsilon)
+            assert ee[i] == dtrace.lambdas[-1] and np.array_equal(powers[i], alloc.p)
+
+
 # --------------------------------------------------------------- exhaustive
 
 def test_exhaustive_candidate_counts():
@@ -367,20 +430,15 @@ def test_exhaustive_cap_refusal_names_count(monkeypatch):
 
 
 def reference_exhaustive(channels, cfg):
-    """One candidate at a time, element 0 the fastest digit; keeps the first best."""
+    """One candidate at a time, element 0 the fastest digit, each scored by bound_rule_score
+    from ratio 0; keeps the first best."""
     grid = phase_grid(cfg.b)
-    offset = cfg.k * cfg.p_c + cfg.n * cfg.p_n_of_b[cfg.b]
     best = None  # (ee, theta, powers)
     for digits in itertools.product(range(1 << cfg.b), repeat=cfg.n):
         phases = PhaseConfig(theta=grid[list(reversed(digits))], resolution=cfg.b)
-        try:
-            weights = zf_power_weights(effective_channel(channels, phases))
-            alloc, trace = dinkelbach_allocation(weights, qos_min_powers(cfg), cfg.mu,
-                                                 cfg.sigma2, cfg.p_budget, offset, cfg.epsilon)
-        except (SingularMatrixError, InfeasibleError):
-            continue
-        if best is None or trace.lambdas[-1] > best[0]:
-            best = (trace.lambdas[-1], phases.theta, alloc.p)
+        ee, p = bound_rule_score(channels, cfg, phases)
+        if ee > -np.inf and (best is None or ee > best[0]):
+            best = (ee, phases.theta, p)
     return best
 
 
@@ -397,7 +455,7 @@ def test_exhaustive_matches_reference_loop(n, b, seeds):
             continue
         assert np.array_equal(report.phases.theta, best[1])
         assert report.ee == pytest.approx(best[0], rel=1e-12)
-        np.testing.assert_allclose(report.powers.p, best[2], rtol=1e-12)
+        assert np.array_equal(report.powers.p, best[2])
 
 
 def test_exhaustive_chunk_boundaries_do_not_matter(monkeypatch):

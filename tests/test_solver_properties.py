@@ -26,12 +26,10 @@ from hypothesis import strategies as st
 from lisopt import (
     CONTINUOUS,
     ChannelSet,
-    InfeasibleError,
     PhaseConfig,
     PhaseOptimizationError,
     PowerAllocation,
     RelaxedSolveOptions,
-    SingularMatrixError,
     SystemConfig,
     alternating_ee_max,
     dbm_to_watts,
@@ -53,8 +51,8 @@ from util import (
     BOUND_TOLERANCE,
     assert_search_trace,
     assert_stall_trace,
+    bound_rule_score,
     make_config,
-    single_power_step,
     unit_pathloss,
 )
 
@@ -125,14 +123,13 @@ def test_score_of_one_candidate_is_its_single_power_step(scale, single, data):
     cfg, channels, seed = data.draw(instances(scale, single))
     cfg = replace(cfg, b=CONTINUOUS)
     phases = PhaseConfig(theta=np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, cfg.n))
-    ee, powers = solver._score(channels, cfg, phases.phi[None, :])
-    try:
-        alloc, dtrace = single_power_step(channels, cfg, phases)
-    except (SingularMatrixError, InfeasibleError):
+    ee, powers = solver._score(channels, cfg, phases.phi[None, :], solver.phase_free_bound(cfg))
+    want_ee, want_p = bound_rule_score(channels, cfg, phases)
+    if want_p is None:
         assert ee[0] == -np.inf and not powers.any()
         return
-    assert ee[0] == dtrace.lambdas[-1]
-    assert np.array_equal(powers[0], alloc.p)
+    assert ee[0] == want_ee
+    assert np.array_equal(powers[0], want_p)
 
 
 # 400 examples: at 30 the property missed the binding-floor draws pinned below

@@ -14,7 +14,6 @@ from lisopt import (
     SingularMatrixError,
     SystemConfig,
     dbm_to_watts,
-    dinkelbach_allocation,
     effective_channel,
     phase_grid,
     qos_min_powers,
@@ -22,6 +21,7 @@ from lisopt import (
     zf_power_weights,
 )
 from lisopt.model import BUDGET_SLACK
+from lisopt.power import dinkelbach_batch
 from lisopt.solver import phase_free_bound
 
 # Relative excess over the phase-free bound EE° that rounding may leave in a reported efficiency
@@ -48,6 +48,29 @@ def make_config(k=2, m=2, n=4, b=1, p_budget_dbm=-10.0, sigma2=1e-4, **overrides
     fields.update(overrides)
     return SystemConfig(m=m, k=k, n=n, b=b, p_budget=dbm_to_watts(p_budget_dbm),
                         sigma2=sigma2, **fields)
+
+
+# (config, log10 range of the weight scales): the budget binds on some rows and not on
+# others. At paper scale p° is ~1e5 W, so only weights below ~1e-9 let it fit; below
+# 1e-12, Dinkelbach's absolute epsilon stops it after one update, far below EE°.
+BOUND_CASES = {
+    "desk": (make_config(k=3, m=3, n=4), (-8.0, 1.0)),
+    "desk-floors": (make_config(k=3, m=3, n=4, r_min=0.5, mu=[1.0, 1.2, 2.0]), (-8.0, -0.5)),
+    "paper": (SystemConfig(m=3, k=3, n=4, b=1, p_budget=dbm_to_watts(-10.0),
+                           sigma2=dbm_to_watts(-100.0)), (-16.0, 0.0)),
+    "paper-floors": (SystemConfig(m=2, k=2, n=4, b=2, p_budget=dbm_to_watts(0.0),
+                                  sigma2=dbm_to_watts(-100.0), r_min=3.0), (-16.0, 0.0)),
+    "K=1": (make_config(k=1, m=1, n=2), (-8.0, 1.0)),
+}
+
+
+def bound_case_weights(case, rows=60):
+    """Beam-norm rows (B, K) of a BOUND_CASES config, scales drawn log-uniformly from its
+    range, seeded by the name; the rows whose QoS floors do not fit the budget are dropped."""
+    cfg, (low, high) = BOUND_CASES[case]
+    rng = np.random.default_rng(len(case))
+    weights = 10.0 ** rng.uniform(low, high, (rows, 1)) * rng.exponential(size=(rows, cfg.k))
+    return weights[weights @ qos_min_powers(cfg) <= cfg.p_budget]
 
 
 def complex_gaussian(rng, shape, variance=1.0):
@@ -88,8 +111,9 @@ def assert_stall_trace(report, trace, channels, config):
     The efficiencies rise strictly up to the last iterate, and a converged
     trace ends with one no higher than the one before it. Only the last
     iterate of a "bound" trace radiates the phase-free optimum p° within the
-    budget, and no iterate beats EE°. A feasible report holds the best
-    iterate.
+    budget, and no iterate beats EE°. Each iterate is scored on its own by
+    bound_rule_score from ratio 0, bit for bit. A feasible report holds the
+    best iterate.
     """
     ees = [it.ee for it in trace.iterates]
     rising = ees[:-1] if trace.termination in ("converged", "bound") else ees
@@ -102,6 +126,9 @@ def assert_stall_trace(report, trace, channels, config):
     assert not any(certified[:-1]), certified
     assert (certified[-1:] == [True]) == (trace.termination == "bound"), certified
     assert all(ee <= ee_bound * (1.0 + BOUND_TOLERANCE) for ee in ees)
+    for it in trace.iterates:
+        ee, p = bound_rule_score(channels, config, it.phases)
+        assert it.ee == ee and np.array_equal(it.powers.p, p)
     assert report.outer_iterations == len(ees)
     assert report.feasible == bool(ees)
     if ees:
@@ -110,25 +137,31 @@ def assert_stall_trace(report, trace, channels, config):
         assert report.powers == best.powers
 
 
-def single_power_step(channels, config, phases):
-    """dinkelbach_allocation on the surface at phases, from public calls: (allocation, trace).
+def bound_rule_score(channels, config, phases, start=0.0):
+    """The solver's score of the surface at phases, one candidate at a time: (ee, powers).
 
-    Raises SingularMatrixError when the effective channel is rank deficient
-    and InfeasibleError when the QoS floors do not fit the budget.
+    (EE°, p°) of phase_free_bound when the beam norms radiate p° within the
+    budget; otherwise dinkelbach_batch on the beam norms alone, its ratio
+    started at start; (-inf, None) when the effective channel is rank
+    deficient or the QoS floors do not fit the budget.
     """
+    ee_bound, p_bound = phase_free_bound(config)
+    if attains_bound_load(channels, config, phases.theta, p_bound):
+        return ee_bound, p_bound
     offset = config.k * config.p_c + config.n * config.p_n_of_b[config.b]
-    weights = zf_power_weights(effective_channel(channels, phases))
-    return dinkelbach_allocation(weights, qos_min_powers(config), config.mu, config.sigma2,
-                                 config.p_budget, offset, config.epsilon)
-
-
-def grid_point_ee(channels, config, theta):
-    """Dinkelbach efficiency of b-bit phases theta, one dinkelbach_allocation; -inf if none fits."""
     try:
-        _, dtrace = single_power_step(channels, config, PhaseConfig(theta, config.b))
+        weights = zf_power_weights(effective_channel(channels, phases))
+        lambdas, powers, _ = dinkelbach_batch(
+            weights[None, :], qos_min_powers(config), config.mu, config.sigma2,
+            config.p_budget, offset, config.epsilon, start)
     except (SingularMatrixError, InfeasibleError):
-        return -np.inf
-    return dtrace.lambdas[-1]
+        return -np.inf, None
+    return lambdas[-1, 0], powers[0]
+
+
+def grid_point_ee(channels, config, theta, start=0.0):
+    """bound_rule_score's efficiency of b-bit phases theta, its Dinkelbach started at start."""
+    return bound_rule_score(channels, config, PhaseConfig(theta, config.b), start)[0]
 
 
 def grid_neighbours(theta, b):
@@ -147,8 +180,11 @@ def assert_search_trace(report, trace, channels, config):
     The iterates (the quantized first step when it is feasible, then each
     accepted move) rise strictly in efficiency, one element changes per
     move, and the report counts the iterates and holds the last. Each point
-    is scored on its own through dinkelbach_allocation. No point before the
-    last radiates the phase-free optimum p° within the budget. A "bound"
+    is scored on its own by bound_rule_score, bit for bit: the start and the
+    first move from ratio 0, each later move from the ratio of the point
+    before it, and the neighbours of the last point from its ratio if the
+    search moved, from 0 if not. No point before the last radiates the
+    phase-free optimum p° within the budget. A "bound"
     trace ends at a point that does, or at one that scores no lower than a
     neighbour that does, and neither it nor any single-element neighbour
     scores above EE°: a global statement. A "converged" trace ends at a
@@ -171,16 +207,19 @@ def assert_search_trace(report, trace, channels, config):
         assert np.array_equal(walk[0], start)
     for before, after in zip(walk, walk[1:]):
         assert np.count_nonzero(after != before) == 1
-    for it in trace.iterates:
+    ratios = [-np.inf] * (len(walk) - len(ees)) + ees  # -inf: an infeasible start
+    for j, it in enumerate(trace.iterates, start=len(walk) - len(ees)):
         assert it.phases.resolution == config.b
-        assert it.ee == grid_point_ee(channels, config, it.phases.theta)
+        ee, p = bound_rule_score(channels, config, it.phases, ratios[j - 1] if j > 1 else 0.0)
+        assert it.ee == ee and np.array_equal(it.powers.p, p)
     ee_bound, p_bound = phase_free_bound(config)
     assert not any(attains_bound_load(channels, config, theta, p_bound) for theta in walk[:-1])
     if ees:
         assert report.phases == trace.iterates[-1].phases
         assert report.powers == trace.iterates[-1].powers
     last_ee = ees[-1] if ees else -np.inf
-    neighbours = {tuple(moved): grid_point_ee(channels, config, moved)
+    neighbours = {tuple(moved): grid_point_ee(channels, config, moved,
+                                              last_ee if len(walk) > 1 else 0.0)
                   for moved in grid_neighbours(walk[-1], config.b)}
     if trace.termination == "bound":
         ceiling = ee_bound * (1.0 + BOUND_TOLERANCE)
