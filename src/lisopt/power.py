@@ -50,6 +50,11 @@ def zf_power_weights(h_eff: np.ndarray) -> np.ndarray:
     return zf_factor(h_eff)[3]
 
 
+def _efficiency(p, mu, sigma2: float, power_offset: float):
+    """Sum rate over total power, log2(1 + p / sigma2) summed over the last axis of p."""
+    return np.log2(1.0 + p / sigma2).sum(axis=-1) / ((mu * p).sum(axis=-1) + power_offset)
+
+
 def solve_inner(lam, weights, p_min, mu, sigma2: float, p_budget: float):
     """Exact maximizer of rate minus lam-weighted amplifier power over the feasible box.
 
@@ -148,8 +153,7 @@ def dinkelbach_batch(weights, p_min, mu, sigma2: float, p_budget: float,
         if rows.size == 0:
             break
         p = solve_inner(lam[rows], live_weights, p_min, mu, sigma2, p_budget)
-        rate = np.log2(1.0 + p / sigma2).sum(axis=1)
-        lam_next = rate / ((mu * p).sum(axis=1) + power_offset)
+        lam_next = _efficiency(p, mu, sigma2, power_offset)
         settled = np.abs(lam_next - lam[rows]) < epsilon
         if i == 0:
             settled |= lam_next <= start
@@ -183,15 +187,11 @@ def efficiency_bound(p_min, mu, sigma2: float, power_offset: float) -> tuple:
     """
     p_min = np.asarray(p_min, dtype=float)
     mu = np.asarray(mu, dtype=float)
-
-    def ratio(p):
-        return np.log2(1.0 + p / sigma2).sum() / ((mu * p).sum() + power_offset)
-
     p = np.maximum(p_min, sigma2)
-    lam = ratio(p)
+    lam = _efficiency(p, mu, sigma2, power_offset)
     for _ in range(_DINKELBACH_ITERATIONS):
         p_next = np.maximum(1.0 / (LN2 * lam * mu) - sigma2, p_min)
-        lam_next = ratio(p_next)
+        lam_next = _efficiency(p_next, mu, sigma2, power_offset)
         if not lam_next > lam:
             return float(lam), p
         lam, p = lam_next, p_next

@@ -61,24 +61,22 @@ class AlternatingTrace:
     """Record of one alternating_ee_max solve.
 
     iterates holds the feasible points the solve visited, in order, each
-    with the efficiency and powers its power step scored: (EE°, p°) of
-    phase_free_bound when its beam norms radiate p° within the budget, else
-    Dinkelbach's, from ratio 0 for the first sweep's points and continuous
-    iterates, and from the previous point's ratio for later search moves.
-    At a finite resolution they are the start (the quantized first phase
-    step, when feasible) and each move the discrete search accepted, so
-    their efficiencies rise strictly and the last is the report's. With
-    continuous phases they are the alternating loop's outer iterates, whose
-    efficiencies rise strictly except that a "converged" or "bound" trace
-    ends with an iterate that need not rise. termination is one of "bound"
-    (a point the search reached or compared against, or the loop's last
-    iterate, attains the phase-free bound EE° of phase_free_bound, so no
-    phase vector at this resolution does better), "converged" (no
-    single-element move, or no further loop iterate, raised the
-    efficiency), "infeasible" (no feasible point, or a step failed) or
-    "iteration-cap" (continuous phases only). first_step holds the relaxed
-    phases the first phase step returned, before quantization, or None if
-    that step failed.
+    with the efficiency and powers _score gave it: from ratio 0 for the
+    first sweep's points and continuous iterates, and from the previous
+    point's ratio for later search moves. At a finite resolution they are
+    the start (the quantized first phase step, when feasible) and each move
+    the discrete search accepted, so their efficiencies rise strictly and
+    the last is the report's. With continuous phases they are the
+    alternating loop's outer iterates, whose efficiencies rise strictly
+    except that a "converged" or "bound" trace ends with an iterate that
+    need not rise. termination is one of "bound" (a point the search
+    reached or compared against, or the loop's last iterate, is certified:
+    it attains the phase-free bound EE°, so no phase vector at this
+    resolution does better), "converged" (no single-element move, or no
+    further loop iterate, raised the efficiency), "infeasible" (no feasible
+    point, or a step failed) or "iteration-cap" (continuous phases only).
+    first_step holds the relaxed phases the first phase step returned,
+    before quantization, or None if that step failed.
     """
 
     iterates: tuple
@@ -155,17 +153,18 @@ def _fits(weights: np.ndarray, p: np.ndarray, p_budget: float) -> np.ndarray:
         return np.sum(weights * p, axis=1) <= p_budget * (1.0 + BUDGET_SLACK)
 
 
-def _power_steps(config: SystemConfig, weights: np.ndarray, bound: tuple,
-                 start: float = 0.0) -> tuple:
-    """Efficiency and powers of each row of beam norms (B, K), in one batch.
+def _score(config: SystemConfig, weights: np.ndarray, bound: tuple,
+           start: float = 0.0) -> tuple:
+    """The power step of every surface point: (ee, powers, certified) of beam norms (B, K).
 
-    bound is the cell's phase_free_bound (EE°, p°). A row that radiates p°
-    within the budget is certified and scores exactly (EE°, p°), with no
-    Dinkelbach run. The other rows run one dinkelbach_batch from ratio
-    start, so each scores as dinkelbach_allocation would on its own weights
-    (at start 0) bit for bit. A row whose beam norms are inf (rank
-    deficient), or whose QoS floors need more than the budget, scores -inf
-    with zero powers.
+    This is the one scoring rule. bound is the cell's phase_free_bound
+    (EE°, p°). A row that radiates p° within the budget (up to BUDGET_SLACK)
+    is certified and scores exactly (EE°, p°), with no Dinkelbach run. The
+    other rows run one dinkelbach_batch from ratio start, so each scores as
+    it would alone, and at start 0 as dinkelbach_allocation on its weights,
+    bit for bit. A row whose beam norms are inf (rank deficient), or whose
+    QoS floors need more than the budget, scores -inf with zero powers.
+    Returns ee (B,), powers (B, K) and the certified mask (B,).
     """
     p_min = qos_min_powers(config)
     certified = _fits(weights, bound[1], config.p_budget)
@@ -178,28 +177,16 @@ def _power_steps(config: SystemConfig, weights: np.ndarray, bound: tuple,
             _power_offset(config), config.epsilon, start,
         )
         ee[keep] = lambdas[-1]
-    return ee, powers
-
-
-def _score(channels: ChannelSet, config: SystemConfig, phi: np.ndarray, bound: tuple) -> tuple:
-    """Efficiency and powers of the surface at responses phi (B, N), in one batch.
-
-    The power step of every surface candidate: _power_steps on _beam_loads,
-    from ratio 0, with the cell's bound (EE°, p°). Returns ee (B,) and powers
-    (B, K): a certified row scores (EE°, p°), any other row its
-    dinkelbach_allocation bit for bit, and a row that cannot be powered -inf
-    with zero powers.
-    """
-    return _power_steps(config, _beam_loads(channels, phi), bound)
+    return ee, powers, certified
 
 
 def phase_free_bound(config: SystemConfig) -> tuple:
     """(EE°, p°) of config: power.efficiency_bound at its floors, mu, noise and fixed draw.
 
-    No surface report at resolution config.b exceeds EE°, and phases whose
-    beam norms w satisfy w . p° <= P (up to BUDGET_SLACK) attain it. EE°
-    depends on the config alone: K, N, b, mu, the noise, the floors and the
-    circuit powers, not the channels or the budget.
+    No surface report at resolution config.b exceeds EE°, and the phases
+    _score certifies attain it. EE° depends on the config alone: K, N, b,
+    mu, the noise, the floors and the circuit powers, not the channels or
+    the budget.
     """
     return efficiency_bound(qos_min_powers(config), config.mu, config.sigma2,
                             _power_offset(config))
@@ -209,27 +196,23 @@ def _grid_search(channels: ChannelSet, config: SystemConfig, start: PhaseConfig,
                  bound: tuple) -> tuple:
     """Best-improvement search over single-element moves on the b-bit grid, from start.
 
-    bound is the cell's phase_free_bound (EE°, p°); every point is scored
-    by _power_steps, so a point whose beam norms radiate p° within the
-    budget is certified and scores (EE°, p°). A certified start ends the
-    search "bound" at once, after one SVD. Otherwise the first sweep takes
-    the beam norms of the N (2^b - 1) vectors that differ from the start in
-    one element, in one stacked SVD, and scores the start with them, from
-    ratio 0. Each later sweep scores only the neighbours of the current
-    point, whose score is known, with Dinkelbach started at its ratio: a
-    neighbour whose first update does not rise above it stops there, as it
-    cannot beat the current point. When a neighbour is certified, the
-    search moves to the lowest-index one if EE° is strictly above the
-    current score, and ends "bound". Otherwise it moves to the best
-    neighbour while that is strictly above the current score (a tie goes to
-    the current point, then to the lowest element and the fewest grid steps
-    up). An infeasible start scores -inf, so the search moves to any
-    feasible neighbour. Returns (iterates, termination): the feasible
-    points visited, with strictly rising efficiencies, and "bound",
-    "converged", or "infeasible" when no point scored.
+    Every point is scored by _score with the cell's bound. A certified start
+    ends the search "bound" after its one-row SVD, with no Dinkelbach run.
+    Otherwise each sweep scores, in one stacked SVD, the N (2^b - 1) vectors
+    that differ from the current point in one element: the first sweep with
+    the start, from ratio 0, each later one from the current ratio. The
+    search moves to the best row while it is strictly above the current
+    ratio (a tie goes to the current point, then to the lowest element and
+    the fewest grid steps up), and ends "bound" when the row it moved to is
+    certified, or when no row beats the current point but one is certified.
+    An infeasible start scores -inf, so the search moves to any feasible
+    neighbour. Returns (iterates, termination): the feasible points visited,
+    with strictly rising efficiencies, and "bound", "converged", or
+    "infeasible" when no point scored.
     """
     levels = 1 << config.b
     grid = phase_grid(config.b)
+    responses = np.exp(1j * grid)
     moves = np.arange(config.n * (levels - 1))
     element, shift = moves // (levels - 1), moves % (levels - 1) + 1
     digits = np.rint(start.theta / grid[1]).astype(int)
@@ -241,37 +224,32 @@ def _grid_search(channels: ChannelSet, config: SystemConfig, start: PhaseConfig,
             PowerAllocation(p=p), float(ee)))
 
     def sweep(digits):
-        """The single-element moves from digits, their beam norms and the certified ones."""
+        """The single-element moves from digits and their beam norms."""
         moved = np.tile(digits, (moves.size, 1))
         moved[moves, element] = (digits[element] + shift) % levels
-        weights = _beam_loads(channels, np.exp(1j * grid)[moved])
-        return moved, weights, np.flatnonzero(_fits(weights, bound[1], config.p_budget))
+        return moved, _beam_loads(channels, responses[moved])
 
-    loads = _beam_loads(channels, np.exp(1j * grid)[digits][None, :])
+    loads = _beam_loads(channels, responses[digits][None, :])
     if _fits(loads, bound[1], config.p_budget)[0]:
         visit(digits, *bound)
         return iterates, "bound"
-    moved, weights, certified = sweep(digits)
-    # the start, scored with its neighbours, or alone beside a certified one
-    ee, powers = _power_steps(config, np.vstack([loads, weights[:0 if certified.size else None]]),
-                              bound)
+    moved, weights = sweep(digits)
+    ee, powers, certified = _score(config, np.vstack([loads, weights]), bound)
     ratio = ee[0]
     if ratio > -np.inf:
         visit(digits, ratio, powers[0])
-    ee, powers = ee[1:], powers[1:]
+    ee, powers, certified = ee[1:], powers[1:], certified[1:]
     while True:
-        if certified.size:
-            if bound[0] > ratio:
-                visit(moved[certified[0]], *bound)
-            return iterates, "bound"
         i = int(np.argmax(ee))
         if not ee[i] > ratio:
-            return iterates, "converged" if iterates else "infeasible"
+            return iterates, ("bound" if certified.any() else
+                              "converged" if iterates else "infeasible")
         digits, ratio = moved[i], ee[i]
         visit(digits, ratio, powers[i])
-        moved, weights, certified = sweep(digits)
-        if not certified.size:
-            ee, powers = _power_steps(config, weights, bound, ratio)
+        if certified[i]:
+            return iterates, "bound"
+        moved, weights = sweep(digits)
+        ee, powers, certified = _score(config, weights, bound, ratio)
 
 
 def _alternate(channels: ChannelSet, config: SystemConfig, phases: PhaseConfig,
@@ -279,10 +257,9 @@ def _alternate(channels: ChannelSet, config: SystemConfig, phases: PhaseConfig,
     """The continuous alternating loop from the first phase step: (iterates, termination).
 
     A later phase step starts from the previous phases only; each iterate is
-    scored by _power_steps as a batch of one, from ratio 0, with the cell's
-    bound (EE°, p°). It ends "bound" after the first iterate whose beam
-    norms radiate p° within the budget (that iterate scores (EE°, p°)), and
-    "infeasible" when a phase step fails or an iterate scores -inf.
+    scored by _score as a batch of one, from ratio 0, with the cell's bound.
+    It ends "bound" after the first certified iterate, and "infeasible" when
+    a phase step fails or an iterate scores -inf.
     """
     refine = replace(options or RelaxedSolveOptions(), num_restarts=1)
     iterates = []
@@ -293,12 +270,11 @@ def _alternate(channels: ChannelSet, config: SystemConfig, phases: PhaseConfig,
                                                 config.p_budget, options=refine).phases
         except PhaseOptimizationError:
             return iterates, "infeasible"
-        weights = _beam_loads(channels, phases.phi[None, :])
-        ee, powers = _power_steps(config, weights, bound)
+        ee, powers, certified = _score(config, _beam_loads(channels, phases.phi[None, :]), bound)
         if ee[0] == -np.inf:
             return iterates, "infeasible"
         iterates.append(AlternatingIterate(phases, PowerAllocation(p=powers[0]), float(ee[0])))
-        if _fits(weights, bound[1], config.p_budget)[0]:
+        if certified[0]:
             return iterates, "bound"
         if len(iterates) > 1 and iterates[-1].ee <= iterates[-2].ee:
             return iterates, "converged"
@@ -337,20 +313,16 @@ def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0
     harness solves the first steps of many cells in one first_phase_steps
     batch and passes each cell's in this way.
 
-    Both branches stop early at the phase-free bound (phase_free_bound,
-    computed once per solve): a point whose beam norms radiate the powers
-    p° within the budget scores (EE°, p°) with no Dinkelbach run, and the
-    solve ends "bound" there.
+    Both branches score their points by _score with phase_free_bound,
+    computed once per solve, and end "bound" at a certified point.
     At a finite b the first step is quantized and _grid_search takes over,
     which departs from the paper's alternation: the report is the last point
     the search accepted, and outer_iterations counts the accepted points.
-    Its later sweeps start the neighbours' Dinkelbach at the current point's
-    ratio and drop those whose first update does not rise above it.
     With continuous phases _alternate runs the paper's loop: phase steps
     from one start, warm at the previous phases and powers, each followed by
-    a Dinkelbach power step, until an iterate attains the bound ("bound"),
-    an iterate's ratio is not strictly above the previous one's
-    ("converged") or for DEFAULT_MAX_OUTER (50) iterates ("iteration-cap").
+    a power step, until an iterate is certified ("bound"), an iterate's
+    ratio is not strictly above the previous one's ("converged") or for
+    DEFAULT_MAX_OUTER (50) iterates ("iteration-cap").
     The phase step optimizes a feasibility surrogate, so an iterate can lose
     efficiency; the best iterate (the earlier on a tie) is reported, and
     outer_iterations counts the iterates.
@@ -361,17 +333,16 @@ def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0
     scores -inf (continuous).
     """
     tag = resolution_tag(config.b)
+    bound = phase_free_bound(config)
     if first_step is _SOLVE_HERE:
         (first_step,) = first_phase_steps([(channels, config, seed)], options)
     if first_step is None:
         iterates, termination = [], "infeasible"
     elif config.b != CONTINUOUS:
-        iterates, termination = _grid_search(channels, config,
-                                             quantize_phases(first_step.theta, config.b),
-                                             phase_free_bound(config))
+        iterates, termination = _grid_search(
+            channels, config, quantize_phases(first_step.theta, config.b), bound)
     else:
-        iterates, termination = _alternate(channels, config, first_step, options,
-                                           phase_free_bound(config))
+        iterates, termination = _alternate(channels, config, first_step, options, bound)
     trace = AlternatingTrace(tuple(iterates), termination, first_step)
     if not iterates:
         return SolveReport.infeasible(tag), trace
@@ -385,23 +356,22 @@ def exhaustive_search(channels: ChannelSet, config: SystemConfig) -> SolveReport
     Candidates whose effective channel is rank deficient or whose QoS floors
     do not fit the budget are skipped. Candidate i sets element j to grid
     level (i // 2^(b*j)) mod 2^b. Candidates are scored _EXHAUSTIVE_CHUNK at
-    a time by _score with the bound (EE°, p°) of phase_free_bound, computed
-    once per call: one stacked SVD for the beam norms; a candidate that
-    radiates p° within the budget scores (EE°, p°), as it does in the
-    search, and one batched Dinkelbach solve from ratio 0 scores the rest.
-    Deterministic: equal efficiencies resolve to the lowest enumeration
-    index. outer_iterations reports the number of candidates enumerated.
-    More than DEFAULT_ENUMERATION_CAP (2^20) candidates raise
-    EnumerationCapError before any is scored.
+    a time, one stacked SVD for their beam norms and one _score call from
+    ratio 0, with phase_free_bound computed once per call. Deterministic:
+    equal efficiencies resolve to the lowest enumeration index.
+    outer_iterations reports the number of candidates enumerated. More than
+    DEFAULT_ENUMERATION_CAP (2^20) candidates raise EnumerationCapError
+    before any is scored.
     """
     total = enumeration_count(config.n, config.b)
     bound = phase_free_bound(config)
+    responses = np.exp(1j * phase_grid(config.b))
     levels = 1 << config.b
     place = levels ** np.arange(config.n)
     best = (-np.inf, None, None)  # (ee, digits, powers)
     for first in range(0, total, _EXHAUSTIVE_CHUNK):
         digits = np.arange(first, min(first + _EXHAUSTIVE_CHUNK, total))[:, None] // place % levels
-        ee, powers = _score(channels, config, np.exp(1j * phase_grid(config.b))[digits], bound)
+        ee, powers, _ = _score(config, _beam_loads(channels, responses[digits]), bound)
         i = int(np.argmax(ee))
         if ee[i] > best[0]:
             best = (ee[i], digits[i], powers[i])

@@ -38,6 +38,7 @@ from util import (
     assert_stall_trace,
     bound_case_weights,
     bound_rule_score,
+    grid_neighbours,
     make_config,
     random_channels,
     unit_pathloss,
@@ -308,14 +309,16 @@ def test_pinned_draws_stop_at_the_bound_or_converge(budget_dbm, trial, method):
         assert_search_trace(report, trace, ch, cfg)
 
 
-# ee_vs_budget.scn 1-bit cells (budget dBm, trial) -> rows of each _beam_loads call and
-# of each dinkelbach_batch call. The first start is certified: one SVD of one row and no
-# Dinkelbach. The second search moves once and converges: the start alone, then the first
-# sweep scores it with its 8 neighbours from ratio 0, and the later sweep scores only the
-# 8 neighbours of the point it moved to, from that point's ratio.
+# ee_vs_budget.scn 1-bit cells (budget dBm, trial) -> rows of each _beam_loads call, rows
+# of each dinkelbach_batch call, and the termination. The first start is certified: one
+# SVD of one row and no Dinkelbach. Otherwise the first sweep scores the start with its 8
+# neighbours from ratio 0, and each later sweep all 8 neighbours of the point it moved to,
+# from that point's ratio, less the certified ones: the second search moves three times
+# and lands on a certified neighbour, the third moves once and converges.
 SEARCH_CALLS = {
-    (-10.0, 0): ([1], []),
-    (-15.0, 3): ([1, 8, 8], [9, 8]),
+    (-10.0, 0): ([1], [], "bound"),
+    (-15.0, 1): ([1, 8, 8, 8], [9, 8, 7], "bound"),
+    (-15.0, 3): ([1, 8, 8], [9, 8], "converged"),
 }
 
 
@@ -337,15 +340,36 @@ def test_search_scores_only_what_the_bound_and_the_incumbent_leave_open(budget_d
     monkeypatch.setattr(solver, "_beam_loads", beam_loads)
     monkeypatch.setattr(solver, "dinkelbach_batch", batch)
     report, trace = alternating_ee_max(ch, cfg, seed=seed, options=options)
-    want_loads, want_rows = SEARCH_CALLS[budget_dbm, trial]
+    want_loads, want_rows, termination = SEARCH_CALLS[budget_dbm, trial]
     assert loads == want_loads
     assert [rows for rows, _ in solves] == want_rows
     # cold for the first sweep, then from the current point's ratio
     starts = [0.0] + [it.ee for it in trace.iterates[1:]]
     assert [start for _, start in solves] == starts[:len(want_rows)]
     assert cfg.n * ((1 << cfg.b) - 1) == 8
-    assert trace.termination == ("bound" if not want_rows else "converged")
+    assert trace.termination == termination
     assert_search_trace(report, trace, ch, cfg)
+
+
+def test_search_ends_at_a_certified_neighbour_that_only_ties_the_start():
+    # a local optimum of the search, and a bound crafted so that EE° is its own score and
+    # only a neighbour radiates p° within the budget: no move, and "bound"
+    ch, cfg, seed, options = budget_sweep_cell(-15.0, 3, "lis-1bit")
+    start = alternating_ee_max(ch, cfg, seed=seed, options=options)[1].iterates[-1].phases
+    bound = solver.phase_free_bound(cfg)
+    assert solver._grid_search(ch, cfg, start, bound)[1] == "converged"
+    ee, powers = bound_rule_score(ch, cfg, start)
+    own = solver._beam_loads(ch, start.phi[None, :])[0]
+    neighbours = np.array(list(grid_neighbours(start.theta, cfg.b)))
+    others = solver._beam_loads(ch, np.exp(1j * neighbours))
+    j, k = np.unravel_index(np.argmin(others / own), others.shape)
+    assert others[j, k] < own[k] * (1.0 - 1e-6)
+    p_bound = np.zeros(cfg.k)
+    p_bound[k] = 2.0 * cfg.p_budget / (own[k] + others[j, k])
+    iterates, termination = solver._grid_search(ch, cfg, start, (ee, p_bound))
+    assert termination == "bound" and len(iterates) == 1
+    assert iterates[0].phases == start and iterates[0].ee == ee
+    assert np.array_equal(iterates[0].powers.p, powers)
 
 
 @pytest.mark.parametrize("case", sorted(BOUND_CASES))
@@ -356,13 +380,15 @@ def test_power_steps_score_certified_rows_in_closed_form(case):
     weights[1] = np.inf  # a rank-deficient row
     certified = weights @ bound[1] <= cfg.p_budget * (1.0 + BUDGET_SLACK)
     assert 0 < np.count_nonzero(certified) < len(weights) - 1
-    ee, powers = solver._power_steps(cfg, weights, bound)
+    ee, powers, mask = solver._score(cfg, weights, bound)
+    assert np.array_equal(mask, certified)
     assert np.all(ee[certified] == bound[0]) and np.all(powers[certified] == bound[1])
     assert ee[1] == -np.inf and not powers[1].any()
     offset = cfg.k * cfg.p_c + cfg.n * cfg.p_n_of_b[cfg.b]
     for i, w in enumerate(weights):
-        one_ee, one_powers = solver._power_steps(cfg, w[None, :], bound)
+        one_ee, one_powers, one_mask = solver._score(cfg, w[None, :], bound)
         assert one_ee[0] == ee[i] and np.array_equal(one_powers[0], powers[i])
+        assert one_mask[0] == mask[i]
         if not certified[i] and i != 1:
             alloc, dtrace = dinkelbach_allocation(w, qos_min_powers(cfg), cfg.mu, cfg.sigma2,
                                                   cfg.p_budget, offset, cfg.epsilon)

@@ -123,7 +123,8 @@ def test_score_of_one_candidate_is_its_single_power_step(scale, single, data):
     cfg, channels, seed = data.draw(instances(scale, single))
     cfg = replace(cfg, b=CONTINUOUS)
     phases = PhaseConfig(theta=np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, cfg.n))
-    ee, powers = solver._score(channels, cfg, phases.phi[None, :], solver.phase_free_bound(cfg))
+    ee, powers, _ = solver._score(cfg, solver._beam_loads(channels, phases.phi[None, :]),
+                                  solver.phase_free_bound(cfg))
     want_ee, want_p = bound_rule_score(channels, cfg, phases)
     if want_p is None:
         assert ee[0] == -np.inf and not powers.any()
