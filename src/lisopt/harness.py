@@ -12,6 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields, replace
 from multiprocessing import get_all_start_methods, get_context
+from multiprocessing.util import Finalize
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from .solver import (
     DEFAULT_ENUMERATION_CAP,
     DEFAULT_MAX_OUTER,
     EnumerationCapError,
+    alternate_cells,
     alternating_ee_max,
     enumeration_count,
     exhaustive_search,
@@ -41,11 +43,13 @@ from .solver import (
     max_rate_power_fill,
     relay_baseline,
     resolution_tag,
+    trace_report,
 )
 
 # The surface methods and the phase resolution each runs at; the others keep the base config's.
 _RESOLUTIONS = {resolution_tag(b): b for b in _default_p_n_map()}
 KNOWN_METHODS = (*_RESOLUTIONS, "exhaustive", "relay")
+_LOOP = resolution_tag(CONTINUOUS)  # the method whose cells run alternate_cells in lockstep
 SWEEP_AXES = ("p_budget_dbm", "n", "snr_db")
 
 _METHOD_ERRORS = (InfeasibleError, NonConvergenceError, SingularMatrixError,
@@ -166,7 +170,9 @@ def _method_config(cfg: SystemConfig, method: str) -> SystemConfig:
 
 
 def _dispatch(method: str, channels, cfg: SystemConfig, solver_seed: int,
-              scenario: Scenario, first_step: PhaseConfig | None) -> SolveReport:
+              scenario: Scenario, first_step: PhaseConfig | None, loop) -> SolveReport:
+    if method == _LOOP:
+        return trace_report(channels, cfg, loop)
     if method in _RESOLUTIONS:
         return alternating_ee_max(channels, cfg, seed=solver_seed, options=scenario.phase_options,
                                   first_step=first_step)[0]
@@ -193,7 +199,9 @@ def _run_task(scenario: Scenario, cells: list) -> list:
     """The rows of a chunk of equal-N cells; their first phase steps are solved in one batch.
 
     The batch's wall time is split evenly over the cells and counted in each
-    cell's first surface row.
+    cell's first surface row. The lis-continuous rows of all the cells then
+    run their loops in one alternate_cells call, and each such row counts
+    its share of every round it was live in.
     """
     draws = []  # per cell: first_phase_steps' (channels, config, seed), then the channel seed
     for si, value, trial in cells:
@@ -206,20 +214,27 @@ def _run_task(scenario: Scenario, cells: list) -> list:
         t0 = time.perf_counter()
         steps = first_phase_steps([draw[:3] for draw in draws], scenario.phase_options)
         batch_ms = (time.perf_counter() - t0) * 1e3 / len(cells)
+    loops = [(None, 0.0)] * len(cells)  # per cell: its loop's trace and its share in seconds
+    if _LOOP in scenario.methods:
+        loops = alternate_cells([(channels, _method_config(cfg, _LOOP), first_step)
+                                 for (channels, cfg, _, _), first_step in zip(draws, steps)],
+                                scenario.phase_options)
     rows = []
-    for (_, value, trial), (channels, cfg, solver_seed, channel_seed), first_step in zip(
-            cells, draws, steps):
+    for (_, value, trial), (channels, cfg, solver_seed, channel_seed), first_step, (loop, loop_s) \
+            in zip(cells, draws, steps, loops):
         share = batch_ms  # carried by the cell's first surface row
         for method in scenario.methods:
             mcfg = _method_config(cfg, method)
             t0 = time.perf_counter()
             try:
-                report = _dispatch(method, channels, mcfg, solver_seed, scenario, first_step)
+                report = _dispatch(method, channels, mcfg, solver_seed, scenario, first_step, loop)
                 if scenario.power_rule == "max-rate" and report.feasible:
                     report = max_rate_power_fill(channels, report, mcfg)
             except _METHOD_ERRORS:
                 report = SolveReport.infeasible(method)
             wall_ms = (time.perf_counter() - t0) * 1e3
+            if method == _LOOP:
+                wall_ms += loop_s * 1e3
             if method in _RESOLUTIONS:
                 wall_ms, share = wall_ms + share, 0.0
             rows.append(ResultRow(
@@ -231,13 +246,14 @@ def _run_task(scenario: Scenario, cells: list) -> list:
     return rows
 
 
-_pool = None  # (process count, executor) of the kept workers; see run_scenario
+_pool = None  # (process count, executor, exit finalizer) of the kept workers; see run_scenario
 
 
 def _close_workers() -> None:
     """Join the kept workers and drop them; the next parallel run forks new ones."""
     global _pool
     if _pool is not None:
+        _pool[2].cancel()
         _pool[1].shutdown(wait=True)
         _pool = None
 
@@ -254,7 +270,11 @@ def _workers(count: int) -> ProcessPoolExecutor:
     global _pool
     if _pool is None or _pool[0] != count:
         _close_workers()  # so that no manager thread of ours runs while the new pool forks
-        _pool = (count, ProcessPoolExecutor(count, get_context("fork")))
+        # multiprocessing's exit hook runs the finalizers of priority >= 0 before it joins
+        # a process's children, so a multiprocessing child closes its workers first. Above
+        # 10, the priority of a queue's feeder thread: the call queue carries the stop signal.
+        _pool = (count, ProcessPoolExecutor(count, get_context("fork")),
+                 Finalize(None, _close_workers, exitpriority=20))
     return _pool[1]
 
 
@@ -283,10 +303,10 @@ def run_scenario(scenario: Scenario) -> list:
     fork, and a patch made later does not reach them. While they live, this
     process has one more thread, which a caller's own fork sees; a forked
     child starts with no workers. A run that finds a worker dead raises
-    BrokenProcessPool, and the next run forks new ones. concurrent.futures
-    joins the workers at interpreter exit. A process that ends through
-    os._exit, as a multiprocessing child does, skips that hook: it calls
-    _close_workers() first, or it waits on them forever.
+    BrokenProcessPool, and the next run forks new ones. The workers are
+    joined at exit: by concurrent.futures at interpreter exit, and by a
+    multiprocessing finalizer in a multiprocessing child, which leaves
+    through os._exit.
     """
     tasks = _tasks(scenario)
     run_task = functools.partial(_run_task, scenario)

@@ -310,7 +310,7 @@ def solve_phase_subproblem(channels: ChannelSet, powers: PowerAllocation,
                            warm_start: np.ndarray, p_budget: float,
                            options: RelaxedSolveOptions | None = None,
                            seed: int = 0) -> PhaseSolveOutcome:
-    """Relaxed phase solve and budget test: alternating_ee_max's phase step after the first."""
+    """Relaxed phase solve of one cell and the budget test of its objective."""
     theta, objective = solve_relaxed(channels, powers, warm_start=warm_start,
                                      options=options, seed=seed)
     return PhaseSolveOutcome(

@@ -28,7 +28,7 @@ class DinkelbachTrace:
     """Ratio parameter after each update, and the number of updates.
 
     lambdas is non-decreasing after the first iteration, and its last
-    update moved the ratio by less than the tolerance (dinkelbach_batch
+    update moved the ratio by less than the tolerance (dinkelbach_allocation
     raises NonConvergenceError otherwise). lambdas[-1] is the efficiency
     of the returned allocation.
     """
@@ -55,14 +55,15 @@ def _efficiency(p, mu, sigma2: float, power_offset: float):
     return np.log2(1.0 + p / sigma2).sum(axis=-1) / ((mu * p).sum(axis=-1) + power_offset)
 
 
-def solve_inner(lam, weights, p_min, mu, sigma2: float, p_budget: float):
+def solve_inner(lam, weights, p_min, mu, sigma2: float, p_budget):
     """Exact maximizer of rate minus lam-weighted amplifier power over the feasible box.
 
     weights has shape (K,) or, for a batch of B problems solved at once,
-    (B, K) with lam a scalar or of shape (B,). Returns a PowerAllocation for
-    one problem and the (B, K) powers for a batch; a single problem is solved
-    as a batch of one, so every row of a batch equals the solve of that row
-    alone bit for bit.
+    (B, K), with lam and the budget p_budget each a scalar or of shape (B,)
+    and the floors p_min of shape (K,) or (B, K). Returns a
+    PowerAllocation for one problem and the (B, K) powers for a batch; a
+    single problem is solved as a batch of one, so every row of a batch
+    equals the solve of that row alone bit for bit.
 
     Powers follow the stationarity closed form
     p_k(nu) = max(1/(ln2 (lam mu_k + nu w_k)) - sigma2, p_min_k) with the
@@ -76,18 +77,20 @@ def solve_inner(lam, weights, p_min, mu, sigma2: float, p_budget: float):
     The returned multiplier is the first iterate on the feasible side,
     S(nu) <= P.
 
-    Raises InfeasibleError when the floors alone exceed the budget,
-    NonConvergenceError when the multiplier does not settle, and ValueError
-    for unbounded setups (lam == 0 with a non-binding budget).
+    Raises InfeasibleError when the floors alone exceed the budget in any
+    row, and ValueError for unbounded setups (lam == 0 with a non-binding
+    budget). A row whose multiplier does not settle holds nan powers in a
+    batch; a single problem raises NonConvergenceError instead.
     """
     weights = np.asarray(weights, dtype=float)
     batch = np.atleast_2d(weights)
     lam = np.zeros(batch.shape[0]) + lam
+    budgets = np.asarray(p_budget, dtype=float)
     p_min = np.asarray(p_min, dtype=float)
     mu = np.asarray(mu, dtype=float)
     if np.count_nonzero(lam < 0.0):
         raise ValueError(f"ratio parameter must be >= 0, got {lam.min()}")
-    if not np.isfinite(p_budget) or p_budget <= 0.0:
+    if np.count_nonzero((budgets > 0.0) & (budgets < np.inf)) != budgets.size:
         raise ValueError(f"budget must be finite and positive, got {p_budget}")
     if np.count_nonzero((batch >= 0.0) & (batch < np.inf)) != batch.size:
         raise ValueError("radiated-power weights must be finite and non-negative")
@@ -95,10 +98,11 @@ def solve_inner(lam, weights, p_min, mu, sigma2: float, p_budget: float):
         raise ValueError("unbounded: zero-weight user with no ratio penalty")
 
     committed = (batch * p_min).sum(axis=1)
-    if np.count_nonzero(committed > p_budget * (1.0 + BUDGET_SLACK)):
-        raise InfeasibleError(
-            f"QoS floors need {committed.max():.6g} W radiated, budget is {p_budget:.6g} W"
-        )
+    over = committed > p_budget * (1.0 + BUDGET_SLACK)
+    if np.count_nonzero(over):
+        i = int(np.argmax(over))
+        raise InfeasibleError(f"QoS floors need {committed[i]:.6g} W radiated, budget is "
+                              f"{np.broadcast_to(budgets, over.shape)[i]:.6g} W")
     p = np.full(batch.shape, p_min)
     unsettled = committed < p_budget * (1.0 - 1e-12)
     a0 = LN2 * lam[:, None] * mu
@@ -121,51 +125,65 @@ def solve_inner(lam, weights, p_min, mu, sigma2: float, p_budget: float):
             # (S + sigma2 sum w)/target; at least one ulp, so rounding cannot stall a row
             step = excess * (excess + target) / (target * slope)
             np.copyto(nu, np.maximum(nu + step, np.nextafter(nu, np.inf)), where=unsettled)
-    raise NonConvergenceError("budget multiplier did not settle")
+    if weights.ndim == 1:
+        raise NonConvergenceError("budget multiplier did not settle")
+    p[unsettled] = np.nan
+    return p
 
 
-def dinkelbach_batch(weights, p_min, mu, sigma2: float, p_budget: float,
-                     power_offset: float, epsilon: float, start: float = 0.0):
+def dinkelbach_batch(weights, p_min, mu, sigma2: float, p_budget, power_offset,
+                     epsilon: float, start=0.0):
     """Ratio maximization for every row of a (B, K) weight batch at once.
 
-    Each row starts its ratio parameter at start and alternates the concave
-    inner solve with ratio updates until consecutive values differ by less
-    than epsilon, for at most _DINKELBACH_ITERATIONS updates; a settled row
-    is left alone while the others go on. A row whose first update gives a
-    ratio at most start also settles there: with F(lam) the inner solve's
-    maximum of rate minus lam times power, F(start) <= 0, so no allocation
-    of that row beats start (Dinkelbach 1967). At start = 0 that test adds
-    nothing to the epsilon test.
+    Each row has its own floors, budget, fixed draw and start where p_min
+    is (B, K) and p_budget, power_offset or start is (B,); a (K,) vector or
+    a scalar is shared by every row. Each row starts its ratio parameter at
+    its start and alternates the concave inner solve with ratio updates
+    until consecutive values differ by less than epsilon, for at most
+    _DINKELBACH_ITERATIONS updates; a settled row is left alone while the
+    others go on. A row whose first update gives a ratio at most its start
+    also settles there: with F(lam) the inner solve's maximum of rate minus
+    lam times power, F(start) <= 0, so no allocation of that row beats
+    start (Dinkelbach 1967). At start = 0 that test adds nothing to the
+    epsilon test. A row that does not settle within the cap ends at ratio
+    -inf with zero powers, an infeasible outcome of its own, while the other
+    rows finish; so does a row whose inner solve does not settle (nan
+    powers).
     Returns (lambdas, powers, iterations): lambdas of shape (I, B) holds
     the ratio after each of the I updates, frozen once a row settled, so
     lambdas[-1] is the result; powers (B, K) are the final inner maximizers;
     iterations (B,) counts each row's updates. The final ratio equals the
-    efficiency of the final powers by construction.
+    efficiency of the final powers by construction. Each row equals its
+    batch-of-one solve bit for bit.
     """
     weights = np.asarray(weights, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    lam = np.full(weights.shape[0], start, dtype=float)
+    n = weights.shape[0]
+    lam = np.zeros(n) + start
     powers = np.zeros(weights.shape)
-    iterations = np.zeros(weights.shape[0], dtype=int)
+    iterations = np.zeros(n, dtype=int)
     lambdas_seen = []
-    rows, live_weights = np.arange(weights.shape[0]), weights  # the rows still updating
+    rows = np.arange(n)  # the rows still updating, and their terms
+    live = [weights, p_min, p_budget, power_offset]
+    own = [j for j, rank in enumerate((2, 2, 1, 1)) if np.asarray(live[j]).ndim == rank]
     for i in range(_DINKELBACH_ITERATIONS):
         if rows.size == 0:
             break
-        p = solve_inner(lam[rows], live_weights, p_min, mu, sigma2, p_budget)
-        lam_next = _efficiency(p, mu, sigma2, power_offset)
-        settled = np.abs(lam_next - lam[rows]) < epsilon
+        w, floors, budget, offset = live
+        p = solve_inner(lam[rows], w, floors, mu, sigma2, budget)
+        lam_next, previous = _efficiency(p, mu, sigma2, offset), lam[rows]
+        settled = np.abs(lam_next - previous) < epsilon  # nan powers never settle
         if i == 0:
-            settled |= lam_next <= start
+            settled |= lam_next <= previous
         lam[rows] = lam_next
         lambdas_seen.append(lam.copy())
         if np.count_nonzero(settled):
             powers[rows[settled]], iterations[rows[settled]] = p[settled], i + 1
-            rows, live_weights = rows[~settled], live_weights[~settled]
+            rows = rows[~settled]
+            for j in own:  # the per-row terms leave with their rows; shared ones stay whole
+                live[j] = live[j][~settled]
     if rows.size:
-        raise NonConvergenceError(
-            f"ratio parameter did not settle within {_DINKELBACH_ITERATIONS} iterations"
-        )
+        lambdas_seen[-1][rows], iterations[rows] = -np.inf, _DINKELBACH_ITERATIONS
     return np.array(lambdas_seen), powers, iterations
 
 
@@ -205,11 +223,17 @@ def dinkelbach_allocation(weights, p_min, mu, sigma2: float, p_budget: float,
     """Ratio maximization for one weight vector: dinkelbach_batch on a batch of one.
 
     Returns (PowerAllocation, DinkelbachTrace); the final ratio equals the
-    efficiency of the returned allocation by construction.
+    efficiency of the returned allocation by construction. Raises
+    InfeasibleError when the floors exceed the budget, and
+    NonConvergenceError when the row ends at ratio -inf, unsettled.
     """
     lambdas, powers, iterations = dinkelbach_batch(
         np.asarray(weights, dtype=float)[None, :], p_min, mu, sigma2, p_budget,
         power_offset, epsilon,
     )
+    if lambdas[-1, 0] == -np.inf:
+        raise NonConvergenceError(
+            f"ratio parameter did not settle within {_DINKELBACH_ITERATIONS} iterations"
+        )
     trace = DinkelbachTrace(tuple(float(lam) for lam in lambdas[:, 0]), int(iterations[0]))
     return PowerAllocation(p=powers[0]), trace

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,9 +26,9 @@ from .phases import (
     PhaseOptimizationError,
     RelaxedSolveOptions,
     quantize_phases,
-    solve_phase_subproblem,
     solve_relaxed_cells,
 )
+from .phases import solve_phase_subproblem  # noqa: F401  not called here; perfbench's instrument() wraps it
 from .power import (
     InfeasibleError,
     dinkelbach_allocation,
@@ -139,42 +140,58 @@ def evaluate(channels: ChannelSet, config: SystemConfig, phases: PhaseConfig | N
     )
 
 
-def _beam_loads(channels: ChannelSet, phi: np.ndarray) -> np.ndarray:
+def _beam_loads(channels, phi: np.ndarray) -> np.ndarray:
     """Squared ZF beam norms (B, K) of the surface at responses phi (B, N): one stacked SVD.
 
-    Rows whose effective channel is rank deficient hold inf.
+    channels is one ChannelSet, or a list of them, one per row of phi. Rows
+    whose effective channel is rank deficient hold inf.
     """
-    return zf_svd(effective_channels(channels.h1, channels.h2, channels.h, phi))[3]
+    if isinstance(channels, ChannelSet):
+        return zf_svd(effective_channels(channels.h1, channels.h2, channels.h, phi))[3]
+    return zf_svd(effective_channels(*(np.stack([getattr(c, name) for c in channels])
+                                       for name in ("h1", "h2", "h")), phi))[3]
 
 
-def _fits(weights: np.ndarray, p: np.ndarray, p_budget: float) -> np.ndarray:
+def _fits(weights: np.ndarray, p: np.ndarray, p_budget) -> np.ndarray:
     """Rows of weights (B, K) that radiate powers p within the budget, up to BUDGET_SLACK."""
     with np.errstate(invalid="ignore"):  # inf beam norms: an inf or nan (inf * 0) load never fits
         return np.sum(weights * p, axis=1) <= p_budget * (1.0 + BUDGET_SLACK)
 
 
-def _score(config: SystemConfig, weights: np.ndarray, bound: tuple,
+def _cell_terms(config: SystemConfig) -> tuple:
+    """_score's terms of a surface point of config: (budget, QoS floors, fixed draw, EE°, p°)."""
+    return (config.p_budget, qos_min_powers(config), _power_offset(config),
+            *phase_free_bound(config))
+
+
+def _score(config: SystemConfig, weights: np.ndarray, terms: tuple,
            start: float = 0.0) -> tuple:
     """The power step of every surface point: (ee, powers, certified) of beam norms (B, K).
 
-    This is the one scoring rule. bound is the cell's phase_free_bound
-    (EE°, p°). A row that radiates p° within the budget (up to BUDGET_SLACK)
-    is certified and scores exactly (EE°, p°), with no Dinkelbach run. The
-    other rows run one dinkelbach_batch from ratio start, so each scores as
-    it would alone, and at start 0 as dinkelbach_allocation on its weights,
-    bit for bit. A row whose beam norms are inf (rank deficient), or whose
-    QoS floors need more than the budget, scores -inf with zero powers.
-    Returns ee (B,), powers (B, K) and the certified mask (B,).
+    This is the one scoring rule. terms are the budget, QoS floors, fixed
+    draw and phase_free_bound (EE°, p°) of one cell, as _cell_terms gives
+    them, which every row shares, or those of each row, stacked to shapes
+    (B,), (B, K), (B,), (B,) and (B, K). config supplies the amplifier
+    factors, the noise and epsilon, which every row shares. A row that
+    radiates its p° within its budget (up to BUDGET_SLACK) is certified and
+    scores exactly (EE°, p°), with no Dinkelbach run. The other rows run one
+    dinkelbach_batch from ratio start, so each scores as it would alone, and
+    at start 0 as dinkelbach_allocation on its weights, bit for bit. A row
+    whose beam norms are inf (rank deficient), whose QoS floors need more
+    than its budget, or whose Dinkelbach run does not settle scores -inf
+    with zero powers. Returns ee (B,), powers (B, K) and the certified mask
+    (B,).
     """
-    p_min = qos_min_powers(config)
-    certified = _fits(weights, bound[1], config.p_budget)
-    keep = _fits(weights, p_min, config.p_budget) & ~certified
-    ee = np.where(certified, bound[0], -np.inf)
-    powers = np.where(certified[:, None], bound[1], 0.0)
+    budget, p_min, offset, ee_bound, p_bound = terms
+    certified = _fits(weights, p_bound, budget)
+    keep = _fits(weights, p_min, budget) & ~certified
+    ee = np.where(certified, ee_bound, -np.inf)
+    powers = np.where(certified[:, None], p_bound, 0.0)
     if np.any(keep):
+        if np.asarray(budget).ndim:  # stacked per row: the kept rows' own terms
+            budget, p_min, offset = budget[keep], p_min[keep], offset[keep]
         lambdas, powers[keep], _ = dinkelbach_batch(
-            weights[keep], p_min, config.mu, config.sigma2, config.p_budget,
-            _power_offset(config), config.epsilon, start,
+            weights[keep], p_min, config.mu, config.sigma2, budget, offset, config.epsilon, start,
         )
         ee[keep] = lambdas[-1]
     return ee, powers, certified
@@ -193,10 +210,10 @@ def phase_free_bound(config: SystemConfig) -> tuple:
 
 
 def _grid_search(channels: ChannelSet, config: SystemConfig, start: PhaseConfig,
-                 bound: tuple) -> tuple:
+                 terms: tuple) -> tuple:
     """Best-improvement search over single-element moves on the b-bit grid, from start.
 
-    Every point is scored by _score with the cell's bound. A certified start
+    Every point is scored by _score with the cell's terms. A certified start
     ends the search "bound" after its one-row SVD, with no Dinkelbach run.
     Otherwise each sweep scores, in one stacked SVD, the N (2^b - 1) vectors
     that differ from the current point in one element: the first sweep with
@@ -230,11 +247,12 @@ def _grid_search(channels: ChannelSet, config: SystemConfig, start: PhaseConfig,
         return moved, _beam_loads(channels, responses[moved])
 
     loads = _beam_loads(channels, responses[digits][None, :])
-    if _fits(loads, bound[1], config.p_budget)[0]:
-        visit(digits, *bound)
+    budget, _, _, ee_bound, p_bound = terms
+    if _fits(loads, p_bound, budget)[0]:
+        visit(digits, ee_bound, p_bound)
         return iterates, "bound"
     moved, weights = sweep(digits)
-    ee, powers, certified = _score(config, np.vstack([loads, weights]), bound)
+    ee, powers, certified = _score(config, np.vstack([loads, weights]), terms)
     ratio = ee[0]
     if ratio > -np.inf:
         visit(digits, ratio, powers[0])
@@ -249,36 +267,69 @@ def _grid_search(channels: ChannelSet, config: SystemConfig, start: PhaseConfig,
         if certified[i]:
             return iterates, "bound"
         moved, weights = sweep(digits)
-        ee, powers, certified = _score(config, weights, bound, ratio)
+        ee, powers, certified = _score(config, weights, terms, ratio)
 
 
-def _alternate(channels: ChannelSet, config: SystemConfig, phases: PhaseConfig,
-               options: RelaxedSolveOptions | None, bound: tuple) -> tuple:
-    """The continuous alternating loop from the first phase step: (iterates, termination).
+def alternate_cells(cells, options: RelaxedSolveOptions | None = None) -> list:
+    """The continuous alternating loop of many cells (channels, config, first_step) in lockstep.
 
-    A later phase step starts from the previous phases only; each iterate is
-    scored by _score as a batch of one, from ratio 0, with the cell's bound.
-    It ends "bound" after the first certified iterate, and "infeasible" when
-    a phase step fails or an iterate scores -inf.
+    first_step is the cell's first phase step, from first_phase_steps (None
+    if it failed); the loop starts there. Each later round makes one
+    solve_relaxed_cells call with one start per live cell, warm at its
+    previous iterate's phases and powers, and each round scores the live
+    cells' phases in one _score call from ratio 0, every row with its own
+    cell's _cell_terms. Each cell keeps its own stop rule: it ends "bound"
+    after its first certified iterate, "converged" when an iterate's ratio
+    is not strictly above the one before it, "infeasible" when its first
+    step is None, a phase step fails or an iterate scores -inf, and
+    "iteration-cap" after DEFAULT_MAX_OUTER (50) iterates. No cell's figures
+    depend on the others, so each equals its batch-of-one loop bit for bit.
+    The cells must share K, M, N, mu, the noise and epsilon.
+
+    Returns per cell (AlternatingTrace, seconds): seconds is the cell's even
+    share of the wall time of every round it was live in.
     """
+    config = cells[0][1]  # the amplifier factors, noise and epsilon of every row
     refine = replace(options or RelaxedSolveOptions(), num_restarts=1)
-    iterates = []
+    terms = [np.array(term) for term in zip(*(_cell_terms(cfg) for _, cfg, _ in cells))]
+    phases = [step for _, _, step in cells]
+    iterates = [[] for _ in cells]
+    ends = ["infeasible"] * len(cells)  # each cell's termination, once it ends
+    seconds = [0.0] * len(cells)
+    live = [c for c, step in enumerate(phases) if step is not None]
     for i in range(DEFAULT_MAX_OUTER):
-        try:
-            if i:
-                phases = solve_phase_subproblem(channels, iterates[-1].powers, phases.theta,
-                                                config.p_budget, options=refine).phases
-        except PhaseOptimizationError:
-            return iterates, "infeasible"
-        ee, powers, certified = _score(config, _beam_loads(channels, phases.phi[None, :]), bound)
-        if ee[0] == -np.inf:
-            return iterates, "infeasible"
-        iterates.append(AlternatingIterate(phases, PowerAllocation(p=powers[0]), float(ee[0])))
-        if certified[0]:
-            return iterates, "bound"
-        if len(iterates) > 1 and iterates[-1].ee <= iterates[-2].ee:
-            return iterates, "converged"
-    return iterates, "iteration-cap"
+        if not live:
+            break
+        t0 = time.perf_counter()
+        if i:
+            steps = solve_relaxed_cells([(cells[c][0], iterates[c][-1].powers, phases[c].theta, 0)
+                                         for c in live], refine)
+            for c, step in zip(live, steps):
+                phases[c] = None if step is None else PhaseConfig(theta=step[0])
+        stepped = [c for c in live if phases[c] is not None]
+        going = []
+        if stepped:
+            weights = _beam_loads([cells[c][0] for c in stepped],
+                                  np.array([phases[c].phi for c in stepped]))
+            ee, powers, certified = _score(config, weights, [term[stepped] for term in terms])
+            for c, e, p, done in zip(stepped, ee, powers, certified):
+                if e == -np.inf:
+                    continue
+                iterates[c].append(AlternatingIterate(phases[c], PowerAllocation(p=p), float(e)))
+                if done:
+                    ends[c] = "bound"
+                elif len(iterates[c]) > 1 and iterates[c][-1].ee <= iterates[c][-2].ee:
+                    ends[c] = "converged"
+                else:
+                    going.append(c)
+        share = (time.perf_counter() - t0) / len(live)
+        for c in live:
+            seconds[c] += share
+        live = going
+    for c in live:
+        ends[c] = "iteration-cap"
+    return [(AlternatingTrace(tuple(its), end, cell[2]), wall)
+            for its, end, cell, wall in zip(iterates, ends, cells, seconds)]
 
 
 def first_phase_steps(cells, options: RelaxedSolveOptions | None = None) -> list:
@@ -313,16 +364,17 @@ def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0
     harness solves the first steps of many cells in one first_phase_steps
     batch and passes each cell's in this way.
 
-    Both branches score their points by _score with phase_free_bound,
-    computed once per solve, and end "bound" at a certified point.
+    Both branches score their points by _score with the cell's
+    _cell_terms, computed once per solve, and end "bound" at a certified
+    point.
     At a finite b the first step is quantized and _grid_search takes over,
     which departs from the paper's alternation: the report is the last point
     the search accepted, and outer_iterations counts the accepted points.
-    With continuous phases _alternate runs the paper's loop: phase steps
-    from one start, warm at the previous phases and powers, each followed by
-    a power step, until an iterate is certified ("bound"), an iterate's
-    ratio is not strictly above the previous one's ("converged") or for
-    DEFAULT_MAX_OUTER (50) iterates ("iteration-cap").
+    With continuous phases the paper's loop runs, alternate_cells on this
+    one cell: phase steps from one start, warm at the previous phases and
+    powers, each followed by a power step, until an iterate is certified
+    ("bound"), an iterate's ratio is not strictly above the previous one's
+    ("converged") or for DEFAULT_MAX_OUTER (50) iterates ("iteration-cap").
     The phase step optimizes a feasibility surrogate, so an iterate can lose
     efficiency; the best iterate (the earlier on a tie) is reported, and
     outer_iterations counts the iterates.
@@ -332,22 +384,29 @@ def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0
     point visited fits the QoS floors (finite b), or the first iterate
     scores -inf (continuous).
     """
-    tag = resolution_tag(config.b)
-    bound = phase_free_bound(config)
     if first_step is _SOLVE_HERE:
         (first_step,) = first_phase_steps([(channels, config, seed)], options)
-    if first_step is None:
-        iterates, termination = [], "infeasible"
-    elif config.b != CONTINUOUS:
-        iterates, termination = _grid_search(
-            channels, config, quantize_phases(first_step.theta, config.b), bound)
+    if config.b == CONTINUOUS:
+        ((trace, _),) = alternate_cells([(channels, config, first_step)], options)
     else:
-        iterates, termination = _alternate(channels, config, first_step, options, bound)
-    trace = AlternatingTrace(tuple(iterates), termination, first_step)
-    if not iterates:
-        return SolveReport.infeasible(tag), trace
-    best = max(iterates, key=lambda it: it.ee)
-    return evaluate(channels, config, best.phases, best.powers, len(iterates), tag), trace
+        iterates, termination = ([], "infeasible") if first_step is None else _grid_search(
+            channels, config, quantize_phases(first_step.theta, config.b), _cell_terms(config))
+        trace = AlternatingTrace(tuple(iterates), termination, first_step)
+    return trace_report(channels, config, trace), trace
+
+
+def trace_report(channels: ChannelSet, config: SystemConfig,
+                 trace: AlternatingTrace) -> SolveReport:
+    """alternating_ee_max's report of its trace: the best iterate (the earlier on a tie), evaluated.
+
+    outer_iterations counts the iterates; a trace with none gives the
+    infeasible report.
+    """
+    tag = resolution_tag(config.b)
+    if not trace.iterates:
+        return SolveReport.infeasible(tag)
+    best = max(trace.iterates, key=lambda it: it.ee)
+    return evaluate(channels, config, best.phases, best.powers, len(trace.iterates), tag)
 
 
 def exhaustive_search(channels: ChannelSet, config: SystemConfig) -> SolveReport:
@@ -357,21 +416,21 @@ def exhaustive_search(channels: ChannelSet, config: SystemConfig) -> SolveReport
     do not fit the budget are skipped. Candidate i sets element j to grid
     level (i // 2^(b*j)) mod 2^b. Candidates are scored _EXHAUSTIVE_CHUNK at
     a time, one stacked SVD for their beam norms and one _score call from
-    ratio 0, with phase_free_bound computed once per call. Deterministic:
+    ratio 0, with _cell_terms computed once per call. Deterministic:
     equal efficiencies resolve to the lowest enumeration index.
     outer_iterations reports the number of candidates enumerated. More than
     DEFAULT_ENUMERATION_CAP (2^20) candidates raise EnumerationCapError
     before any is scored.
     """
     total = enumeration_count(config.n, config.b)
-    bound = phase_free_bound(config)
+    terms = _cell_terms(config)
     responses = np.exp(1j * phase_grid(config.b))
     levels = 1 << config.b
     place = levels ** np.arange(config.n)
     best = (-np.inf, None, None)  # (ee, digits, powers)
     for first in range(0, total, _EXHAUSTIVE_CHUNK):
         digits = np.arange(first, min(first + _EXHAUSTIVE_CHUNK, total))[:, None] // place % levels
-        ee, powers, _ = _score(config, _beam_loads(channels, responses[digits]), bound)
+        ee, powers, _ = _score(config, _beam_loads(channels, responses[digits]), terms)
         i = int(np.argmax(ee))
         if ee[i] > best[0]:
             best = (ee[i], digits[i], powers[i])

@@ -320,6 +320,30 @@ def test_forked_child_forks_workers_of_its_own(fresh_workers):
     assert process.exitcode == 0
 
 
+def test_forked_child_exits_without_closing_its_workers(fresh_workers, monkeypatch, tmp_path):
+    # a multiprocessing child leaves through os._exit, after its exit hook joins the
+    # child's own processes; the kept workers are closed before that join
+    sc = tiny_scenario(workers=2)
+    serial = comparable(run_scenario(replace(sc, workers=1)))
+    pids = tmp_path / "pids"
+    record_relay_pids(monkeypatch, pids)
+
+    def child():
+        assert comparable(run_scenario(sc)) == serial  # forks two workers and keeps them
+
+    process = get_context("fork").Process(target=child)
+    process.start()
+    process.join(30)
+    hung = process.is_alive()
+    if hung:
+        process.kill()
+        process.join()
+    left = [pid for pid in taken_pids(pids) if is_alive(pid)]
+    for pid in left:  # a hung child leaves its workers waiting for work
+        os.kill(pid, signal.SIGKILL)
+    assert not hung and process.exitcode == 0 and not left
+
+
 def test_exiting_interpreter_leaves_no_worker_alive(tmp_path):
     path = tmp_path / "tiny.scn"
     path.write_text(SCENARIO_TEXT)
@@ -424,24 +448,32 @@ def test_failed_first_phase_step_gives_every_surface_row_the_infeasible_row(monk
         return [None] * len(cells)
 
     calls = counted_first_steps(monkeypatch, rank_deficient)
-    solves = []
-    alternating = harness.alternating_ee_max
+    solves, loops = [], []
+    alternating, alternate = harness.alternating_ee_max, harness.alternate_cells
 
     def recording(*args, **kwargs):
         solves.append(alternating(*args, **kwargs))
         return solves[-1]
 
+    def recording_loops(cells, options=None):
+        loops.append(alternate(cells, options))
+        return loops[-1]
+
     monkeypatch.setattr(harness, "alternating_ee_max", recording)
+    monkeypatch.setattr(harness, "alternate_cells", recording_loops)
     sc = tiny_scenario(methods=(*SURFACE_METHODS, "relay"), values=(-10.0,), trials=2)
     rows = run_scenario(sc)
     surface = [r for r in rows if r.method in SURFACE_METHODS]
     assert len(surface) == 6
     assert all(not r.feasible and (r.ee, r.sum_rate, r.iters) == (0.0, 0.0, 0) for r in surface)
     assert all(r.feasible for r in rows if r.method == "relay")
-    # the run's one batch failed both cells, and each surface row took that failure unsolved
+    # the run's one batch failed both cells, and each surface row took that failure unsolved:
+    # one alternating_ee_max solve per finite-b row, one lockstep loop for the continuous rows
     assert len(calls) == 1 and len(calls[0]) == 2
-    assert len(solves) == 6
+    assert len(solves) == 4
     assert all(trace == AlternatingTrace((), "infeasible", None) for _, trace in solves)
+    assert len(loops) == 1 and len(loops[0]) == 2
+    assert all(trace == AlternatingTrace((), "infeasible", None) for trace, _ in loops[0])
 
 
 def test_tasks_are_chunks_of_equal_n_cells():

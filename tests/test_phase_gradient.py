@@ -28,7 +28,7 @@ from lisopt import (
 from lisopt import phases
 from lisopt.model import effective_channels, zf_svd
 from lisopt.phases import solve_relaxed, spg_lockstep, stack_rows, trace_value_and_grad
-from lisopt.solver import _beam_loads, _score, phase_free_bound
+from lisopt.solver import _beam_loads, _cell_terms, _score
 from util import bound_rule_score, complex_gaussian, make_config, random_channels
 
 TWO_PI = 2.0 * np.pi
@@ -181,7 +181,7 @@ def test_rank_deficient_rows_raise_no_warnings_and_leave_healthy_rows_alone(name
         # the oracle skips the rank-deficient candidates and solves the others as alone
         config = make_config(k=2, m=2, n=2, b=1)
         scores = _score(config, _beam_loads(channels, np.exp(1j * thetas)),
-                        phase_free_bound(config))[0]
+                        _cell_terms(config))[0]
         assert np.array_equal(scores == -np.inf, bad)
         healthy = []
         for theta in thetas[:4]:

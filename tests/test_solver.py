@@ -250,23 +250,27 @@ def test_continuous_loop_draws_nothing_from_the_seed_after_the_first_step():
 
 def test_continuous_loop_steps_refine_the_previous_iterate(monkeypatch):
     steps = []
-    step = solver.solve_phase_subproblem
+    step = solver.solve_relaxed_cells
 
-    def spy(channels, powers, warm_start, p_budget, **kwargs):
-        steps.append((powers.p.copy(), np.array(warm_start), kwargs))
-        return step(channels, powers, warm_start, p_budget, **kwargs)
+    def spy(cells, options=None):
+        steps.append((cells, options))
+        return step(cells, options)
 
-    monkeypatch.setattr(solver, "solve_phase_subproblem", spy)
+    monkeypatch.setattr(solver, "solve_relaxed_cells", spy)
     options = RelaxedSolveOptions(max_iterations=60, num_restarts=3)
     for ch, cfg in paper_default_cells(3):
         steps.clear()
         _, trace = alternating_ee_max(ch, cfg, seed=5, options=options)
-        assert trace.termination == "converged" and len(steps) == len(trace.iterates) - 1 >= 1
-        for (p, warm, kwargs), previous in zip(steps, trace.iterates):
+        # the first call is the first phase step; one call per later step follows
+        assert steps[0][1] == options
+        assert trace.termination == "converged" and len(steps) == len(trace.iterates) >= 2
+        for (cells, refine), previous in zip(steps[1:], trace.iterates):
             # one start, warm at the previous iterate's phases and solved at its powers
-            assert kwargs == {"options": RelaxedSolveOptions(max_iterations=60, num_restarts=1)}
+            assert refine == RelaxedSolveOptions(max_iterations=60, num_restarts=1)
+            ((channels, powers, warm, _),) = cells
+            assert channels is ch
             assert np.array_equal(warm, previous.phases.theta)
-            assert np.array_equal(p, previous.powers.p)
+            assert np.array_equal(powers.p, previous.powers.p)
 
 
 def budget_sweep_cell(budget_dbm, trial, method):
@@ -356,8 +360,8 @@ def test_search_ends_at_a_certified_neighbour_that_only_ties_the_start():
     # only a neighbour radiates p° within the budget: no move, and "bound"
     ch, cfg, seed, options = budget_sweep_cell(-15.0, 3, "lis-1bit")
     start = alternating_ee_max(ch, cfg, seed=seed, options=options)[1].iterates[-1].phases
-    bound = solver.phase_free_bound(cfg)
-    assert solver._grid_search(ch, cfg, start, bound)[1] == "converged"
+    terms = solver._cell_terms(cfg)
+    assert solver._grid_search(ch, cfg, start, terms)[1] == "converged"
     ee, powers = bound_rule_score(ch, cfg, start)
     own = solver._beam_loads(ch, start.phi[None, :])[0]
     neighbours = np.array(list(grid_neighbours(start.theta, cfg.b)))
@@ -366,7 +370,7 @@ def test_search_ends_at_a_certified_neighbour_that_only_ties_the_start():
     assert others[j, k] < own[k] * (1.0 - 1e-6)
     p_bound = np.zeros(cfg.k)
     p_bound[k] = 2.0 * cfg.p_budget / (own[k] + others[j, k])
-    iterates, termination = solver._grid_search(ch, cfg, start, (ee, p_bound))
+    iterates, termination = solver._grid_search(ch, cfg, start, (*terms[:3], ee, p_bound))
     assert termination == "bound" and len(iterates) == 1
     assert iterates[0].phases == start and iterates[0].ee == ee
     assert np.array_equal(iterates[0].powers.p, powers)
@@ -375,18 +379,19 @@ def test_search_ends_at_a_certified_neighbour_that_only_ties_the_start():
 @pytest.mark.parametrize("case", sorted(BOUND_CASES))
 def test_power_steps_score_certified_rows_in_closed_form(case):
     cfg = BOUND_CASES[case][0]
-    bound = solver.phase_free_bound(cfg)
+    terms = solver._cell_terms(cfg)
+    bound = terms[3:]
     weights = bound_case_weights(case)
     weights[1] = np.inf  # a rank-deficient row
     certified = weights @ bound[1] <= cfg.p_budget * (1.0 + BUDGET_SLACK)
     assert 0 < np.count_nonzero(certified) < len(weights) - 1
-    ee, powers, mask = solver._score(cfg, weights, bound)
+    ee, powers, mask = solver._score(cfg, weights, terms)
     assert np.array_equal(mask, certified)
     assert np.all(ee[certified] == bound[0]) and np.all(powers[certified] == bound[1])
     assert ee[1] == -np.inf and not powers[1].any()
     offset = cfg.k * cfg.p_c + cfg.n * cfg.p_n_of_b[cfg.b]
     for i, w in enumerate(weights):
-        one_ee, one_powers, one_mask = solver._score(cfg, w[None, :], bound)
+        one_ee, one_powers, one_mask = solver._score(cfg, w[None, :], terms)
         assert one_ee[0] == ee[i] and np.array_equal(one_powers[0], powers[i])
         assert one_mask[0] == mask[i]
         if not certified[i] and i != 1:

@@ -12,11 +12,13 @@ solver must find a feasible point wherever the oracle does. The relay baseline a
 max-rate fill of both are checked against the budget, the floors, their
 efficiency and their power draw, and every surface report against the ZF
 SINR p_k / sigma2. A solve handed another resolution's first phase step
-equals the solve that makes its own, and a batch of first steps equals each
-cell's own step.
+equals the solve that makes its own, a batch of first steps equals each
+cell's own step, and the continuous loops of many cells run in lockstep
+equal each cell's own loop.
 """
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -124,7 +126,7 @@ def test_score_of_one_candidate_is_its_single_power_step(scale, single, data):
     cfg = replace(cfg, b=CONTINUOUS)
     phases = PhaseConfig(theta=np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, cfg.n))
     ee, powers, _ = solver._score(cfg, solver._beam_loads(channels, phases.phi[None, :]),
-                                  solver.phase_free_bound(cfg))
+                                  solver._cell_terms(cfg))
     want_ee, want_p = bound_rule_score(channels, cfg, phases)
     if want_p is None:
         assert ee[0] == -np.inf and not powers.any()
@@ -277,6 +279,84 @@ def test_batched_first_steps_equal_each_cells_own_step(scale, data):
     order = data.draw(st.permutations(range(len(cells))))
     assert solver.first_phase_steps([cells[i] for i in order], options) == [steps[i] for i in order]
     assert solver.first_phase_steps(cells[1:], options) == steps[1:]
+
+
+@st.composite
+def loop_cells(draw, scale):
+    """Two to four continuous cells (channels, config, first step) of one shape, each with its
+    own channels, budget and floors, K = N = 1 in about a third of the draws; one of them may
+    have a failed first step (None)."""
+    single = draw(st.sampled_from([True, False, False]))
+    k = 1 if single else draw(st.integers(1, 3))
+    m, n = draw(st.integers(k, 3)), 1 if single else draw(st.integers(k, 6))
+    seeds = st.integers(0, 2 ** 32 - 1)
+    cells = []
+    for _ in range(draw(st.integers(2, 4))):
+        cfg = SCALES[scale](k=k, m=m, n=n, b=CONTINUOUS, p_budget_dbm=draw(st.floats(-20.0, 10.0)),
+                            r_min=draw(st.just(0.0) | st.floats(0.0, 3.0)))
+        cells.append((sample_channels(cfg, draw(seeds)), cfg, draw(seeds)))
+    options = RelaxedSolveOptions(max_iterations=draw(st.integers(1, 60)),
+                                  num_restarts=draw(st.integers(1, 3)))
+    steps = solver.first_phase_steps(cells, options)
+    loop = [(channels, cfg, step) for (channels, cfg, _), step in zip(cells, steps)]
+    failed = draw(st.none() | st.integers(0, len(loop) - 1))
+    if failed is not None:
+        loop[failed] = (*loop[failed][:2], None)
+    return loop, options
+
+
+def assert_lockstep_loops_equal_each_cells_own(loop, options):
+    """alternate_cells on loop, in its order, reversed and on parts of it, gives each cell the
+    trace of alternating_ee_max on that cell alone, bit for bit; returns the traces."""
+    solved = solver.alternate_cells(loop, options)
+    batch = [trace for trace, _ in solved]
+    for (channels, cfg, step), (trace, seconds) in zip(loop, solved):
+        assert alternating_ee_max(channels, cfg, options=options, first_step=step)[1] == trace
+        assert_stall_trace(solver.trace_report(channels, cfg, trace), trace, channels, cfg)
+        assert (seconds > 0.0) == (step is not None)
+    assert [trace for trace, _ in solver.alternate_cells(loop[::-1], options)] == batch[::-1]
+    for part in (slice(1, None), slice(None, None, 2)):
+        assert [trace for trace, _ in solver.alternate_cells(loop[part], options)] == batch[part]
+    return batch
+
+
+@pytest.mark.parametrize("scale", sorted(SCALES))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_lockstep_loops_equal_each_cells_own_loop(scale, data):
+    loop, options = data.draw(loop_cells(scale))
+    cap = data.draw(st.sampled_from([solver.DEFAULT_MAX_OUTER, 1, 2, 3]))
+    with mock.patch.object(solver, "DEFAULT_MAX_OUTER", cap):
+        assert_lockstep_loops_equal_each_cells_own(loop, options)
+
+
+# Continuous desk cells (K = 2, M = 3, N = 4; budget dBm, r_min, seed) and their loop's
+# (termination, iterates) under a cap of 8 iterates: one certifies its first iterate, one
+# scores -inf there (the floors exceed the budget), two converge at different rounds and
+# one reaches the cap.
+LOCKSTEP_CELLS = {
+    (10.0, 0.0, 0): ("bound", 1),
+    (-20.0, 1.0, 0): ("infeasible", 0),
+    (-20.0, 0.0, 0): ("converged", 2),
+    (-10.0, 0.0, 3): ("converged", 7),
+    (0.0, 0.0, 5): ("iteration-cap", 8),
+}
+
+
+def test_lockstep_batch_mixes_every_ending(monkeypatch):
+    monkeypatch.setattr(solver, "DEFAULT_MAX_OUTER", 8)
+    options = RelaxedSolveOptions(max_iterations=60, num_restarts=2)
+    cells = []
+    for budget_dbm, r_min, seed in LOCKSTEP_CELLS:
+        cfg = make_config(k=2, m=3, n=4, b=CONTINUOUS, p_budget_dbm=budget_dbm, r_min=r_min)
+        cells.append((sample_channels(cfg, seed), cfg, seed))
+    steps = solver.first_phase_steps(cells, options)
+    loop = [(channels, cfg, step) for (channels, cfg, _), step in zip(cells, steps)]
+    loop.insert(2, (*loop[2][:2], None))  # a failed first step among them
+    endings = [*LOCKSTEP_CELLS.values()]
+    endings.insert(2, ("infeasible", 0))
+    batch = assert_lockstep_loops_equal_each_cells_own(loop, options)
+    assert [(trace.termination, len(trace.iterates)) for trace in batch] == endings
 
 
 # Draws whose QoS floors exceed the budget after the first phase step at one
