@@ -122,9 +122,11 @@ class Scenario:
         methods = tuple(self.methods)
         if not methods:
             raise ValueError("at least one method is required")
-        for method in methods:
+        for i, method in enumerate(methods):
             if method not in KNOWN_METHODS:
                 raise ValueError(f"unknown method {method!r}; known: {KNOWN_METHODS}")
+            if method in methods[:i]:
+                raise ValueError(f"method {method!r} is repeated; each method runs once per cell")
         self.methods = methods
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -172,7 +174,7 @@ def _method_config(cfg: SystemConfig, method: str) -> SystemConfig:
 def _dispatch(method: str, channels, cfg: SystemConfig, solver_seed: int,
               scenario: Scenario, first_step: PhaseConfig | None, loop) -> SolveReport:
     if method == _LOOP:
-        return trace_report(channels, cfg, loop)
+        return trace_report(cfg, loop)
     if method in _RESOLUTIONS:
         return alternating_ee_max(channels, cfg, seed=solver_seed, options=scenario.phase_options,
                                   first_step=first_step)[0]

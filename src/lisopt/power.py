@@ -50,9 +50,14 @@ def zf_power_weights(h_eff: np.ndarray) -> np.ndarray:
     return zf_factor(h_eff)[3]
 
 
-def _efficiency(p, mu, sigma2: float, power_offset: float):
-    """Sum rate over total power, log2(1 + p / sigma2) summed over the last axis of p."""
-    return np.log2(1.0 + p / sigma2).sum(axis=-1) / ((mu * p).sum(axis=-1) + power_offset)
+def rate_and_power(p, mu, sigma2: float, power_offset):
+    """ZF sum rate (each SINR is p_k / sigma2) and total power of powers p, over p's last axis."""
+    return np.log2(1.0 + p / sigma2).sum(axis=-1), (mu * p).sum(axis=-1) + power_offset
+
+
+def _efficiency(p, mu, sigma2: float, power_offset):
+    """Sum rate over total power, as rate_and_power gives them."""
+    return np.divide(*rate_and_power(p, mu, sigma2, power_offset))
 
 
 def solve_inner(lam, weights, p_min, mu, sigma2: float, p_budget):

@@ -18,10 +18,9 @@ from .model import (
     effective_channel,
     effective_channels,
     phase_grid,
-    sum_rate,
-    zf_precoder,
     zf_svd,
 )
+from .model import zf_precoder  # noqa: F401  not called here; perfbench's instrument() wraps it
 from .phases import (
     PhaseOptimizationError,
     RelaxedSolveOptions,
@@ -35,6 +34,7 @@ from .power import (
     dinkelbach_batch,
     efficiency_bound,
     qos_min_powers,
+    rate_and_power,
     solve_inner,
     zf_power_weights,
 )
@@ -89,21 +89,17 @@ def resolution_tag(b) -> str:
     return "lis-continuous" if b == CONTINUOUS else f"lis-{b}bit"
 
 
-def _power_offset(config: SystemConfig) -> float:
-    """Fixed draw of the surface: K link circuits plus N elements at resolution b."""
-    return config.k * config.p_c + config.n * config.p_n_of_b[config.b]
+def _power_offset(config: SystemConfig, relay: bool = False) -> float:
+    """Fixed draw: K link circuits plus N elements at resolution b, or plus the relay's power."""
+    return config.k * config.p_c + (config.relay.tx_power_w if relay
+                                    else config.n * config.p_n_of_b[config.b])
 
 
-def _link(channels: ChannelSet, config: SystemConfig, phases: PhaseConfig | None) -> tuple:
-    """Effective channel and fixed power draw: the surface at phases, or the relay if None.
-
-    The relay applies gain alpha to every element and swaps the surface's
-    per-element draw for its own transmit power.
-    """
+def _link(channels: ChannelSet, config: SystemConfig, phases: PhaseConfig | None) -> np.ndarray:
+    """Effective channel of the surface at phases, or of the relay (gain alpha) if None."""
     if phases is None:
-        return (config.relay.alpha * (channels.h2 @ channels.h1) + channels.h,
-                config.k * config.p_c + config.relay.tx_power_w)
-    return effective_channel(channels, phases), _power_offset(config)
+        return config.relay.alpha * (channels.h2 @ channels.h1) + channels.h
+    return effective_channel(channels, phases)
 
 
 def enumeration_count(n: int, b) -> int:
@@ -122,22 +118,19 @@ def enumeration_count(n: int, b) -> int:
     return total
 
 
-def evaluate(channels: ChannelSet, config: SystemConfig, phases: PhaseConfig | None,
-             powers: PowerAllocation, iterations: int, tag: str) -> SolveReport:
+def evaluate(config: SystemConfig, phases: PhaseConfig | None, powers: PowerAllocation,
+             iterations: int, tag: str) -> SolveReport:
     """Feasible report of an operating point: powers on the surface at phases, or on the relay.
 
-    phases=None selects the relay. The rate is the ZF sum rate of the
-    effective channel; the total power is the amplifier draw mu . p plus the
-    fixed draw. Raises SingularMatrixError when the effective channel is rank
-    deficient.
+    phases=None selects the relay. The rate and total power are
+    power.rate_and_power's closed-form ZF rate and mu . p plus the fixed
+    draw, the terms the power step divides, so ee is bit for bit the ratio
+    _score (or the relay's Dinkelbach) gave the point, which must be feasible.
     """
-    h_eff, offset = _link(channels, config, phases)
-    rate = sum_rate(h_eff, zf_precoder(h_eff), powers, config.sigma2)
-    ptot = float(np.dot(config.mu, powers.p)) + offset
-    return SolveReport(
-        ee=rate / ptot, sum_rate=rate, total_power=ptot, phases=phases,
-        powers=powers, outer_iterations=iterations, feasible=True, method_tag=tag,
-    )
+    rate, ptot = map(float, rate_and_power(powers.p, config.mu, config.sigma2,
+                                           _power_offset(config, relay=phases is None)))
+    return SolveReport(ee=rate / ptot, sum_rate=rate, total_power=ptot, phases=phases,
+                       powers=powers, outer_iterations=iterations, feasible=True, method_tag=tag)
 
 
 def _beam_loads(channels, phi: np.ndarray) -> np.ndarray:
@@ -392,11 +385,10 @@ def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0
         iterates, termination = ([], "infeasible") if first_step is None else _grid_search(
             channels, config, quantize_phases(first_step.theta, config.b), _cell_terms(config))
         trace = AlternatingTrace(tuple(iterates), termination, first_step)
-    return trace_report(channels, config, trace), trace
+    return trace_report(config, trace), trace
 
 
-def trace_report(channels: ChannelSet, config: SystemConfig,
-                 trace: AlternatingTrace) -> SolveReport:
+def trace_report(config: SystemConfig, trace: AlternatingTrace) -> SolveReport:
     """alternating_ee_max's report of its trace: the best iterate (the earlier on a tie), evaluated.
 
     outer_iterations counts the iterates; a trace with none gives the
@@ -406,7 +398,7 @@ def trace_report(channels: ChannelSet, config: SystemConfig,
     if not trace.iterates:
         return SolveReport.infeasible(tag)
     best = max(trace.iterates, key=lambda it: it.ee)
-    return evaluate(channels, config, best.phases, best.powers, len(trace.iterates), tag)
+    return evaluate(config, best.phases, best.powers, len(trace.iterates), tag)
 
 
 def exhaustive_search(channels: ChannelSet, config: SystemConfig) -> SolveReport:
@@ -437,7 +429,7 @@ def exhaustive_search(channels: ChannelSet, config: SystemConfig) -> SolveReport
     if best[1] is None:
         return SolveReport.infeasible("exhaustive", total)
     phases = PhaseConfig(theta=phase_grid(config.b)[best[1]], resolution=config.b)
-    return evaluate(channels, config, phases, PowerAllocation(p=best[2]), total, "exhaustive")
+    return evaluate(config, phases, PowerAllocation(p=best[2]), total, "exhaustive")
 
 
 def relay_baseline(channels: ChannelSet, config: SystemConfig) -> SolveReport:
@@ -449,14 +441,13 @@ def relay_baseline(channels: ChannelSet, config: SystemConfig) -> SolveReport:
     swaps the per-element surface draw for the relay's dedicated transmit
     power.
     """
-    h_relay, offset = _link(channels, config, None)
     try:
         alloc, dtrace = dinkelbach_allocation(
-            zf_power_weights(h_relay), qos_min_powers(config), config.mu, config.sigma2,
-            config.p_budget, offset, config.epsilon)
+            zf_power_weights(_link(channels, config, None)), qos_min_powers(config), config.mu,
+            config.sigma2, config.p_budget, _power_offset(config, relay=True), config.epsilon)
     except (SingularMatrixError, InfeasibleError):
         return SolveReport.infeasible("relay")
-    return evaluate(channels, config, None, alloc, dtrace.iterations, "relay")
+    return evaluate(config, None, alloc, dtrace.iterations, "relay")
 
 
 def max_rate_power_fill(channels: ChannelSet, report: SolveReport,
@@ -470,8 +461,7 @@ def max_rate_power_fill(channels: ChannelSet, report: SolveReport,
     """
     if not report.feasible:
         raise ValueError(f"cannot re-fill an infeasible {report.method_tag} report")
-    weights = zf_power_weights(_link(channels, config, report.phases)[0])
+    weights = zf_power_weights(_link(channels, config, report.phases))
     alloc = solve_inner(0.0, weights, qos_min_powers(config), config.mu,
                         config.sigma2, config.p_budget)
-    return evaluate(channels, config, report.phases, alloc, report.outer_iterations,
-                    report.method_tag)
+    return evaluate(config, report.phases, alloc, report.outer_iterations, report.method_tag)

@@ -92,6 +92,8 @@ def test_scenario_validation():
         tiny_scenario(master_seed=-1)
     with pytest.raises(ValueError):
         tiny_scenario(methods=("lis-3bit",))
+    with pytest.raises(ValueError, match="method 'relay' is repeated"):
+        tiny_scenario(methods=("relay", "lis-1bit", "relay"))
     with pytest.raises(ValueError):
         tiny_scenario(axis="frequency")
     with pytest.raises(ValueError):
@@ -979,6 +981,8 @@ def test_cli_rejects_non_finite_element_counts(argv, tmp_path, capsys):
     (["sweep", "--axis", "snr", "--values", "5000"], None, "a dB or dBm value is too large"),
     (["run"], SCENARIO_TEXT + "p_budget_dbm = 5000\n", "a dB or dBm value is too large"),
     (["sweep", "--axis", "p", "--values", "0", "--seed", "-1"], None, "master_seed must be >= 0"),
+    (["sweep", "--axis", "p", "--values", "-10", "--methods", "relay,relay", "--set", "trials=2"],
+     None, "method 'relay' is repeated"),
     (["oracle-check", "--seed", "-3"], None, "master_seed must be >= 0"),
     (["run"], SCENARIO_TEXT.replace("master_seed = 11", "master_seed = -5"),
      "master_seed must be >= 0"),
@@ -998,8 +1002,8 @@ def test_cli_rejects_non_finite_element_counts(argv, tmp_path, capsys):
         ("mu=inf", "amplifier inefficiency mu must be finite and >= 1"),
     ]),
 ], ids=["sweep-p-inf", "sweep-p-nan", "sweep-p-overflow", "sweep-snr-overflow",
-        "file-budget-overflow", "sweep-seed", "oracle-check-seed", "file-seed",
-        "sweep-ref-loss-overflow", "bs-3d", "lis-nan", "bs-on-surface", "user-box-inf",
+        "file-budget-overflow", "sweep-seed", "sweep-repeated-method", "oracle-check-seed",
+        "file-seed", "sweep-ref-loss-overflow", "bs-3d", "lis-nan", "bs-on-surface", "user-box-inf",
         "user-box-3", "exponent-nan", "d0-nan", "relay-alpha-nan", "relay-tx-nan", "mu-inf"])
 def test_cli_rejects_bad_budgets_and_seeds(argv, text, message, tmp_path, capsys):
     out = tmp_path / "results"
@@ -1007,7 +1011,7 @@ def test_cli_rejects_bad_budgets_and_seeds(argv, text, message, tmp_path, capsys
         path = tmp_path / "bad.scn"
         path.write_text(text)
         argv = [*argv, str(path)]
-    elif argv[0] == "sweep":
+    elif argv[0] == "sweep" and "--methods" not in argv:
         argv = [*argv, "--methods", "relay"]
     if argv[0] != "oracle-check":
         argv = [*argv, "--out", str(out)]

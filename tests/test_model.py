@@ -293,23 +293,21 @@ def test_transmit_power_matches_trace_form():
         assert transmit_power_used(powers, g) == pytest.approx(trace_form, rel=1e-12)
 
 
-def evaluate_surface(ch, cfg, phases, powers):
-    return evaluate(ch, cfg, phases, powers, 0, "lis-1bit")
+def evaluate_surface(cfg, phases, powers):
+    return evaluate(cfg, phases, powers, 0, "lis-1bit")
 
 
 def test_consumed_power_arithmetic():
     # 2 users at 1 W with mu 1.1, 0.5 W circuit each, a relay that draws nothing
     cfg = make_config(k=2, m=2, n=2, mu=1.1, p_c=0.5, relay=RelayParams(alpha=0.3, tx_power_w=0.0))
-    ch = sample_channels(cfg, seed=2)
-    report = evaluate(ch, cfg, None, PowerAllocation(p=np.ones(2)), 0, "relay")
+    report = evaluate(cfg, None, PowerAllocation(p=np.ones(2)), 0, "relay")
     assert report.total_power == pytest.approx(3.2, rel=1e-15)
 
 
 def test_total_power_offsets_only():
     cfg = make_config(k=1, m=1, n=1)
-    ch = sample_channels(cfg, seed=1)
     phases = continuous_phases(np.zeros(1))
-    report = evaluate_surface(ch, cfg, phases, PowerAllocation(p=np.zeros(1)))
+    report = evaluate_surface(cfg, phases, PowerAllocation(p=np.zeros(1)))
     assert report.total_power == pytest.approx(cfg.p_c + cfg.p_n_of_b[1], rel=1e-15)
 
 
@@ -317,19 +315,17 @@ def test_total_power_missing_resolution_entry():
     with pytest.raises(ValueError, match="p_n_of_b has no entry"):
         make_config(p_n_of_b={2: 1.0})
     cfg = make_config()
-    ch = sample_channels(cfg, seed=1)
     cfg.p_n_of_b = {2: 1.0}  # bypass construction-time validation
     with pytest.raises(KeyError):
-        evaluate_surface(ch, cfg, continuous_phases(np.zeros(4)), PowerAllocation(p=np.zeros(2)))
+        evaluate_surface(cfg, continuous_phases(np.zeros(4)), PowerAllocation(p=np.zeros(2)))
 
 
 # ---------------------------------------------------------------- efficiency
 
 def test_energy_efficiency_zero_powers():
     cfg = make_config(k=2, m=2, n=4)
-    ch = sample_channels(cfg, seed=3)
     phases = continuous_phases(np.zeros(4))
-    assert evaluate_surface(ch, cfg, phases, PowerAllocation(p=np.zeros(2))).ee == 0.0
+    assert evaluate_surface(cfg, phases, PowerAllocation(p=np.zeros(2))).ee == 0.0
 
 
 def test_energy_efficiency_is_rate_over_power():
@@ -341,7 +337,7 @@ def test_energy_efficiency_is_rate_over_power():
     h_eff = effective_channel(ch, phases)
     rate = sum_rate(h_eff, zf_precoder(h_eff), powers, cfg.sigma2)
     consumed = float(np.dot(cfg.mu, powers.p)) + cfg.k * cfg.p_c + cfg.n * cfg.p_n_of_b[1]
-    report = evaluate_surface(ch, cfg, phases, powers)
+    report = evaluate_surface(cfg, phases, powers)
     assert report.sum_rate == pytest.approx(rate, rel=1e-12)
     assert report.total_power == pytest.approx(consumed, rel=1e-12)
     assert report.ee == pytest.approx(rate / consumed, rel=1e-12)
@@ -355,19 +351,17 @@ def test_energy_efficiency_single_user_toy_ratio():
     cfg = make_config(k=1, m=2, n=1, b=1, sigma2=sigma2, mu=1.0,
                       p_c=2.0 - sigma2 - p_n,
                       p_n_of_b={1: p_n, 2: p_n, CONTINUOUS: p_n})
-    ch = sample_channels(cfg, seed=6)
     phases = continuous_phases(np.zeros(1))
     powers = PowerAllocation(p=np.array([sigma2]))  # unit post-ZF SNR
-    assert evaluate_surface(ch, cfg, phases, powers).ee == pytest.approx(0.5, rel=1e-9)
+    assert evaluate_surface(cfg, phases, powers).ee == pytest.approx(0.5, rel=1e-9)
 
 
 def test_energy_efficiency_circuit_power_scaling():
     cfg = make_config(k=2, m=3, n=4)
-    ch = sample_channels(cfg, seed=5)
     phases = continuous_phases(np.zeros(4))
     powers = PowerAllocation(p=np.array([1e-3, 2e-3]))
-    base = evaluate_surface(ch, cfg, phases, powers)
-    doubled = evaluate_surface(ch, make_config(k=2, m=3, n=4, p_c=2 * cfg.p_c), phases, powers)
+    base = evaluate_surface(cfg, phases, powers)
+    doubled = evaluate_surface(make_config(k=2, m=3, n=4, p_c=2 * cfg.p_c), phases, powers)
     # same rate; consumption differs by exactly k * p_c
     assert doubled.sum_rate == base.sum_rate
     assert doubled.total_power - base.total_power == pytest.approx(cfg.k * cfg.p_c, rel=1e-12)

@@ -188,8 +188,7 @@ def test_rank_deficient_rows_raise_no_warnings_and_leave_healthy_rows_alone(name
             candidate = PhaseConfig(theta=theta, resolution=1)
             ee, p = bound_rule_score(channels, config, candidate)
             if ee > -np.inf:
-                healthy.append(evaluate(channels, config, candidate, PowerAllocation(p=p), 4,
-                                        "exhaustive"))
+                healthy.append(evaluate(config, candidate, PowerAllocation(p=p), 4, "exhaustive"))
         assert 0 < len(healthy) < 4
         assert exhaustive_search(channels, config) == max(healthy, key=lambda r: r.ee)
 

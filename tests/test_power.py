@@ -339,7 +339,7 @@ def test_dinkelbach_ratio_matches_evaluated_ee():
         zf_power_weights(effective_channel(ch, phases)), qos_min_powers(cfg), cfg.mu,
         cfg.sigma2, cfg.p_budget, offset, cfg.epsilon,
     )
-    report = evaluate(ch, cfg, phases, alloc, trace.iterations, "lis-continuous")
+    report = evaluate(cfg, phases, alloc, trace.iterations, "lis-continuous")
     assert report.total_power == pytest.approx(float(np.dot(cfg.mu, alloc.p)) + offset, rel=1e-15)
     assert report.ee == pytest.approx(trace.lambdas[-1], rel=1e-9)
 

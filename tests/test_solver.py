@@ -585,7 +585,7 @@ def test_relay_report_recomposition():
 # ---------------------------------------------------------------- rate fill
 
 def rate_filled(ch, phases, cfg):
-    report = evaluate(ch, cfg, phases, PowerAllocation(p=np.zeros(cfg.k)), 0, "lis-1bit")
+    report = evaluate(cfg, phases, PowerAllocation(p=np.zeros(cfg.k)), 0, "lis-1bit")
     return max_rate_power_fill(ch, report, cfg).powers
 
 

@@ -8,15 +8,18 @@ efficiency, the exhaustive oracle and the discrete search's stopping rule,
 the continuous solve of each draw against the alternating loop's, no
 report at any resolution, the oracle's included, exceeds the phase-free
 bound EE°(b), and the
-solver must find a feasible point wherever the oracle does. The relay baseline and the
+solver must find a feasible point wherever the oracle does. Every feasible
+report's efficiency is, bit for bit, its trace's best score, and the
+oracle's the best score among its candidates. The relay baseline and the
 max-rate fill of both are checked against the budget, the floors, their
-efficiency and their power draw, and every surface report against the ZF
-SINR p_k / sigma2. A solve handed another resolution's first phase step
-equals the solve that makes its own, a batch of first steps equals each
-cell's own step, and the continuous loops of many cells run in lockstep
+efficiency, their power draw and the literal precoder rate, and every
+surface report against the ZF SINR p_k / sigma2. A solve handed another
+resolution's first phase step equals the solve that makes its own, a batch
+of first steps equals each cell's own step, and the continuous loops of many cells run in lockstep
 equal each cell's own loop.
 """
 
+import itertools
 from dataclasses import replace
 from unittest import mock
 
@@ -38,11 +41,13 @@ from lisopt import (
     effective_channel,
     exhaustive_search,
     max_rate_power_fill,
+    phase_grid,
     qos_min_powers,
     relay_baseline,
     sample_channels,
     sinr,
     solve_relaxed,
+    sum_rate,
     trace_objective,
     zf_power_weights,
     zf_precoder,
@@ -115,6 +120,27 @@ def test_no_report_exceeds_the_phase_free_bound(scale, data):
             reports.append(exhaustive_search(channels, cell))
         for report in reports:
             assert report.ee <= ceiling, (report.method_tag, report.ee / ceiling)
+
+
+@pytest.mark.parametrize("scale", sorted(SCALES))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_every_report_holds_its_best_score(scale, data):
+    cfg, channels, seed = data.draw(instances(scale, single=data.draw(st.booleans())))
+    for b in (1, 2, CONTINUOUS):
+        cell = replace(cfg, b=b)
+        report, trace = alternating_ee_max(channels, cell, seed=seed)
+        if report.feasible:
+            assert report.ee == max(it.ee for it in trace.iterates)
+        if b == CONTINUOUS:
+            continue
+        oracle = exhaustive_search(channels, cell)
+        digits = np.array([*itertools.product(range(1 << b), repeat=cfg.n)])
+        weights = solver._beam_loads(channels, np.exp(1j * phase_grid(b))[digits])
+        scores = solver._score(cell, weights, solver._cell_terms(cell))[0]
+        assert oracle.feasible == (scores.max() > -np.inf)
+        if oracle.feasible:
+            assert oracle.ee == scores.max()
 
 
 @pytest.mark.parametrize("single", [False, True], ids=["drawn", "K=N=1"])
@@ -203,6 +229,9 @@ def test_relay_and_rate_fill_properties(scale, data):
         assert report.ee == pytest.approx(report.sum_rate / report.total_power, rel=1e-12)
         assert report.total_power == pytest.approx(
             float(np.dot(cfg.mu, p)) + cfg.k * cfg.p_c + fixed, rel=1e-12)
+        # the reported rate is the closed-form ZF rate; the literal precoder evaluation agrees
+        assert sum_rate(h_eff, zf_precoder(h_eff), report.powers, cfg.sigma2) \
+            == pytest.approx(report.sum_rate, rel=1e-12), report.method_tag
         if report.phases is not None:
             g = zf_precoder(h_eff)
             for k in range(cfg.k):
@@ -312,7 +341,7 @@ def assert_lockstep_loops_equal_each_cells_own(loop, options):
     batch = [trace for trace, _ in solved]
     for (channels, cfg, step), (trace, seconds) in zip(loop, solved):
         assert alternating_ee_max(channels, cfg, options=options, first_step=step)[1] == trace
-        assert_stall_trace(solver.trace_report(channels, cfg, trace), trace, channels, cfg)
+        assert_stall_trace(solver.trace_report(cfg, trace), trace, channels, cfg)
         assert (seconds > 0.0) == (step is not None)
     assert [trace for trace, _ in solver.alternate_cells(loop[::-1], options)] == batch[::-1]
     for part in (slice(1, None), slice(None, None, 2)):
