@@ -42,7 +42,6 @@ from .phases import (
     PhaseOptimizationError,
     RelaxedSolveOptions,
     quantize_phases,
-    solve_phase_subproblem,
     solve_relaxed,
     trace_objective,
     trace_values,
@@ -103,7 +102,6 @@ __all__ = [
     "scenario_from_pairs",
     "sinr",
     "solve_inner",
-    "solve_phase_subproblem",
     "solve_relaxed",
     "sum_rate",
     "trace_objective",

@@ -29,12 +29,11 @@ from .config import (
 )
 from .model import PhaseConfig, SingularMatrixError, SolveReport
 from .model import zf_precoder  # noqa: F401  not called here; perfbench's instrument() wraps it
-from .phases import PhaseOptimizationError, RelaxedSolveOptions
+from .phases import RelaxedSolveOptions
 from .power import InfeasibleError, NonConvergenceError
 from .solver import (
     DEFAULT_ENUMERATION_CAP,
     DEFAULT_MAX_OUTER,
-    EnumerationCapError,
     alternate_cells,
     alternating_ee_max,
     enumeration_count,
@@ -52,8 +51,9 @@ KNOWN_METHODS = (*_RESOLUTIONS, "exhaustive", "relay")
 _LOOP = resolution_tag(CONTINUOUS)  # the method whose cells run alternate_cells in lockstep
 SWEEP_AXES = ("p_budget_dbm", "n", "snr_db")
 
-_METHOD_ERRORS = (InfeasibleError, NonConvergenceError, SingularMatrixError,
-                  EnumerationCapError, PhaseOptimizationError)
+# The errors a row can raise. A failed batched first step is None, not a
+# PhaseOptimizationError, and Scenario rejects every n over the enumeration cap.
+_METHOD_ERRORS = (InfeasibleError, NonConvergenceError, SingularMatrixError)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Surface phase design for fixed powers: relaxed solve, discretization, feasibility."""
+"""Surface phase design for fixed powers: relaxed solve, discretization."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import numpy as np
 
 from .channels import ChannelSet
 from .model import (
-    BUDGET_SLACK,
     TWO_PI,
     PhaseConfig,
     PowerAllocation,
@@ -54,15 +53,6 @@ class RelaxedSolveOptions:
             raise ValueError("max_iterations must be positive")
         if self.num_restarts < 1:
             raise ValueError("num_restarts must be >= 1")
-
-
-@dataclass(frozen=True)
-class PhaseSolveOutcome:
-    """Relaxed (continuous) phases, the radiated power they need at given powers, the budget test."""
-
-    phases: PhaseConfig
-    objective: float
-    feasible: bool
 
 
 def stack_rows(pairs, repeats: int) -> tuple:
@@ -304,17 +294,3 @@ def quantize_phases(theta: np.ndarray, b: int) -> PhaseConfig:
         raise ValueError("angles must lie in [0, 2*pi]")
     m = np.floor(theta / grid[1] + 0.5).astype(int) % grid.size
     return PhaseConfig(theta=grid[m], resolution=int(b))
-
-
-def solve_phase_subproblem(channels: ChannelSet, powers: PowerAllocation,
-                           warm_start: np.ndarray, p_budget: float,
-                           options: RelaxedSolveOptions | None = None,
-                           seed: int = 0) -> PhaseSolveOutcome:
-    """Relaxed phase solve of one cell and the budget test of its objective."""
-    theta, objective = solve_relaxed(channels, powers, warm_start=warm_start,
-                                     options=options, seed=seed)
-    return PhaseSolveOutcome(
-        phases=PhaseConfig(theta=theta),
-        objective=objective,
-        feasible=objective <= p_budget * (1.0 + BUDGET_SLACK),
-    )

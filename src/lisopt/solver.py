@@ -21,13 +21,9 @@ from .model import (
     zf_svd,
 )
 from .model import zf_precoder  # noqa: F401  not called here; perfbench's instrument() wraps it
-from .phases import (
-    PhaseOptimizationError,
-    RelaxedSolveOptions,
-    quantize_phases,
-    solve_relaxed_cells,
-)
-from .phases import solve_phase_subproblem  # noqa: F401  not called here; perfbench's instrument() wraps it
+from .phases import RelaxedSolveOptions, quantize_phases, solve_relaxed_cells
+# perfbench's instrument() wraps this name and nothing calls it; ROADMAP item 11 drops it
+from .phases import solve_relaxed as solve_phase_subproblem  # noqa: F401
 from .power import (
     InfeasibleError,
     dinkelbach_allocation,

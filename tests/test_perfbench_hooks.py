@@ -3,10 +3,12 @@
 perfbench/workload.py patches lisopt functions by module and name, with
 ``tracer.wrap(<module>, "<attr>")`` and ``capture_reports(<module>, "<attr>", ...)``.
 A renamed or dropped function would only show when the benchmark runs, so
-the call sites are read from the source here and each name is looked up.
+the call sites are read from the source here and each name is looked up. A
+hook the program never calls reads 0 and must be listed in UNCALLED_HOOKS.
 """
 
 import ast
+import functools
 import importlib
 from pathlib import Path
 
@@ -37,6 +39,7 @@ def test_hook_sites_are_found():
     assert {module for module, _ in sites} == {"harness", "phases", "power", "solver"}
     assert ("solver", "zf_power_weights") in sites
     assert ("harness", "alternating_ee_max") in sites
+    assert UNCALLED_HOOKS <= set(sites)
 
 
 @pytest.mark.parametrize("module,attr", hook_sites())
@@ -45,21 +48,73 @@ def test_hooked_attribute_is_bound(module, attr):
         f"perfbench/workload.py wraps lisopt.{module}.{attr}, which is not bound"
 
 
-# Hooks on names a module imports only so that perfbench can wrap them; they read 0.
-UNCALLED_HOOKS = {("harness", "zf_precoder"), ("power", "zf_precoder"),
-                  ("solver", "solve_phase_subproblem"), ("solver", "zf_precoder")}
+# The hooks that read 0: no function the program reaches calls them in the hooked module.
+UNCALLED_HOOKS = {("harness", "zf_precoder"), ("power", "zf_precoder"), ("solver", "zf_precoder"),
+                  ("solver", "solve_phase_subproblem"), ("phases", "solve_relaxed"),
+                  ("phases", "trace_values")}
+
+SOURCE = Path(importlib.import_module("lisopt").__file__).parent
 
 
-def called_names(module):
-    """Names called bare (f(...)) anywhere in src/lisopt/<module>.py."""
-    source = Path(importlib.import_module(f"lisopt.{module}").__file__).read_text()
-    return {node.func.id for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+@functools.cache
+def parsed(module):
+    return ast.parse((SOURCE / f"{module}.py").read_text())
+
+
+@functools.cache
+def definitions(module):
+    """The functions and classes defined at the top level of src/lisopt/<module>.py, by name."""
+    return {node.name: node for node in parsed(module).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+@functools.cache
+def imported(module):
+    """Each name src/lisopt/<module>.py binds by `from .x import y [as z]`: its (x, y)."""
+    return {alias.asname or alias.name: (node.module, alias.name)
+            for node in ast.walk(parsed(module))
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+            for alias in node.names}
+
+
+def resolve(module, name):
+    """(module, definition name) a bare name of module stands for, or None."""
+    while name not in definitions(module):
+        if name not in imported(module):
+            return None
+        module, name = imported(module)[name]
+    return module, name
+
+
+@functools.cache
+def reached_calls():
+    """(module, name) of every bare-name call f(...) in code the program reaches.
+
+    The walk starts at cli.main, harness.run_scenario and every module-level
+    statement other than a definition or an import, and follows each bare
+    name to the function or class it resolves to. A reached class counts
+    with all its methods.
+    """
+    todo = [(module, node) for module in (path.stem for path in SOURCE.glob("*.py"))
+            for node in parsed(module).body
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom))]
+    todo += [("cli", definitions("cli")["main"]), ("harness", definitions("harness")["run_scenario"])]
+    seen, calls = set(), set()
+    while todo:
+        module, body = todo.pop()
+        for node in ast.walk(body):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                calls.add((module, node.func.id))
+            target = resolve(module, node.id) if isinstance(node, ast.Name) else None
+            if target is not None and target not in seen:
+                seen.add(target)
+                todo.append((target[0], definitions(target[0])[target[1]]))
+    return calls
 
 
 @pytest.mark.parametrize("module,attr", hook_sites())
 def test_hooked_attribute_is_called_in_its_module(module, attr):
-    # a wrap of a name its module never calls silently reads 0 calls
-    called = attr in called_names(module)
+    # a wrap of a name no reached code of its module calls silently reads 0 calls
+    called = (module, attr) in reached_calls()
     assert called != ((module, attr) in UNCALLED_HOOKS), \
         f"lisopt.{module} {'calls' if called else 'never calls'} {attr}, which perfbench wraps"

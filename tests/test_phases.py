@@ -12,7 +12,6 @@ from lisopt import (
     RelaxedSolveOptions,
     effective_channel,
     quantize_phases,
-    solve_phase_subproblem,
     solve_relaxed,
     trace_objective,
     trace_values,
@@ -297,44 +296,18 @@ def test_quantize_rejects_bad_resolution():
         quantize_phases(np.zeros(2), 0)
 
 
-# ---------------------------------------------------------------- feasibility
+# --------------------------------------------------------- relaxed objective
 
-def test_check_feasibility_trivial_cases():
-    rng = np.random.default_rng(10)
-    ch = random_channels(rng, k=2, m=2, n=3)
-    quiet = solve_phase_subproblem(ch, PowerAllocation(p=np.zeros(2)), np.zeros(3), 1e-6)
-    assert quiet.feasible
-    loud = solve_phase_subproblem(ch, PowerAllocation(p=np.ones(2)), np.zeros(3), 0.0)
-    assert not loud.feasible
-
-
-def test_check_feasibility_matches_direct_inequality():
-    # the reported objectives are the relaxed point's trace_objective bit for bit
+def test_relaxed_objective_matches_trace_objective():
+    # the reported objective is the relaxed point's trace_objective bit for bit
     rng = np.random.default_rng(11)
     for seed, (k, m, n) in enumerate([(2, 3, 3)] * 10 + [(1, 1, 1)] * 3):
         ch = random_channels(rng, k=k, m=m, n=n)
         theta = rng.uniform(0, TWO_PI, n)
         powers = PowerAllocation(p=rng.uniform(0, 0.1, k))
-        budget = float(rng.uniform(0.01, 2.0))
-        outcome = solve_phase_subproblem(ch, powers, theta, budget, seed=seed)
-        objective = trace_objective(outcome.phases.theta, ch, powers)
-        assert outcome.objective == objective
+        rng.uniform(0.01, 2.0)  # the dropped budget's draw, so later draws stay as they were
         relaxed, value = solve_relaxed(ch, powers, warm_start=theta, seed=seed)
-        assert value == trace_objective(relaxed, ch, powers) == objective
-        assert outcome.feasible == (objective <= budget * (1.0 + 1e-9))
-
-
-# ------------------------------------------------------------- subproblem
-
-def test_subproblem_returns_the_relaxed_solution():
-    rng = np.random.default_rng(12)
-    ch = random_channels(rng, k=2, m=2, n=4)
-    powers = PowerAllocation(p=np.array([0.01, 0.02]))
-    out = solve_phase_subproblem(ch, powers, warm_start=np.zeros(4), p_budget=10.0, seed=3)
-    relaxed, value = solve_relaxed(ch, powers, warm_start=np.zeros(4), seed=3)
-    assert np.array_equal(out.phases.theta, relaxed)
-    assert out.phases.resolution == CONTINUOUS
-    assert out.objective == value == trace_objective(relaxed, ch, powers)
+        assert value == trace_objective(relaxed, ch, powers)
 
 
 def test_subproblem_one_bit_dominated_by_exhaustive_minimum():
@@ -342,26 +315,21 @@ def test_subproblem_one_bit_dominated_by_exhaustive_minimum():
     for seed in range(5):
         ch = random_channels(rng, k=2, m=2, n=2)
         powers = PowerAllocation(p=np.array([0.05, 0.03]))
-        out = solve_phase_subproblem(ch, powers, warm_start=np.zeros(2),
-                                     p_budget=10.0, seed=seed)
-        quantized = trace_objective(quantize_phases(out.phases.theta, 1).theta, ch, powers)
+        relaxed, _ = solve_relaxed(ch, powers, warm_start=np.zeros(2), seed=seed)
+        quantized = trace_objective(quantize_phases(relaxed, 1).theta, ch, powers)
         candidates = np.array(list(itertools.product([0.0, np.pi], repeat=2)))
         oracle = trace_values(candidates, ch, powers).min()
         assert quantized >= oracle - 1e-12
 
 
-def test_subproblem_zero_surface_feasibility_from_direct_channel():
+def test_relaxed_zero_surface_objective_is_the_direct_channels():
     rng = np.random.default_rng(14)
     ch = random_channels(rng, k=2, m=3, n=4)
     ch = ChannelSet(h1=ch.h1, h2=np.zeros_like(ch.h2), h=ch.h)
     powers = PowerAllocation(p=np.array([0.02, 0.04]))
     direct_power = trace_objective(np.zeros(4), ch, powers)
-    out = solve_phase_subproblem(ch, powers, warm_start=np.zeros(4),
-                                 p_budget=2.0 * direct_power, seed=0)
-    assert out.feasible
-    tight = solve_phase_subproblem(ch, powers, warm_start=np.zeros(4),
-                                   p_budget=0.5 * direct_power, seed=0)
-    assert not tight.feasible
+    _, value = solve_relaxed(ch, powers, warm_start=np.zeros(4), seed=0)
+    assert value == direct_power
 
 
 def test_exhaustive_trace_enumeration_lower_bounds_quantized_objective():
@@ -369,9 +337,8 @@ def test_exhaustive_trace_enumeration_lower_bounds_quantized_objective():
     n = 6
     ch = random_channels(rng, k=2, m=2, n=n)
     powers = PowerAllocation(p=np.array([0.05, 0.02]))
-    out = solve_phase_subproblem(ch, powers, warm_start=np.zeros(n),
-                                 p_budget=10.0, seed=4)
-    quantized = trace_objective(quantize_phases(out.phases.theta, 1).theta, ch, powers)
+    relaxed, _ = solve_relaxed(ch, powers, warm_start=np.zeros(n), seed=4)
+    quantized = trace_objective(quantize_phases(relaxed, 1).theta, ch, powers)
     candidates = np.array(list(itertools.product([0.0, np.pi], repeat=n)))
     oracle = trace_values(candidates, ch, powers).min()
     assert oracle <= quantized + 1e-9
