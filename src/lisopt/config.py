@@ -133,6 +133,7 @@ class SystemConfig:
     r_min          -- per-user minimum rate, bits/s/Hz, scalar or length-k
     epsilon        -- Dinkelbach's tolerance on the efficiency ratio, bit/J/Hz:
                       a power step ends when an update moves the ratio by less
+                      than epsilon
     """
 
     m: int

@@ -171,16 +171,30 @@ def _method_config(cfg: SystemConfig, method: str) -> SystemConfig:
     return replace(cfg, b=_RESOLUTIONS[method]) if method in _RESOLUTIONS else cfg
 
 
-def _dispatch(method: str, channels, cfg: SystemConfig, solver_seed: int,
-              scenario: Scenario, first_step: PhaseConfig | None, loop) -> SolveReport:
-    if method == _LOOP:
-        return trace_report(cfg, loop)
-    if method in _RESOLUTIONS:
-        return alternating_ee_max(channels, cfg, seed=solver_seed, options=scenario.phase_options,
-                                  first_step=first_step)[0]
-    if method == "exhaustive":
-        return exhaustive_search(channels, cfg)
-    return relay_baseline(channels, cfg)
+def _solve_row(channels, config: SystemConfig, method: str, power_rule: str,
+               first_step: PhaseConfig | None, loop) -> SolveReport:
+    """The finished report of one row: its method's solve, then the max-rate fill if asked.
+
+    config is the row's method config. A finite-b row starts from its cell's
+    first phase step, and a lis-continuous row reports its cell's loop trace
+    from alternate_cells. Under power_rule "max-rate" a feasible report is
+    re-filled by max_rate_power_fill. A row that raises one of
+    _METHOD_ERRORS gets SolveReport.infeasible(method).
+    """
+    try:
+        if method == _LOOP:
+            report = trace_report(config, loop)
+        elif method in _RESOLUTIONS:
+            report = alternating_ee_max(channels, config, first_step=first_step)[0]
+        elif method == "exhaustive":
+            report = exhaustive_search(channels, config)
+        else:
+            report = relay_baseline(channels, config)
+        if power_rule == "max-rate" and report.feasible:
+            report = max_rate_power_fill(channels, report, config)
+    except _METHOD_ERRORS:
+        return SolveReport.infeasible(method)
+    return report
 
 
 def _tasks(scenario: Scenario) -> list:
@@ -222,18 +236,13 @@ def _run_task(scenario: Scenario, cells: list) -> list:
                                  for (channels, cfg, _, _), first_step in zip(draws, steps)],
                                 scenario.phase_options)
     rows = []
-    for (_, value, trial), (channels, cfg, solver_seed, channel_seed), first_step, (loop, loop_s) \
+    for (_, value, trial), (channels, cfg, _, channel_seed), first_step, (loop, loop_s) \
             in zip(cells, draws, steps, loops):
         share = batch_ms  # carried by the cell's first surface row
         for method in scenario.methods:
             mcfg = _method_config(cfg, method)
             t0 = time.perf_counter()
-            try:
-                report = _dispatch(method, channels, mcfg, solver_seed, scenario, first_step, loop)
-                if scenario.power_rule == "max-rate" and report.feasible:
-                    report = max_rate_power_fill(channels, report, mcfg)
-            except _METHOD_ERRORS:
-                report = SolveReport.infeasible(method)
+            report = _solve_row(channels, mcfg, method, scenario.power_rule, first_step, loop)
             wall_ms = (time.perf_counter() - t0) * 1e3
             if method == _LOOP:
                 wall_ms += loop_s * 1e3

@@ -137,13 +137,6 @@ def effective_channels(h1: np.ndarray, h2: np.ndarray, h: np.ndarray,
     return (h2 * phi[..., None, :]) @ h1 + h
 
 
-def _zf_shape(h_eff: np.ndarray) -> tuple:
-    k, m = h_eff.shape[-2:]
-    if k > m:
-        raise ValueError(f"need at least as many antennas as users, got K={k} > M={m}")
-    return k, m
-
-
 def _rank_threshold(s: np.ndarray, k: int, m: int) -> np.ndarray:
     # singular values s sorted descending along the last axis; rank deficient at s[-1] <= threshold
     return max(k, m) * np.finfo(float).eps * s[..., 0]
@@ -159,7 +152,9 @@ def zf_svd(h_eff: np.ndarray) -> tuple:
     max(K, M) * machine_eps * s_max; it gets +inf in every beam norm.
     """
     h_eff = np.asarray(h_eff)
-    k, m = _zf_shape(h_eff)
+    k, m = h_eff.shape[-2:]
+    if k > m:
+        raise ValueError(f"need at least as many antennas as users, got K={k} > M={m}")
     u, s, vh = np.linalg.svd(h_eff.reshape(-1, k, m), full_matrices=False)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         norms = np.einsum("bkj,bj->bk", np.abs(u) ** 2, 1.0 / s ** 2)

@@ -149,8 +149,9 @@ def _fits(weights: np.ndarray, p: np.ndarray, p_budget) -> np.ndarray:
 
 def _cell_terms(config: SystemConfig) -> tuple:
     """_score's terms of a surface point of config: (budget, QoS floors, fixed draw, EE°, p°)."""
-    return (config.p_budget, qos_min_powers(config), _power_offset(config),
-            *phase_free_bound(config))
+    p_min, offset = qos_min_powers(config), _power_offset(config)
+    return (config.p_budget, p_min, offset,
+            *efficiency_bound(p_min, config.mu, config.sigma2, offset))
 
 
 def _score(config: SystemConfig, weights: np.ndarray, terms: tuple,
@@ -194,8 +195,7 @@ def phase_free_bound(config: SystemConfig) -> tuple:
     mu, the noise, the floors and the circuit powers, not the channels or
     the budget.
     """
-    return efficiency_bound(qos_min_powers(config), config.mu, config.sigma2,
-                            _power_offset(config))
+    return _cell_terms(config)[3:]
 
 
 def _grid_search(channels: ChannelSet, config: SystemConfig, start: PhaseConfig,

@@ -33,9 +33,11 @@ from lisopt import (
     solver,
 )
 from lisopt import cli
+from lisopt.channels import sample_channels
 from lisopt.cli import main as cli_main
-from lisopt.harness import AGG_COLUMNS, RAW_COLUMNS, _config_at
+from lisopt.harness import AGG_COLUMNS, KNOWN_METHODS, RAW_COLUMNS, _config_at
 from lisopt.model import SingularMatrixError
+from lisopt.power import NonConvergenceError
 from lisopt.solver import AlternatingTrace
 from util import make_config, strip_wall_column
 
@@ -478,6 +480,49 @@ def test_failed_first_phase_step_gives_every_surface_row_the_infeasible_row(monk
     assert all(trace == AlternatingTrace((), "infeasible", None) for trace, _ in loops[0])
 
 
+@pytest.mark.parametrize("power_rule", ["ee", "max-rate"])
+def test_each_row_reports_what_its_one_solve_row_call_returns(power_rule, monkeypatch):
+    calls = []
+    solve_row = harness._solve_row
+
+    def spying(channels, cfg, method, *args):
+        calls.append((method, cfg.b, solve_row(channels, cfg, method, *args)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(harness, "_solve_row", spying)
+    sc = tiny_scenario(methods=KNOWN_METHODS, power_rule=power_rule)
+    rows = run_scenario(sc)
+    assert len(calls) == len(rows) == len(KNOWN_METHODS) * 2 * 3
+    # one serial task solves cell by cell, each cell's methods in scenario order
+    method_order = {m: i for i, m in enumerate(sc.methods)}
+    by_cell = sorted(rows, key=lambda r: (r.sweep, r.trial, method_order[r.method]))
+    for row, (method, b, report) in zip(by_cell, calls):
+        assert method == row.method
+        assert b == harness._RESOLUTIONS.get(method, sc.config.b)
+        assert (report.ee, report.sum_rate, report.total_power, report.feasible,
+                report.outer_iterations) == (row.ee, row.sum_rate, row.total_power,
+                                             row.feasible, row.iters)
+    assert {method for method, _, report in calls if report.feasible} == set(KNOWN_METHODS)
+
+
+@pytest.mark.parametrize("method", KNOWN_METHODS)
+def test_a_failed_max_rate_fill_gives_the_infeasible_row(method, monkeypatch):
+    cfg = harness._method_config(make_config(), method)
+    channels = sample_channels(cfg, 3)
+    (first_step,) = solver.first_phase_steps([(channels, cfg, 5)])
+    ((loop, _),) = solver.alternate_cells([(channels, cfg, first_step)])
+    fills = []
+
+    def unsettled_fill(channels, report, cfg):
+        fills.append(report)
+        raise NonConvergenceError("inner solve did not settle")
+
+    monkeypatch.setattr(harness, "max_rate_power_fill", unsettled_fill)
+    report = harness._solve_row(channels, cfg, method, "max-rate", first_step, loop)
+    assert len(fills) == 1 and fills[0].feasible
+    assert report == SolveReport.infeasible(method)
+
+
 def test_tasks_are_chunks_of_equal_n_cells():
     sc = tiny_scenario(values=(-15.0, -10.0, -5.0), trials=2)
     cells = [(si, v, t) for si, v in enumerate(sc.values) for t in range(2)]
@@ -827,7 +872,7 @@ def stub_report(feasible):
 def stub_alternating(reports):
     """A harness alternating_ee_max that returns the next of reports, with no first step."""
     trace = AlternatingTrace(iterates=(), termination="converged", first_step=None)
-    return lambda channels, cfg, seed, options, first_step: (next(reports), trace)
+    return lambda channels, cfg, first_step: (next(reports), trace)
 
 
 def test_cli_oracle_check_counts_dropped_instances(monkeypatch, capsys):
