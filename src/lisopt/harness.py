@@ -34,16 +34,19 @@ from .power import InfeasibleError, NonConvergenceError
 from .solver import (
     DEFAULT_ENUMERATION_CAP,
     DEFAULT_MAX_OUTER,
+    _task_terms,
     alternate_cells,
     alternating_ee_max,
     enumeration_count,
     exhaustive_search,
     first_phase_steps,
-    max_rate_power_fill,
-    relay_baseline,
+    max_rate_fills,
+    relay_reports,
     resolution_tag,
     trace_report,
 )
+# perfbench's instrument() wraps these names and nothing here calls them; ROADMAP item 15 drops them
+from .solver import max_rate_power_fill, relay_baseline  # noqa: F401
 
 # The surface methods and the phase resolution each runs at; the others keep the base config's.
 _RESOLUTIONS = {resolution_tag(b): b for b in _default_p_n_map()}
@@ -171,30 +174,27 @@ def _method_config(cfg: SystemConfig, method: str) -> SystemConfig:
     return replace(cfg, b=_RESOLUTIONS[method]) if method in _RESOLUTIONS else cfg
 
 
-def _solve_row(channels, config: SystemConfig, method: str, power_rule: str,
-               first_step: PhaseConfig | None, loop) -> SolveReport:
-    """The finished report of one row: its method's solve, then the max-rate fill if asked.
+def _solve_row(channels, config: SystemConfig, method: str, first_step: PhaseConfig | None,
+               loop, relay: SolveReport | None, terms: tuple | None) -> SolveReport:
+    """The report of one row's method, before any max-rate fill.
 
-    config is the row's method config. A finite-b row starts from its cell's
-    first phase step, and a lis-continuous row reports its cell's loop trace
-    from alternate_cells. Under power_rule "max-rate" a feasible report is
-    re-filled by max_rate_power_fill. A row that raises one of
-    _METHOD_ERRORS gets SolveReport.infeasible(method).
+    config is the row's method config and terms its _cell_terms, from the
+    task. A finite-b row starts from its cell's first phase step, a
+    lis-continuous row reports its cell's loop trace from alternate_cells,
+    and a relay row reports its cell's report from the task's relay_reports
+    batch. A row that raises one of _METHOD_ERRORS gets
+    SolveReport.infeasible(method).
     """
     try:
         if method == _LOOP:
-            report = trace_report(config, loop)
-        elif method in _RESOLUTIONS:
-            report = alternating_ee_max(channels, config, first_step=first_step)[0]
-        elif method == "exhaustive":
-            report = exhaustive_search(channels, config)
-        else:
-            report = relay_baseline(channels, config)
-        if power_rule == "max-rate" and report.feasible:
-            report = max_rate_power_fill(channels, report, config)
+            return trace_report(config, loop)
+        if method in _RESOLUTIONS:
+            return alternating_ee_max(channels, config, first_step=first_step, terms=terms)[0]
+        if method == "exhaustive":
+            return exhaustive_search(channels, config, terms=terms)
     except _METHOD_ERRORS:
         return SolveReport.infeasible(method)
-    return report
+    return relay
 
 
 def _tasks(scenario: Scenario) -> list:
@@ -212,12 +212,20 @@ def _tasks(scenario: Scenario) -> list:
 
 
 def _run_task(scenario: Scenario, cells: list) -> list:
-    """The rows of a chunk of equal-N cells; their first phase steps are solved in one batch.
+    """The rows of a chunk of equal-N cells, each kind of batched work solved once per task.
 
-    The batch's wall time is split evenly over the cells and counted in each
-    cell's first surface row. The lis-continuous rows of all the cells then
-    run their loops in one alternate_cells call, and each such row counts
-    its share of every round it was live in.
+    Each cell's method configs are built once, and the surface methods'
+    _cell_terms once per task (_task_terms: one efficiency_bound per
+    distinct floors and fixed draw), each surface row counting an even share
+    of that time. The cells' first phase steps are solved
+    in one first_phase_steps batch, whose wall time is split evenly over the
+    cells and counted in each cell's first surface row; their relay rows in
+    one relay_reports batch, each relay row counting an even share; their
+    lis-continuous loops in one alternate_cells call, each such row counting
+    its share of every round it was live in. The other rows are solved cell
+    by cell, in method order. Under power_rule "max-rate" the feasible
+    reports of all the rows are then re-filled in one max_rate_fills batch,
+    and each filled row counts an even share of it.
     """
     draws = []  # per cell: first_phase_steps' (channels, config, seed), then the channel seed
     for si, value, trial in cells:
@@ -225,36 +233,56 @@ def _run_task(scenario: Scenario, cells: list) -> list:
         channel_seed, solver_seed = (int(s) for s in ss.generate_state(2, dtype=np.uint64))
         cfg = _config_at(scenario, value)
         draws.append((sample_channels(cfg, channel_seed), cfg, solver_seed, channel_seed))
-    steps, batch_ms = [None] * len(cells), 0.0
+    configs = [{method: _method_config(cfg, method) for method in scenario.methods}
+               for _, cfg, _, _ in draws]
+    surface = [method for method in scenario.methods if method != "relay"]
+    t0 = time.perf_counter()
+    shared = iter(_task_terms([mcfgs[method] for mcfgs in configs for method in surface]))
+    terms = [{method: next(shared) for method in surface} for _ in cells]
+    terms_ms = (time.perf_counter() - t0) * 1e3 / (len(cells) * len(surface) or 1)
+    steps, step_ms = [None] * len(cells), 0.0
     if any(method in _RESOLUTIONS for method in scenario.methods):
         t0 = time.perf_counter()
         steps = first_phase_steps([draw[:3] for draw in draws], scenario.phase_options)
-        batch_ms = (time.perf_counter() - t0) * 1e3 / len(cells)
+        step_ms = (time.perf_counter() - t0) * 1e3 / len(cells)
+    relays, relay_ms = [None] * len(cells), 0.0
+    if "relay" in scenario.methods:
+        t0 = time.perf_counter()
+        relays = relay_reports([(channels, mcfgs["relay"])
+                                for (channels, _, _, _), mcfgs in zip(draws, configs)])
+        relay_ms = (time.perf_counter() - t0) * 1e3 / len(cells)
     loops = [(None, 0.0)] * len(cells)  # per cell: its loop's trace and its share in seconds
     if _LOOP in scenario.methods:
-        loops = alternate_cells([(channels, _method_config(cfg, _LOOP), first_step)
-                                 for (channels, cfg, _, _), first_step in zip(draws, steps)],
-                                scenario.phase_options)
-    rows = []
-    for (_, value, trial), (channels, cfg, _, channel_seed), first_step, (loop, loop_s) \
-            in zip(cells, draws, steps, loops):
-        share = batch_ms  # carried by the cell's first surface row
+        loops = alternate_cells([(channels, mcfgs[_LOOP], first_step) for (channels, _, _, _),
+                                 mcfgs, first_step in zip(draws, configs, steps)],
+                                scenario.phase_options, terms=[t[_LOOP] for t in terms])
+    solved = []  # per row: [cell index, method, report, wall_ms]
+    for c, ((channels, _, _, _), first_step, (loop, loop_s), relay) \
+            in enumerate(zip(draws, steps, loops, relays)):
+        share = step_ms  # carried by the cell's first surface row
         for method in scenario.methods:
-            mcfg = _method_config(cfg, method)
             t0 = time.perf_counter()
-            report = _solve_row(channels, mcfg, method, scenario.power_rule, first_step, loop)
-            wall_ms = (time.perf_counter() - t0) * 1e3
+            report = _solve_row(channels, configs[c][method], method, first_step, loop, relay,
+                                terms[c].get(method))
+            wall_ms = (time.perf_counter() - t0) * 1e3 + (
+                relay_ms if method == "relay" else terms_ms)
             if method == _LOOP:
                 wall_ms += loop_s * 1e3
             if method in _RESOLUTIONS:
                 wall_ms, share = wall_ms + share, 0.0
-            rows.append(ResultRow(
-                method=method, sweep=value, trial=trial, seed=channel_seed,
-                ee=report.ee, sum_rate=report.sum_rate, total_power=report.total_power,
-                feasible=report.feasible, iters=report.outer_iterations,
-                wall_ms=wall_ms,
-            ))
-    return rows
+            solved.append([c, method, report, wall_ms])
+    fill = [row for row in solved if row[2].feasible] if scenario.power_rule == "max-rate" else []
+    if fill:
+        t0 = time.perf_counter()
+        filled = max_rate_fills([(draws[c][0], report, configs[c][method])
+                                 for c, method, report, _ in fill])
+        fill_ms = (time.perf_counter() - t0) * 1e3 / len(fill)
+        for row, report in zip(fill, filled):
+            row[2], row[3] = report, row[3] + fill_ms
+    return [ResultRow(method=method, sweep=cells[c][1], trial=cells[c][2], seed=draws[c][3],
+                      ee=report.ee, sum_rate=report.sum_rate, total_power=report.total_power,
+                      feasible=report.feasible, iters=report.outer_iterations, wall_ms=wall_ms)
+            for c, method, report, wall_ms in solved]
 
 
 _pool = None  # (process count, executor, exit finalizer) of the kept workers; see run_scenario
@@ -297,13 +325,17 @@ def run_scenario(scenario: Scenario) -> list:
     back ordered by (method order, sweep index, trial). The cells run in
     tasks, chunks of consecutive cells with equal N (see _tasks): all cells
     of a p or snr sweep form one group, an n sweep one group per value, and
-    each group is split into at most `workers` chunks. A task solves the
-    first phase steps of all its cells in one first_phase_steps batch (if a
-    surface method runs), splits that batch's time evenly over the cells
-    and counts each share in the cell's first surface row's wall_ms. Every
-    surface row starts from its cell's step (a finite-b row quantizes it and
-    searches the grid from there; a continuous row starts its alternating
-    loop there). Every row equals the one its method gives when run alone.
+    each group is split into at most `workers` chunks. A task solves each
+    kind of batched work once for all its cells (see _run_task): the first
+    phase steps in one first_phase_steps batch (if a surface method runs),
+    the relay rows in one relay_reports batch, the continuous loops in one
+    alternate_cells call and, under power_rule "max-rate", the fills of all
+    its feasible reports in one max_rate_fills batch. Each row's wall_ms
+    counts its share of the batches it took part in, so the rows' wall_ms
+    add up to the task's solve time. Every surface row starts from its
+    cell's step (a finite-b row quantizes it and searches the grid from
+    there; a continuous row starts its alternating loop there). Every row
+    equals the one its method gives when run alone.
 
     With workers > 1, min(workers, tasks) forked processes run one task each;
     rows equal the serial run's except wall_ms. One task, or a platform

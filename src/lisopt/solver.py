@@ -13,7 +13,6 @@ from .model import (
     BUDGET_SLACK,
     PhaseConfig,
     PowerAllocation,
-    SingularMatrixError,
     SolveReport,
     effective_channel,
     effective_channels,
@@ -22,18 +21,10 @@ from .model import (
 )
 from .model import zf_precoder  # noqa: F401  not called here; perfbench's instrument() wraps it
 from .phases import RelaxedSolveOptions, quantize_phases, solve_relaxed_cells
-# perfbench's instrument() wraps this name and nothing calls it; ROADMAP item 11 drops it
+# perfbench's instrument() wraps these names and nothing calls them; ROADMAP item 15 drops them
 from .phases import solve_relaxed as solve_phase_subproblem  # noqa: F401
-from .power import (
-    InfeasibleError,
-    dinkelbach_allocation,
-    dinkelbach_batch,
-    efficiency_bound,
-    qos_min_powers,
-    rate_and_power,
-    solve_inner,
-    zf_power_weights,
-)
+from .power import dinkelbach_allocation, zf_power_weights  # noqa: F401
+from .power import dinkelbach_batch, efficiency_bound, qos_min_powers, rate_and_power, solve_inner
 
 DEFAULT_ENUMERATION_CAP = 2 ** 20
 DEFAULT_MAX_OUTER = 50
@@ -149,9 +140,26 @@ def _fits(weights: np.ndarray, p: np.ndarray, p_budget) -> np.ndarray:
 
 def _cell_terms(config: SystemConfig) -> tuple:
     """_score's terms of a surface point of config: (budget, QoS floors, fixed draw, EE°, p°)."""
-    p_min, offset = qos_min_powers(config), _power_offset(config)
-    return (config.p_budget, p_min, offset,
-            *efficiency_bound(p_min, config.mu, config.sigma2, offset))
+    return _task_terms([config])[0]
+
+
+def _task_terms(configs) -> list:
+    """_cell_terms of each config, with one efficiency_bound call per distinct bound problem.
+
+    Configs with equal floors, mu, noise and fixed draw share one (EE°, p°),
+    since the budget and the channels do not enter it. p° is read-only, so
+    the reports certified at it cannot change each other.
+    """
+    bounds, terms = {}, []
+    for config in configs:
+        p_min, offset = qos_min_powers(config), _power_offset(config)
+        key = (p_min.tobytes(), config.mu.tobytes(), config.sigma2, offset)
+        if key not in bounds:
+            ee_bound, p_bound = efficiency_bound(p_min, config.mu, config.sigma2, offset)
+            p_bound.flags.writeable = False
+            bounds[key] = ee_bound, p_bound
+        terms.append((config.p_budget, p_min, offset, *bounds[key]))
+    return terms
 
 
 def _score(config: SystemConfig, weights: np.ndarray, terms: tuple,
@@ -259,7 +267,7 @@ def _grid_search(channels: ChannelSet, config: SystemConfig, start: PhaseConfig,
         ee, powers, certified = _score(config, weights, terms, ratio)
 
 
-def alternate_cells(cells, options: RelaxedSolveOptions | None = None) -> list:
+def alternate_cells(cells, options: RelaxedSolveOptions | None = None, terms=None) -> list:
     """The continuous alternating loop of many cells (channels, config, first_step) in lockstep.
 
     first_step is the cell's first phase step, from first_phase_steps (None
@@ -267,20 +275,21 @@ def alternate_cells(cells, options: RelaxedSolveOptions | None = None) -> list:
     solve_relaxed_cells call with one start per live cell, warm at its
     previous iterate's phases and powers, and each round scores the live
     cells' phases in one _score call from ratio 0, every row with its own
-    cell's _cell_terms. Each cell keeps its own stop rule: it ends "bound"
-    after its first certified iterate, "converged" when an iterate's ratio
-    is not strictly above the one before it, "infeasible" when its first
-    step is None, a phase step fails or an iterate scores -inf, and
-    "iteration-cap" after DEFAULT_MAX_OUTER (50) iterates. No cell's figures
-    depend on the others, so each equals its batch-of-one loop bit for bit.
-    The cells must share K, M, N, mu, the noise and epsilon.
+    cell's _cell_terms (terms, one per cell, or computed here). Each cell
+    keeps its own stop rule: it ends "bound" after its first certified
+    iterate, "converged" when an iterate's ratio is not strictly above the
+    one before it, "infeasible" when its first step is None, a phase step
+    fails or an iterate scores -inf, and "iteration-cap" after
+    DEFAULT_MAX_OUTER (50) iterates. No cell's figures depend on the others,
+    so each equals its batch-of-one loop bit for bit. The cells must share
+    K, M, N, mu, the noise and epsilon.
 
     Returns per cell (AlternatingTrace, seconds): seconds is the cell's even
     share of the wall time of every round it was live in.
     """
     config = cells[0][1]  # the amplifier factors, noise and epsilon of every row
     refine = replace(options or RelaxedSolveOptions(), num_restarts=1)
-    terms = [np.array(term) for term in zip(*(_cell_terms(cfg) for _, cfg, _ in cells))]
+    terms = [np.array(term) for term in zip(*(terms or _task_terms([cfg for _, cfg, _ in cells])))]
     phases = [step for _, _, step in cells]
     iterates = [[] for _ in cells]
     ends = ["infeasible"] * len(cells)  # each cell's termination, once it ends
@@ -340,7 +349,7 @@ def first_phase_steps(cells, options: RelaxedSolveOptions | None = None) -> list
 
 def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0,
                        options: RelaxedSolveOptions | None = None,
-                       first_step=_SOLVE_HERE):
+                       first_step=_SOLVE_HERE, terms: tuple | None = None):
     """Joint phase and power design for energy efficiency.
 
     Starts with a relaxed phase step at a uniform power split and zero
@@ -354,8 +363,8 @@ def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0
     batch and passes each cell's in this way.
 
     Both branches score their points by _score with the cell's
-    _cell_terms, computed once per solve, and end "bound" at a certified
-    point.
+    _cell_terms: terms if given (the harness computes them once per task),
+    else computed once per solve; they end "bound" at a certified point.
     At a finite b the first step is quantized and _grid_search takes over,
     which departs from the paper's alternation: the report is the last point
     the search accepted, and outer_iterations counts the accepted points.
@@ -375,11 +384,12 @@ def alternating_ee_max(channels: ChannelSet, config: SystemConfig, seed: int = 0
     """
     if first_step is _SOLVE_HERE:
         (first_step,) = first_phase_steps([(channels, config, seed)], options)
+    terms = _cell_terms(config) if terms is None else terms
     if config.b == CONTINUOUS:
-        ((trace, _),) = alternate_cells([(channels, config, first_step)], options)
+        ((trace, _),) = alternate_cells([(channels, config, first_step)], options, [terms])
     else:
         iterates, termination = ([], "infeasible") if first_step is None else _grid_search(
-            channels, config, quantize_phases(first_step.theta, config.b), _cell_terms(config))
+            channels, config, quantize_phases(first_step.theta, config.b), terms)
         trace = AlternatingTrace(tuple(iterates), termination, first_step)
     return trace_report(config, trace), trace
 
@@ -397,21 +407,23 @@ def trace_report(config: SystemConfig, trace: AlternatingTrace) -> SolveReport:
     return evaluate(config, best.phases, best.powers, len(trace.iterates), tag)
 
 
-def exhaustive_search(channels: ChannelSet, config: SystemConfig) -> SolveReport:
+def exhaustive_search(channels: ChannelSet, config: SystemConfig,
+                      terms: tuple | None = None) -> SolveReport:
     """Try every admissible phase vector; keep the efficiency-best feasible one.
 
     Candidates whose effective channel is rank deficient or whose QoS floors
     do not fit the budget are skipped. Candidate i sets element j to grid
     level (i // 2^(b*j)) mod 2^b. Candidates are scored _EXHAUSTIVE_CHUNK at
     a time, one stacked SVD for their beam norms and one _score call from
-    ratio 0, with _cell_terms computed once per call. Deterministic:
+    ratio 0, with the cell's _cell_terms: terms if given, else computed
+    once per call. Deterministic:
     equal efficiencies resolve to the lowest enumeration index.
     outer_iterations reports the number of candidates enumerated. More than
     DEFAULT_ENUMERATION_CAP (2^20) candidates raise EnumerationCapError
     before any is scored.
     """
     total = enumeration_count(config.n, config.b)
-    terms = _cell_terms(config)
+    terms = _cell_terms(config) if terms is None else terms
     responses = np.exp(1j * phase_grid(config.b))
     levels = 1 << config.b
     place = levels ** np.arange(config.n)
@@ -428,36 +440,84 @@ def exhaustive_search(channels: ChannelSet, config: SystemConfig) -> SolveReport
     return evaluate(config, phases, PowerAllocation(p=best[2]), total, "exhaustive")
 
 
-def relay_baseline(channels: ChannelSet, config: SystemConfig) -> SolveReport:
-    """Amplify-and-forward baseline: fixed uniform gain, no phase design.
+def _fixed_link_rows(links, configs) -> tuple:
+    """Beam norms of the stacked channels links, each row's budget and floors from configs,
+    and the indices of the rows _fits keeps: full rank, with floors within the budget."""
+    weights = zf_svd(np.stack(links))[3]
+    budget, p_min = (np.array(term) for term in zip(*((c.p_budget, qos_min_powers(c))
+                                                      for c in configs)))
+    return weights, budget, p_min, np.flatnonzero(_fits(weights, p_min, budget))
+
+
+def relay_reports(cells) -> list:
+    """Amplify-and-forward baseline of many cells (channels, config): fixed gain, no phase design.
 
     The surface slot is occupied by a relay applying gain alpha to every
-    element (ideal reception, no precoding), so the effective channel is a
-    fixed matrix and only the power allocation is designed. Power accounting
-    swaps the per-element surface draw for the relay's dedicated transmit
-    power.
+    element (ideal reception, no precoding), so each cell's effective channel
+    is a fixed matrix and only the power allocation is designed. Power
+    accounting swaps the per-element surface draw for the relay's dedicated
+    transmit power. The cells' channels take one stacked SVD and their power
+    steps one dinkelbach_batch from ratio 0, each row with its own budget,
+    floors and fixed draw, so each report equals its batch-of-one solve bit
+    for bit. A cell whose relay channel is rank deficient, whose QoS floors
+    do not fit its budget, or whose ratio does not settle gets the infeasible
+    report. The cells must share K, M, mu, the noise and epsilon.
     """
-    try:
-        alloc, dtrace = dinkelbach_allocation(
-            zf_power_weights(_link(channels, config, None)), qos_min_powers(config), config.mu,
-            config.sigma2, config.p_budget, _power_offset(config, relay=True), config.epsilon)
-    except (SingularMatrixError, InfeasibleError):
-        return SolveReport.infeasible("relay")
-    return evaluate(config, None, alloc, dtrace.iterations, "relay")
+    configs = [config for _, config in cells]
+    weights, budget, p_min, keep = _fixed_link_rows(
+        [_link(channels, config, None) for channels, config in cells], configs)
+    offset = np.array([_power_offset(config, relay=True) for config in configs])
+    reports = [SolveReport.infeasible("relay")] * len(cells)
+    if keep.size:
+        config = configs[0]  # the amplifier factors, noise and epsilon of every row
+        lambdas, powers, iterations = dinkelbach_batch(
+            weights[keep], p_min[keep], config.mu, config.sigma2, budget[keep], offset[keep],
+            config.epsilon)
+        for i, ee, p, count in zip(keep, lambdas[-1], powers, iterations):
+            if ee > -np.inf:
+                reports[i] = evaluate(configs[i], None, PowerAllocation(p=p), int(count), "relay")
+    return reports
+
+
+def relay_baseline(channels: ChannelSet, config: SystemConfig) -> SolveReport:
+    """The amplify-and-forward baseline of one cell: relay_reports on a batch of one."""
+    return relay_reports([(channels, config)])[0]
+
+
+def max_rate_fills(cells) -> list:
+    """Re-allocate each feasible report's powers to maximize the sum rate; cells are
+    (channels, report, config).
+
+    This is the inner concave solve with no ratio penalty, so the budget
+    constraint is necessarily active. The reports' channels (phases None:
+    the relay channel) take one stacked SVD and their fills one solve_inner
+    at ratio 0, each row with its own budget and floors, so each equals its
+    batch-of-one fill bit for bit. The phases, tag and iteration count are
+    kept; rate, power and efficiency are re-evaluated. A row whose channel is
+    rank deficient, whose QoS floors do not fit its budget or whose budget
+    multiplier does not settle gets the infeasible report of its tag. The
+    cells must share K, M and the noise. Raises ValueError for an infeasible
+    report.
+    """
+    for _, report, _ in cells:
+        if not report.feasible:
+            raise ValueError(f"cannot re-fill an infeasible {report.method_tag} report")
+    configs = [config for _, _, config in cells]
+    weights, budget, p_min, keep = _fixed_link_rows(
+        [_link(channels, config, report.phases) for channels, report, config in cells], configs)
+    reports = [SolveReport.infeasible(report.method_tag) for _, report, _ in cells]
+    if keep.size:
+        powers = solve_inner(0.0, weights[keep], p_min[keep], configs[0].mu, configs[0].sigma2,
+                             budget[keep])
+        for i, p in zip(keep, powers):
+            if not np.isnan(p[0]):
+                report = cells[i][1]
+                reports[i] = evaluate(configs[i], report.phases, PowerAllocation(p=p),
+                                      report.outer_iterations, report.method_tag)
+    return reports
 
 
 def max_rate_power_fill(channels: ChannelSet, report: SolveReport,
                         config: SystemConfig) -> SolveReport:
-    """Re-allocate a feasible report's powers to maximize the sum rate.
-
-    This is the inner concave solve with no ratio penalty, so the budget
-    constraint is necessarily active. The phases (None: the relay channel),
-    tag and iteration count are kept; rate, power and efficiency are
-    re-evaluated.
-    """
-    if not report.feasible:
-        raise ValueError(f"cannot re-fill an infeasible {report.method_tag} report")
-    weights = zf_power_weights(_link(channels, config, report.phases))
-    alloc = solve_inner(0.0, weights, qos_min_powers(config), config.mu,
-                        config.sigma2, config.p_budget)
-    return evaluate(config, report.phases, alloc, report.outer_iterations, report.method_tag)
+    """The max-rate fill of one feasible report: max_rate_fills on a batch of one."""
+    return max_rate_fills([(channels, report, config)])[0]

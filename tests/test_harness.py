@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import os
 import re
@@ -200,20 +201,20 @@ def test_method_error_in_worker_gives_the_serial_infeasible_row(fresh_workers, m
                                                                  tmp_path):
     pids = tmp_path / "pids"
 
-    def singular_relay(channels, cfg):
+    def singular_search(channels, cfg, **kwargs):
         with open(pids, "a") as fh:
             fh.write(f"{os.getpid()}\n")
         raise SingularMatrixError(0.0, 1e-12)
 
-    monkeypatch.setattr(harness, "relay_baseline", singular_relay)
+    monkeypatch.setattr(harness, "alternating_ee_max", singular_search)
     sc = tiny_scenario()
     serial = comparable(run_scenario(sc))
     pids.unlink()
     parallel = comparable(run_scenario(replace(sc, workers=2)))
     assert parallel == serial
-    relay = [r for r in parallel if r.method == "relay"]
-    assert len(relay) == 6
-    assert all(not r.feasible and r.ee == 0.0 and r.iters == 0 for r in relay)
+    searched = [r for r in parallel if r.method == "lis-1bit"]
+    assert len(searched) == 6
+    assert all(not r.feasible and r.ee == 0.0 and r.iters == 0 for r in searched)
     worker_pids = set(pids.read_text().split())
     assert worker_pids and str(os.getpid()) not in worker_pids
 
@@ -227,15 +228,16 @@ def test_non_method_error_in_worker_propagates(fresh_workers, monkeypatch):
         run_scenario(tiny_scenario(workers=2))
 
 
-def record_relay_pids(monkeypatch, path):
-    relay = harness.relay_baseline
+def record_worker_pids(monkeypatch, path):
+    """Append the pid of the process that draws each cell's channels to path."""
+    draw = harness.sample_channels
 
-    def recording(channels, cfg):
+    def recording(cfg, seed):
         with open(path, "a") as fh:
             fh.write(f"{os.getpid()}\n")
-        return relay(channels, cfg)
+        return draw(cfg, seed)
 
-    monkeypatch.setattr(harness, "relay_baseline", recording)
+    monkeypatch.setattr(harness, "sample_channels", recording)
 
 
 def taken_pids(path):
@@ -256,7 +258,7 @@ def is_alive(pid):
 
 def test_parallel_runs_reuse_the_forked_workers(fresh_workers, monkeypatch, tmp_path):
     pids = tmp_path / "pids"
-    record_relay_pids(monkeypatch, pids)
+    record_worker_pids(monkeypatch, pids)
     sc = tiny_scenario(workers=2)
     serial = comparable(run_scenario(replace(sc, workers=1)))
     pids.unlink()
@@ -268,7 +270,7 @@ def test_parallel_runs_reuse_the_forked_workers(fresh_workers, monkeypatch, tmp_
 
 def test_another_process_count_joins_the_kept_workers(fresh_workers, monkeypatch, tmp_path):
     pids = tmp_path / "pids"
-    record_relay_pids(monkeypatch, pids)
+    record_worker_pids(monkeypatch, pids)
     sc = tiny_scenario()
     serial = comparable(run_scenario(sc))
     pids.unlink()
@@ -284,18 +286,18 @@ def test_dead_worker_raises_and_the_next_run_forks_new_workers(fresh_workers, mo
                                                                 tmp_path):
     parent = os.getpid()
 
-    def dying_relay(channels, cfg):
+    def dying_draw(cfg, seed):
         if os.getpid() != parent:
             os._exit(1)
-        raise AssertionError("the relay ran in the test process")
+        raise AssertionError("the channels were drawn in the test process")
 
-    monkeypatch.setattr(harness, "relay_baseline", dying_relay)
+    monkeypatch.setattr(harness, "sample_channels", dying_draw)
     sc = tiny_scenario(workers=2)
     with pytest.raises(BrokenProcessPool):
         run_scenario(sc)
     monkeypatch.undo()
     pids = tmp_path / "pids"
-    record_relay_pids(monkeypatch, pids)
+    record_worker_pids(monkeypatch, pids)
     serial = comparable(run_scenario(replace(sc, workers=1)))
     pids.unlink()
     assert comparable(run_scenario(sc)) == serial
@@ -330,7 +332,7 @@ def test_forked_child_exits_without_closing_its_workers(fresh_workers, monkeypat
     sc = tiny_scenario(workers=2)
     serial = comparable(run_scenario(replace(sc, workers=1)))
     pids = tmp_path / "pids"
-    record_relay_pids(monkeypatch, pids)
+    record_worker_pids(monkeypatch, pids)
 
     def child():
         assert comparable(run_scenario(sc)) == serial  # forks two workers and keeps them
@@ -356,14 +358,14 @@ def test_exiting_interpreter_leaves_no_worker_alive(tmp_path):
         import os
         from dataclasses import replace
         from lisopt import harness, load_scenario, run_scenario
-        relay = harness.relay_baseline
+        draw = harness.sample_channels
 
-        def recording(channels, cfg):
+        def recording(cfg, seed):
             with open({str(pids)!r}, "a") as fh:
                 fh.write(f"{{os.getpid()}}\\n")
-            return relay(channels, cfg)
+            return draw(cfg, seed)
 
-        harness.relay_baseline = recording
+        harness.sample_channels = recording
         scenario = replace(load_scenario({str(path)!r}), workers=2)
         run_scenario(scenario)
         run_scenario(scenario)
@@ -459,8 +461,8 @@ def test_failed_first_phase_step_gives_every_surface_row_the_infeasible_row(monk
         solves.append(alternating(*args, **kwargs))
         return solves[-1]
 
-    def recording_loops(cells, options=None):
-        loops.append(alternate(cells, options))
+    def recording_loops(cells, options=None, terms=None):
+        loops.append(alternate(cells, options, terms))
         return loops[-1]
 
     monkeypatch.setattr(harness, "alternating_ee_max", recording)
@@ -482,12 +484,13 @@ def test_failed_first_phase_step_gives_every_surface_row_the_infeasible_row(monk
 
 @pytest.mark.parametrize("power_rule", ["ee", "max-rate"])
 def test_each_row_reports_what_its_one_solve_row_call_returns(power_rule, monkeypatch):
+    # under max-rate the row holds the fill of that report, from the task's fill batch
     calls = []
     solve_row = harness._solve_row
 
     def spying(channels, cfg, method, *args):
-        calls.append((method, cfg.b, solve_row(channels, cfg, method, *args)))
-        return calls[-1][2]
+        calls.append((method, cfg, channels, solve_row(channels, cfg, method, *args)))
+        return calls[-1][3]
 
     monkeypatch.setattr(harness, "_solve_row", spying)
     sc = tiny_scenario(methods=KNOWN_METHODS, power_rule=power_rule)
@@ -496,31 +499,69 @@ def test_each_row_reports_what_its_one_solve_row_call_returns(power_rule, monkey
     # one serial task solves cell by cell, each cell's methods in scenario order
     method_order = {m: i for i, m in enumerate(sc.methods)}
     by_cell = sorted(rows, key=lambda r: (r.sweep, r.trial, method_order[r.method]))
-    for row, (method, b, report) in zip(by_cell, calls):
+    for row, (method, cfg, channels, report) in zip(by_cell, calls):
         assert method == row.method
-        assert b == harness._RESOLUTIONS.get(method, sc.config.b)
+        assert cfg.b == harness._RESOLUTIONS.get(method, sc.config.b)
+        if power_rule == "max-rate" and report.feasible:
+            report = solver.max_rate_power_fill(channels, report, cfg)
         assert (report.ee, report.sum_rate, report.total_power, report.feasible,
                 report.outer_iterations) == (row.ee, row.sum_rate, row.total_power,
                                              row.feasible, row.iters)
-    assert {method for method, _, report in calls if report.feasible} == set(KNOWN_METHODS)
+    assert {row.method for row in rows if row.feasible} == set(KNOWN_METHODS)
+
+
+def test_certified_reports_share_no_writable_bound_powers(monkeypatch):
+    # a task's cells of equal floors share one (EE°, p°), and the reports certified there hold p°
+    reports = []
+    solve_row = harness._solve_row
+
+    def spying(*args):
+        reports.append(solve_row(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(harness, "_solve_row", spying)
+    run_scenario(tiny_scenario(methods=KNOWN_METHODS, values=(10.0,)))
+    held = [report.powers.p for report in reports if report.feasible]
+    shared = [(a, b) for a, b in itertools.combinations(held, 2) if np.shares_memory(a, b)]
+    assert shared
+    assert not any(a.flags.writeable or b.flags.writeable for a, b in shared)
 
 
 @pytest.mark.parametrize("method", KNOWN_METHODS)
 def test_a_failed_max_rate_fill_gives_the_infeasible_row(method, monkeypatch):
-    cfg = harness._method_config(make_config(), method)
-    channels = sample_channels(cfg, 3)
-    (first_step,) = solver.first_phase_steps([(channels, cfg, 5)])
-    ((loop, _),) = solver.alternate_cells([(channels, cfg, first_step)])
-    fills = []
+    # the fill batch leaves the first row of method unsettled (nan), as solve_inner does
+    sc = tiny_scenario(methods=KNOWN_METHODS, power_rule="max-rate", values=(-10.0,), trials=2)
+    expected = comparable(run_scenario(sc))
+    fills, inner = harness.max_rate_fills, solver.solve_inner
+    batches = []
 
-    def unsettled_fill(channels, report, cfg):
-        fills.append(report)
-        raise NonConvergenceError("inner solve did not settle")
+    def one_unsettled(cells):
+        target = [report.method_tag for _, report, _ in cells].index(method)
 
-    monkeypatch.setattr(harness, "max_rate_power_fill", unsettled_fill)
-    report = harness._solve_row(channels, cfg, method, "max-rate", first_step, loop)
-    assert len(fills) == 1 and fills[0].feasible
-    assert report == SolveReport.infeasible(method)
+        def unsettled(*args):
+            p = inner(*args)
+            assert p.shape[0] == len(cells)  # no row is masked before the solve
+            p[target] = np.nan
+            return p
+
+        monkeypatch.setattr(solver, "solve_inner", unsettled)
+        try:
+            batches.append(fills(cells))
+        finally:
+            monkeypatch.setattr(solver, "solve_inner", inner)
+        return batches[-1]
+
+    monkeypatch.setattr(harness, "max_rate_fills", one_unsettled)
+    rows = comparable(run_scenario(sc))
+    assert len(batches) == 1 and len(batches[0]) == len(rows)
+    assert [report.feasible for report in batches[0]].count(False) == 1
+    changed = [(a, b) for a, b in zip(expected, rows) if a != b]
+    assert len(changed) == 1
+    before, after = changed[0]
+    assert before.method == after.method == method and (before.sweep, before.trial) == (-10.0, 0)
+    assert before.feasible
+    assert (after.feasible, after.ee, after.sum_rate, after.total_power, after.iters) == \
+        (False, 0.0, 0.0, 0.0, 0)
 
 
 def test_tasks_are_chunks_of_equal_n_cells():
@@ -535,12 +576,17 @@ def test_tasks_are_chunks_of_equal_n_cells():
     assert harness._tasks(replace(by_n, workers=2)) == [[cell] for cell in cells]
 
 
+@pytest.mark.parametrize("r_min", [0.0, 1.0])
+@pytest.mark.parametrize("power_rule", ["ee", "max-rate"])
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("axis, values", [("p_budget_dbm", (-15.0, -10.0, -5.0)),
                                           ("n", (2.0, 4.0))])
-def test_batched_first_steps_give_the_rows_of_one_cell_tasks(axis, values, workers):
+def test_batched_first_steps_give_the_rows_of_one_cell_tasks(axis, values, workers, power_rule,
+                                                             r_min):
+    # the task's first-step, relay, loop and fill batches give every row its one-cell task's
     sc = tiny_scenario(methods=(*SURFACE_METHODS, "exhaustive", "relay"), axis=axis,
-                       values=values, trials=3, workers=workers)
+                       values=values, trials=3, workers=workers, power_rule=power_rule,
+                       config=make_config(k=2, m=2, n=4, b=1, r_min=r_min))
     assert any(len(task) > 1 for task in harness._tasks(sc))
     alone = [row for si, v in enumerate(sc.values) for t in range(sc.trials)
              for row in harness._run_task(sc, [(si, v, t)])]
@@ -562,6 +608,28 @@ def test_first_step_batch_time_counts_in_each_cells_first_surface_row(monkeypatc
     # lis-1bit is each cell's first surface row; a 25 ms share would push any other over 25
     assert sum(r.wall_ms for r in rows if r.method == "lis-1bit") >= 100.0
     assert all(r.wall_ms < 25.0 for r in rows if r.method != "lis-1bit")
+
+
+def test_relay_and_fill_batch_times_count_in_their_rows(monkeypatch):
+    relays, fills = solver.relay_reports, solver.max_rate_fills
+
+    def slow_relays(cells):
+        time.sleep(0.1)
+        return relays(cells)
+
+    def slow_fills(cells):
+        time.sleep(0.2)
+        return fills(cells)
+
+    monkeypatch.setattr(harness, "relay_reports", slow_relays)
+    monkeypatch.setattr(harness, "max_rate_fills", slow_fills)
+    sc = tiny_scenario(methods=("lis-1bit", "relay"), trials=2, power_rule="max-rate")
+    rows = run_scenario(sc)  # one 4-cell task: 4 relay rows, and 8 filled rows
+    assert all(r.feasible for r in rows)
+    # a relay row carries a 25 ms share of each batch, a lis-1bit row one of the fill's
+    assert sum(r.wall_ms for r in rows) >= 300.0
+    assert all(r.wall_ms >= 50.0 for r in rows if r.method == "relay")
+    assert all(25.0 <= r.wall_ms < 50.0 for r in rows if r.method == "lis-1bit")
 
 
 def test_run_scenario_exhaustive_dominates_alternating_per_row():
@@ -872,7 +940,7 @@ def stub_report(feasible):
 def stub_alternating(reports):
     """A harness alternating_ee_max that returns the next of reports, with no first step."""
     trace = AlternatingTrace(iterates=(), termination="converged", first_step=None)
-    return lambda channels, cfg, first_step: (next(reports), trace)
+    return lambda channels, cfg, first_step, terms: (next(reports), trace)
 
 
 def test_cli_oracle_check_counts_dropped_instances(monkeypatch, capsys):
@@ -881,7 +949,7 @@ def test_cli_oracle_check_counts_dropped_instances(monkeypatch, capsys):
     monkeypatch.setattr(harness, "alternating_ee_max",
                         stub_alternating(stub_report(alt) for alt, _ in outcomes))
     exhaustive = iter([stub_report(exh) for _, exh in outcomes])
-    monkeypatch.setattr(harness, "exhaustive_search", lambda ch, cfg: next(exhaustive))
+    monkeypatch.setattr(harness, "exhaustive_search", lambda ch, cfg, terms: next(exhaustive))
     assert cli_main(["oracle-check", "--sizes", "2", "--instances", "4"]) == 1
     out = capsys.readouterr().out
     assert "n=  2: instances=1 false-infeasible=2 both-infeasible=1 median gap" in out
@@ -892,7 +960,7 @@ def test_cli_oracle_check_fails_on_a_false_infeasible(monkeypatch, capsys):
     feasible = stub_report(True)
     monkeypatch.setattr(harness, "alternating_ee_max",
                         stub_alternating(iter([feasible, SolveReport.infeasible("stub")])))
-    monkeypatch.setattr(harness, "exhaustive_search", lambda ch, cfg: feasible)
+    monkeypatch.setattr(harness, "exhaustive_search", lambda ch, cfg, terms: feasible)
     assert cli_main(["oracle-check", "--sizes", "2", "--instances", "2"]) == 1
     captured = capsys.readouterr()
     assert "false-infeasible=1" in captured.out
@@ -905,7 +973,7 @@ def test_cli_oracle_check_prints_mean_gaps_and_lists_false_infeasibles(monkeypat
     reports = iter([stub_report(False) if ee is None else
                     replace(stub_report(True), ee=ee) for ee in alternating])
     monkeypatch.setattr(harness, "alternating_ee_max", stub_alternating(reports))
-    monkeypatch.setattr(harness, "exhaustive_search", lambda ch, cfg: stub_report(True))
+    monkeypatch.setattr(harness, "exhaustive_search", lambda ch, cfg, terms: stub_report(True))
     assert cli_main(["oracle-check", "--sizes", "2,3", "--instances", "3"]) == 1
     captured = capsys.readouterr()
     assert ("n=  2: instances=2 false-infeasible=1 both-infeasible=0 "
@@ -922,7 +990,7 @@ def test_cli_oracle_check_counts_rows_at_the_bound_and_fails_above_it(monkeypatc
     # every row reaches 1.0, except the second instance's alternating row at 0.5
     reports = iter([stub_report(True), replace(stub_report(True), ee=0.5)])
     monkeypatch.setattr(harness, "alternating_ee_max", stub_alternating(reports))
-    monkeypatch.setattr(harness, "exhaustive_search", lambda ch, cfg: stub_report(True))
+    monkeypatch.setattr(harness, "exhaustive_search", lambda ch, cfg, terms: stub_report(True))
     bounds = []
     monkeypatch.setattr(cli, "phase_free_bound", lambda cfg: bounds.append(cfg.n) or (bound, None))
     assert cli_main(["oracle-check", "--sizes", "2", "--instances", "2"]) == status

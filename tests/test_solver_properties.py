@@ -16,7 +16,8 @@ efficiency, their power draw and the literal precoder rate, and every
 surface report against the ZF SINR p_k / sigma2. A solve handed another
 resolution's first phase step equals the solve that makes its own, a batch
 of first steps equals each cell's own step, and the continuous loops of many cells run in lockstep
-equal each cell's own loop.
+equal each cell's own loop. The relay and max-rate fill batches give each row its one-row body's
+report, and a task's shared scorer terms equal each config's own.
 """
 
 import itertools
@@ -40,6 +41,8 @@ from lisopt import (
     dbm_to_watts,
     effective_channel,
     exhaustive_search,
+    SolveReport,
+    evaluate,
     max_rate_power_fill,
     phase_grid,
     qos_min_powers,
@@ -52,7 +55,7 @@ from lisopt import (
     zf_power_weights,
     zf_precoder,
 )
-from lisopt import cli, scenario_from_pairs, solver
+from lisopt import cli, power, scenario_from_pairs, solver
 from lisopt.harness import _config_at
 from util import (
     BOUND_TOLERANCE,
@@ -60,6 +63,8 @@ from util import (
     assert_stall_trace,
     bound_rule_score,
     make_config,
+    rate_fill_alone,
+    relay_report_alone,
     unit_pathloss,
 )
 
@@ -404,3 +409,94 @@ def test_one_resolutions_failed_power_step_does_not_leak(scale):
     outer = {b: len(trace.iterates) for b, (_, trace) in solves.items()}
     assert min(outer.values()) == 0 < max(outer.values()), outer
     assert all(trace.first_step is not None for _, trace in solves.values())
+
+
+@st.composite
+def relay_and_fill_cells(draw, scale):
+    """Two to five cells (channels, config) of one shape, K = M = 1 in about a third of the
+    draws, each with its own channels, budget and floors, with one feasible report to fill per
+    cell: a surface point at random phases (its resolution's tag) or the relay's, at zero
+    powers. A rank-deficient cell (no surface link and no direct path) and a cell whose floors
+    exceed its budget are put among them; returns (cells, reports, their two indices)."""
+    single = draw(st.sampled_from([True, False, False]))
+    k = 1 if single else draw(st.integers(1, 3))
+    m, n = (1, 1) if single else (draw(st.integers(k, 3)), draw(st.integers(k, 6)))
+    seeds = st.integers(0, 2 ** 32 - 1)
+
+    def config(r_min):
+        return SCALES[scale](k=k, m=m, n=n, b=draw(st.sampled_from([1, 2])),
+                             p_budget_dbm=draw(st.floats(-20.0, 10.0)), r_min=r_min)
+
+    cells = [(sample_channels(cfg, draw(seeds)), cfg)
+             for cfg in (config(draw(st.just(0.0) | st.floats(0.0, 3.0)))
+                         for _ in range(draw(st.integers(0, 3))))]
+    dark = draw(st.integers(0, len(cells)))
+    cfg = config(0.0)
+    channels = sample_channels(cfg, draw(seeds))
+    cells.insert(dark, (ChannelSet(h1=channels.h1, h2=np.zeros((k, n)), h=np.zeros((k, m))), cfg))
+    floors = draw(st.integers(0, len(cells)))
+    cfg = config(60.0)  # 2^60 noise powers a user: far above any budget drawn
+    cells.insert(floors, (sample_channels(cfg, draw(seeds)), cfg))
+    dark += floors <= dark
+    reports = []
+    for channels, cfg in cells:
+        zero = PowerAllocation(p=np.zeros(cfg.k))
+        if draw(st.booleans()):
+            reports.append(evaluate(cfg, None, zero, 1, "relay"))
+        else:
+            theta = np.array(draw(st.lists(st.floats(0.0, 2.0 * np.pi), min_size=n, max_size=n)))
+            reports.append(evaluate(cfg, PhaseConfig(theta=theta), zero, 2,
+                                    solver.resolution_tag(cfg.b)))
+    return cells, reports, dark, floors
+
+
+@pytest.mark.parametrize("scale", sorted(SCALES))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_relay_and_fill_batches_equal_each_rows_own_body(scale, data):
+    cells, reports, dark, floors = data.draw(relay_and_fill_cells(scale))
+    fills = [(channels, report, cfg) for (channels, cfg), report in zip(cells, reports)]
+    # lowered caps leave some ratios (relay) and multipliers (both) unsettled
+    caps = dict(_DINKELBACH_ITERATIONS=data.draw(st.sampled_from([100, 100, 1, 2])),
+                _NEWTON_ITERATIONS=data.draw(st.sampled_from([100, 100, 1, 2])))
+    order = data.draw(st.permutations(range(len(cells))))
+    with mock.patch.multiple(power, **caps):
+        relays = solver.relay_reports(cells)
+        filled = solver.max_rate_fills(fills)
+        assert relays == [relay_report_alone(*cell) for cell in cells]
+        assert filled == [rate_fill_alone(*cell) for cell in fills]
+        # another order, and so other batch neighbours, gives each row the same report
+        assert solver.relay_reports([cells[i] for i in order]) == [relays[i] for i in order]
+        assert solver.max_rate_fills([fills[i] for i in order]) == [filled[i] for i in order]
+        for part in (slice(1, None), slice(None, None, 2)):
+            assert solver.relay_reports(cells[part]) == relays[part]
+            assert solver.max_rate_fills(fills[part]) == filled[part]
+    for i in (dark, floors):
+        assert relays[i] == SolveReport.infeasible("relay")
+        assert filled[i] == SolveReport.infeasible(reports[i].method_tag)
+
+
+@pytest.mark.parametrize("scale", sorted(SCALES))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_task_terms_equal_each_configs_own_terms(scale, data):
+    # few budgets, floors and resolutions, so that bound problems repeat among the configs
+    k = data.draw(st.integers(1, 3))
+    m, n = data.draw(st.integers(k, 3)), data.draw(st.integers(k, 6))
+    configs = [SCALES[scale](k=k, m=m, n=n, b=data.draw(st.sampled_from([1, 2, CONTINUOUS])),
+                             p_budget_dbm=data.draw(st.sampled_from([-20.0, -10.0, 0.0])),
+                             r_min=data.draw(st.sampled_from([0.0, 0.5, 2.0])))
+               for _ in range(data.draw(st.integers(1, 6)))]
+    bound, calls = solver.efficiency_bound, []
+
+    def counting(*args):
+        calls.append(args)
+        return bound(*args)
+
+    with mock.patch.object(solver, "efficiency_bound", counting):
+        shared = solver._task_terms(configs)
+    # the budget does not enter EE°: one bound per distinct (floors, fixed draw)
+    assert len(calls) == len({(cfg.r_min.tobytes(), cfg.b) for cfg in configs})
+    for cfg, terms in zip(configs, shared):
+        assert all(np.array_equal(a, b) for a, b in zip(terms, solver._cell_terms(cfg)))
+        assert not terms[4].flags.writeable  # p°, which certified reports hold

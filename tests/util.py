@@ -8,21 +8,29 @@ from lisopt import (
     CONTINUOUS,
     ChannelSet,
     InfeasibleError,
+    NonConvergenceError,
     PathlossModel,
     PathlossParams,
     PhaseConfig,
     SingularMatrixError,
     SystemConfig,
+    SolveReport,
     dbm_to_watts,
+    dinkelbach_allocation,
     effective_channel,
+    evaluate,
     phase_grid,
     qos_min_powers,
     quantize_phases,
+    solve_inner,
     zf_power_weights,
 )
 from lisopt.model import BUDGET_SLACK
 from lisopt.power import dinkelbach_batch
 from lisopt.solver import phase_free_bound
+
+# The errors the one-row relay and fill bodies below can raise, each an infeasible report
+ROW_ERRORS = (InfeasibleError, NonConvergenceError, SingularMatrixError)
 
 # Relative excess over the phase-free bound EE° that rounding may leave in a reported efficiency
 BOUND_TOLERANCE = 1e-12
@@ -232,3 +240,35 @@ def assert_search_trace(report, trace, channels, config):
         for moved, ee in neighbours.items():
             assert not ee > last_ee, moved
             assert not attains_bound_load(channels, config, np.array(moved), p_bound), moved
+
+
+def relay_channel(channels, config):
+    """The relay's effective channel alpha H2 H1 + H."""
+    return config.relay.alpha * (channels.h2 @ channels.h1) + channels.h
+
+
+def relay_report_alone(channels, config):
+    """The relay report of one cell by its one-row body: dinkelbach_allocation on the relay
+    channel's beam norms; the infeasible report where that raises."""
+    try:
+        alloc, trace = dinkelbach_allocation(
+            zf_power_weights(relay_channel(channels, config)), qos_min_powers(config), config.mu,
+            config.sigma2, config.p_budget, config.k * config.p_c + config.relay.tx_power_w,
+            config.epsilon)
+    except ROW_ERRORS:
+        return SolveReport.infeasible("relay")
+    return evaluate(config, None, alloc, trace.iterations, "relay")
+
+
+def rate_fill_alone(channels, report, config):
+    """The max-rate fill of one feasible report by its one-row body: solve_inner at ratio 0 on
+    the beam norms of its channel (phases None: the relay's); the infeasible report of its tag
+    where that raises."""
+    h_eff = (relay_channel(channels, config) if report.phases is None
+             else effective_channel(channels, report.phases))
+    try:
+        alloc = solve_inner(0.0, zf_power_weights(h_eff), qos_min_powers(config), config.mu,
+                            config.sigma2, config.p_budget)
+    except ROW_ERRORS:
+        return SolveReport.infeasible(report.method_tag)
+    return evaluate(config, report.phases, alloc, report.outer_iterations, report.method_tag)
