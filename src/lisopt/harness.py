@@ -27,10 +27,9 @@ from .config import (
     _default_p_n_map,
     dbm_to_watts,
 )
-from .model import PhaseConfig, SingularMatrixError, SolveReport
+from .model import PhaseConfig, SolveReport
 from .model import zf_precoder  # noqa: F401  not called here; perfbench's instrument() wraps it
 from .phases import RelaxedSolveOptions
-from .power import InfeasibleError, NonConvergenceError
 from .solver import (
     DEFAULT_ENUMERATION_CAP,
     DEFAULT_MAX_OUTER,
@@ -53,10 +52,6 @@ _RESOLUTIONS = {resolution_tag(b): b for b in _default_p_n_map()}
 KNOWN_METHODS = (*_RESOLUTIONS, "exhaustive", "relay")
 _LOOP = resolution_tag(CONTINUOUS)  # the method whose cells run alternate_cells in lockstep
 SWEEP_AXES = ("p_budget_dbm", "n", "snr_db")
-
-# The errors a row can raise. A failed batched first step is None, not a
-# PhaseOptimizationError, and Scenario rejects every n over the enumeration cap.
-_METHOD_ERRORS = (InfeasibleError, NonConvergenceError, SingularMatrixError)
 
 
 @dataclass(frozen=True)
@@ -159,15 +154,15 @@ class Scenario:
 def _config_at(scenario: Scenario, value: float) -> SystemConfig:
     cfg = scenario.config
     if scenario.axis == "p_budget_dbm":
-        cfg = replace(cfg, p_budget=dbm_to_watts(value))
+        change = {"p_budget": dbm_to_watts(value)}
     elif scenario.axis == "n":
-        cfg = replace(cfg, n=int(value))
+        change = {"n": int(value)}
     else:  # snr_db: hold sigma2 fixed, set the budget to SNR * sigma2
-        cfg = replace(cfg, p_budget=cfg.sigma2 * 10.0 ** (value / 10.0))
+        change = {"p_budget": cfg.sigma2 * 10.0 ** (value / 10.0)}
     if scenario.r_min_rule == "fig5":
-        snr = cfg.p_budget / cfg.sigma2
-        cfg = replace(cfg, r_min=np.full(cfg.k, np.log2(1.0 + snr / (2.0 * cfg.k))))
-    return cfg
+        snr = change.get("p_budget", cfg.p_budget) / cfg.sigma2
+        change["r_min"] = np.full(cfg.k, np.log2(1.0 + snr / (2.0 * cfg.k)))
+    return replace(cfg, **change)
 
 
 def _method_config(cfg: SystemConfig, method: str) -> SystemConfig:
@@ -182,18 +177,14 @@ def _solve_row(channels, config: SystemConfig, method: str, first_step: PhaseCon
     task. A finite-b row starts from its cell's first phase step, a
     lis-continuous row reports its cell's loop trace from alternate_cells,
     and a relay row reports its cell's report from the task's relay_reports
-    batch. A row that raises one of _METHOD_ERRORS gets
-    SolveReport.infeasible(method).
+    batch.
     """
-    try:
-        if method == _LOOP:
-            return trace_report(config, loop)
-        if method in _RESOLUTIONS:
-            return alternating_ee_max(channels, config, first_step=first_step, terms=terms)[0]
-        if method == "exhaustive":
-            return exhaustive_search(channels, config, terms=terms)
-    except _METHOD_ERRORS:
-        return SolveReport.infeasible(method)
+    if method == _LOOP:
+        return trace_report(config, loop)
+    if method in _RESOLUTIONS:
+        return alternating_ee_max(channels, config, first_step=first_step, terms=terms)[0]
+    if method == "exhaustive":
+        return exhaustive_search(channels, config, terms=terms)
     return relay
 
 
@@ -214,18 +205,18 @@ def _tasks(scenario: Scenario) -> list:
 def _run_task(scenario: Scenario, cells: list) -> list:
     """The rows of a chunk of equal-N cells, each kind of batched work solved once per task.
 
-    Each cell's method configs are built once, and the surface methods'
-    _cell_terms once per task (_task_terms: one efficiency_bound per
-    distinct floors and fixed draw), each surface row counting an even share
-    of that time. The cells' first phase steps are solved
-    in one first_phase_steps batch, whose wall time is split evenly over the
-    cells and counted in each cell's first surface row; their relay rows in
-    one relay_reports batch, each relay row counting an even share; their
-    lis-continuous loops in one alternate_cells call, each such row counting
-    its share of every round it was live in. The other rows are solved cell
-    by cell, in method order. Under power_rule "max-rate" the feasible
-    reports of all the rows are then re-filled in one max_rate_fills batch,
-    and each filled row counts an even share of it.
+    A row is a (cell index, method) pair. The task makes one _task_terms
+    call for its surface rows (one efficiency_bound per distinct floors and
+    fixed draw), one first_phase_steps batch for its cells, one
+    relay_reports batch for its relay rows and one alternate_cells call for
+    its lis-continuous rows. It then solves each row with _solve_row, cell
+    by cell in method order, and under power_rule "max-rate" re-fills its
+    feasible reports in one max_rate_fills batch. Each call's wall time is
+    split evenly over the rows it served: the surface rows, each cell's
+    first finite-b or continuous row, the relay rows, the row itself and
+    the filled rows. A lis-continuous row also counts its share of every
+    loop round it was live in. So the rows' wall_ms add up to the task's
+    solve time.
     """
     draws = []  # per cell: first_phase_steps' (channels, config, seed), then the channel seed
     for si, value, trial in cells:
@@ -233,56 +224,52 @@ def _run_task(scenario: Scenario, cells: list) -> list:
         channel_seed, solver_seed = (int(s) for s in ss.generate_state(2, dtype=np.uint64))
         cfg = _config_at(scenario, value)
         draws.append((sample_channels(cfg, channel_seed), cfg, solver_seed, channel_seed))
-    configs = [{method: _method_config(cfg, method) for method in scenario.methods}
-               for _, cfg, _, _ in draws]
-    surface = [method for method in scenario.methods if method != "relay"]
-    t0 = time.perf_counter()
-    shared = iter(_task_terms([mcfgs[method] for mcfgs in configs for method in surface]))
-    terms = [{method: next(shared) for method in surface} for _ in cells]
-    terms_ms = (time.perf_counter() - t0) * 1e3 / (len(cells) * len(surface) or 1)
-    steps, step_ms = [None] * len(cells), 0.0
-    if any(method in _RESOLUTIONS for method in scenario.methods):
+    rows = [(c, method) for c in range(len(cells)) for method in scenario.methods]
+    configs = {(c, method): _method_config(draws[c][1], method) for c, method in rows}
+    wall_ms = dict.fromkeys(rows, 0.0)
+
+    def timed(served, solve, *args):
         t0 = time.perf_counter()
-        steps = first_phase_steps([draw[:3] for draw in draws], scenario.phase_options)
-        step_ms = (time.perf_counter() - t0) * 1e3 / len(cells)
-    relays, relay_ms = [None] * len(cells), 0.0
-    if "relay" in scenario.methods:
-        t0 = time.perf_counter()
-        relays = relay_reports([(channels, mcfgs["relay"])
-                                for (channels, _, _, _), mcfgs in zip(draws, configs)])
-        relay_ms = (time.perf_counter() - t0) * 1e3 / len(cells)
-    loops = [(None, 0.0)] * len(cells)  # per cell: its loop's trace and its share in seconds
+        out = solve(*args)
+        share = (time.perf_counter() - t0) * 1e3 / len(served)
+        for row in served:
+            wall_ms[row] += share
+        return out
+
+    surface = [row for row in rows if row[1] != "relay"]
+    terms = dict(zip(surface, timed(surface, _task_terms, [configs[row] for row in surface])
+                     if surface else ()))
+    steps = [None] * len(cells)
+    first = next((method for method in scenario.methods if method in _RESOLUTIONS), None)
+    if first:
+        steps = timed([(c, first) for c in range(len(cells))], first_phase_steps,
+                      [draw[:3] for draw in draws], scenario.phase_options)
+    reports = dict.fromkeys(rows)  # per row: the relay batch's, _solve_row's, then the fill's
+    relay = [row for row in rows if row[1] == "relay"]
+    if relay:
+        reports.update(zip(relay, timed(relay, relay_reports,
+                                        [(draws[c][0], configs[c, m]) for c, m in relay])))
+    loops = [None] * len(cells)
     if _LOOP in scenario.methods:
-        loops = alternate_cells([(channels, mcfgs[_LOOP], first_step) for (channels, _, _, _),
-                                 mcfgs, first_step in zip(draws, configs, steps)],
-                                scenario.phase_options, terms=[t[_LOOP] for t in terms])
-    solved = []  # per row: [cell index, method, report, wall_ms]
-    for c, ((channels, _, _, _), first_step, (loop, loop_s), relay) \
-            in enumerate(zip(draws, steps, loops, relays)):
-        share = step_ms  # carried by the cell's first surface row
-        for method in scenario.methods:
-            t0 = time.perf_counter()
-            report = _solve_row(channels, configs[c][method], method, first_step, loop, relay,
-                                terms[c].get(method))
-            wall_ms = (time.perf_counter() - t0) * 1e3 + (
-                relay_ms if method == "relay" else terms_ms)
-            if method == _LOOP:
-                wall_ms += loop_s * 1e3
-            if method in _RESOLUTIONS:
-                wall_ms, share = wall_ms + share, 0.0
-            solved.append([c, method, report, wall_ms])
-    fill = [row for row in solved if row[2].feasible] if scenario.power_rule == "max-rate" else []
-    if fill:
-        t0 = time.perf_counter()
-        filled = max_rate_fills([(draws[c][0], report, configs[c][method])
-                                 for c, method, report, _ in fill])
-        fill_ms = (time.perf_counter() - t0) * 1e3 / len(fill)
-        for row, report in zip(fill, filled):
-            row[2], row[3] = report, row[3] + fill_ms
+        traced = alternate_cells([(draw[0], configs[c, _LOOP], step) for c, (draw, step)
+                                  in enumerate(zip(draws, steps))], scenario.phase_options,
+                                 terms=[terms[c, _LOOP] for c in range(len(cells))])
+        for c, (loop, seconds) in enumerate(traced):
+            loops[c] = loop
+            wall_ms[c, _LOOP] += seconds * 1e3
+    for c, method in rows:
+        reports[c, method] = timed([(c, method)], _solve_row, draws[c][0], configs[c, method],
+                                   method, steps[c], loops[c], reports[c, method],
+                                   terms.get((c, method)))
+    fill = [row for row in rows if reports[row].feasible]
+    if scenario.power_rule == "max-rate" and fill:
+        reports.update(zip(fill, timed(fill, max_rate_fills, [(draws[c][0], reports[c, m],
+                                                               configs[c, m]) for c, m in fill])))
     return [ResultRow(method=method, sweep=cells[c][1], trial=cells[c][2], seed=draws[c][3],
                       ee=report.ee, sum_rate=report.sum_rate, total_power=report.total_power,
-                      feasible=report.feasible, iters=report.outer_iterations, wall_ms=wall_ms)
-            for c, method, report, wall_ms in solved]
+                      feasible=report.feasible, iters=report.outer_iterations,
+                      wall_ms=wall_ms[c, method])
+            for (c, method), report in reports.items()]
 
 
 _pool = None  # (process count, executor, exit finalizer) of the kept workers; see run_scenario
@@ -326,16 +313,9 @@ def run_scenario(scenario: Scenario) -> list:
     tasks, chunks of consecutive cells with equal N (see _tasks): all cells
     of a p or snr sweep form one group, an n sweep one group per value, and
     each group is split into at most `workers` chunks. A task solves each
-    kind of batched work once for all its cells (see _run_task): the first
-    phase steps in one first_phase_steps batch (if a surface method runs),
-    the relay rows in one relay_reports batch, the continuous loops in one
-    alternate_cells call and, under power_rule "max-rate", the fills of all
-    its feasible reports in one max_rate_fills batch. Each row's wall_ms
-    counts its share of the batches it took part in, so the rows' wall_ms
-    add up to the task's solve time. Every surface row starts from its
-    cell's step (a finite-b row quantizes it and searches the grid from
-    there; a continuous row starts its alternating loop there). Every row
-    equals the one its method gives when run alone.
+    kind of batched work once for all its cells and times it by one rule
+    (see _run_task). Every row equals the one its method gives when run
+    alone.
 
     With workers > 1, min(workers, tasks) forked processes run one task each;
     rows equal the serial run's except wall_ms. One task, or a platform

@@ -25,6 +25,9 @@ class SingularMatrixError(ValueError):
             f"{smallest_singular_value:.6e} <= threshold {threshold:.6e}"
         )
 
+    def __reduce__(self):  # so that an error raised in a forked worker unpickles in its parent
+        return type(self), (self.smallest_singular_value, self.threshold)
+
 
 def phase_grid(b: int) -> np.ndarray:
     """The 2^b admissible phase angles 2*pi*m / 2^b of b-bit elements, m = 0 .. 2^b - 1."""

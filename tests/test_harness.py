@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import types
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields, is_dataclass, replace
@@ -197,34 +198,16 @@ def fresh_workers():
     harness._close_workers()
 
 
-def test_method_error_in_worker_gives_the_serial_infeasible_row(fresh_workers, monkeypatch,
-                                                                 tmp_path):
-    pids = tmp_path / "pids"
+@pytest.mark.parametrize("name, error", [
+    ("sample_channels", RuntimeError("channel draw failed")),
+    ("alternating_ee_max", SingularMatrixError(0.0, 1e-12)),
+], ids=["sample_channels", "alternating_ee_max"])
+def test_error_in_worker_propagates(fresh_workers, monkeypatch, name, error):
+    def broken(*args, **kwargs):
+        raise error
 
-    def singular_search(channels, cfg, **kwargs):
-        with open(pids, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        raise SingularMatrixError(0.0, 1e-12)
-
-    monkeypatch.setattr(harness, "alternating_ee_max", singular_search)
-    sc = tiny_scenario()
-    serial = comparable(run_scenario(sc))
-    pids.unlink()
-    parallel = comparable(run_scenario(replace(sc, workers=2)))
-    assert parallel == serial
-    searched = [r for r in parallel if r.method == "lis-1bit"]
-    assert len(searched) == 6
-    assert all(not r.feasible and r.ee == 0.0 and r.iters == 0 for r in searched)
-    worker_pids = set(pids.read_text().split())
-    assert worker_pids and str(os.getpid()) not in worker_pids
-
-
-def test_non_method_error_in_worker_propagates(fresh_workers, monkeypatch):
-    def broken_draw(cfg, seed):
-        raise RuntimeError("channel draw failed")
-
-    monkeypatch.setattr(harness, "sample_channels", broken_draw)
-    with pytest.raises(RuntimeError, match="channel draw failed"):
+    monkeypatch.setattr(harness, name, broken)
+    with pytest.raises(type(error), match=re.escape(str(error))):
         run_scenario(tiny_scenario(workers=2))
 
 
@@ -630,6 +613,50 @@ def test_relay_and_fill_batch_times_count_in_their_rows(monkeypatch):
     assert sum(r.wall_ms for r in rows) >= 300.0
     assert all(r.wall_ms >= 50.0 for r in rows if r.method == "relay")
     assert all(25.0 <= r.wall_ms < 50.0 for r in rows if r.method == "lis-1bit")
+
+
+@pytest.fixture
+def ticking_clock(monkeypatch):
+    """The harness's and the solver's perf_counter, on a clock that moves 1 s at each reading.
+
+    Yields the clock's state: "ticks" counts the readings and "t" is the last one, which a
+    test may move on without a reading.
+    """
+    state = {"t": 0.0, "ticks": 0}
+
+    def perf_counter():
+        state["t"] += 1.0
+        state["ticks"] += 1
+        return state["t"]
+
+    clock = types.SimpleNamespace(perf_counter=perf_counter)
+    monkeypatch.setattr(harness, "time", clock)
+    monkeypatch.setattr(solver, "time", clock)
+    yield state
+
+
+def test_rows_count_every_timed_interval_once(ticking_clock):
+    # every interval is two readings 1 s apart, so the rows add up to 1 s per reading pair
+    rows = run_scenario(tiny_scenario(methods=KNOWN_METHODS, power_rule="max-rate"))
+    ticks = ticking_clock["ticks"]
+    assert ticks > 2 * len(rows) and ticks % 2 == 0
+    assert sum(r.wall_ms for r in rows) == pytest.approx(1e3 * ticks / 2)
+
+
+def test_terms_time_counts_in_the_surface_rows_only(ticking_clock, monkeypatch):
+    sc = tiny_scenario(methods=KNOWN_METHODS, power_rule="max-rate")  # one 6-cell task
+    plain = run_scenario(sc)
+    task_terms = harness._task_terms
+
+    def slow_terms(configs):
+        ticking_clock["t"] += 240.0
+        return task_terms(configs)
+
+    monkeypatch.setattr(harness, "_task_terms", slow_terms)
+    slowed = run_scenario(sc)
+    # 6 cells of 4 surface rows: a 10 s share each
+    assert [b.wall_ms - a.wall_ms for a, b in zip(plain, slowed)] == pytest.approx(
+        [0.0 if r.method == "relay" else 1e4 for r in plain])
 
 
 def test_run_scenario_exhaustive_dominates_alternating_per_row():
