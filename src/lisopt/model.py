@@ -12,6 +12,10 @@ from .config import CONTINUOUS
 TWO_PI = 2.0 * np.pi
 # Relative slack of every budget test; the oracle's floor mask must match the power step's.
 BUDGET_SLACK = 1e-9
+# Largest conditioning estimate tr(H H^H) tr((H H^H)^-1) >= kappa(H)^2 that zf_gram_inverse
+# inverts directly; rows above it take the SVD. Forming H H^H costs about kappa(H)^2 * eps of
+# relative accuracy, and 4e4 (kappa(H) <= 200) keeps that near 1e-11, far below BUDGET_SLACK.
+GRAM_CONDITION_LIMIT = 4e4
 
 
 class SingularMatrixError(ValueError):
@@ -163,6 +167,43 @@ def zf_svd(h_eff: np.ndarray) -> tuple:
         norms = np.einsum("bkj,bj->bk", np.abs(u) ** 2, 1.0 / s ** 2)
     norms[s[:, -1] <= _rank_threshold(s, k, m)] = np.inf
     return u, s, vh, norms
+
+
+def zf_gram_inverse(h_eff: np.ndarray) -> tuple:
+    """X = (H H^H)^-1 of a stack of effective channels and the squared ZF beam norms Re diag(X).
+
+    h_eff has shape (..., K, M) and is taken as a stack of B channels.
+    Returns x (B, K, K) and the beam norms (B, K). X comes from one
+    np.linalg.inv of the Gram matrices H H^H. A row takes zf_svd instead,
+    with X = U S^-2 U^H, when its conditioning estimate tr(H H^H) tr(X)
+    exceeds GRAM_CONDITION_LIMIT, its diagonal of X is not finite and
+    positive, or its Gram matrix is exactly singular (inv raises; the other
+    rows are then inverted without it). So zf_svd's rank rule alone marks a
+    row rank deficient: its beam norms are +inf and its X is zero. No row's
+    figures depend on the other rows.
+    """
+    h_eff = np.asarray(h_eff)
+    k, m = h_eff.shape[-2:]
+    if k > m:
+        raise ValueError(f"need at least as many antennas as users, got K={k} > M={m}")
+    h_eff = h_eff.reshape(-1, k, m)
+    gram = h_eff @ h_eff.conj().swapaxes(1, 2)
+    try:
+        x = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:  # exactly singular Gram matrices keep X = 0 and fail the test
+        x = np.zeros_like(gram)
+        regular = np.linalg.slogdet(gram)[0] != 0.0  # the LU pivots inv found nonzero
+        x[regular] = np.linalg.inv(gram[regular])
+    norms = x.diagonal(axis1=1, axis2=2).real.copy()
+    estimate = np.einsum("bii,bjj->b", gram, x).real  # einsum sets no floating-point flags
+    svd = ~(estimate <= GRAM_CONDITION_LIMIT) | (norms.min(axis=1) <= 0.0)
+    if np.count_nonzero(svd):
+        u, s, _, norms[svd] = zf_svd(h_eff[svd])
+        deficient = np.isinf(norms[svd, 0])
+        s[deficient] = np.inf  # X = 0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x[svd] = (u / (s * s)[:, None, :]) @ u.conj().swapaxes(1, 2)
+    return x, norms
 
 
 def zf_factor(h_eff: np.ndarray) -> tuple:

@@ -13,7 +13,7 @@ from .model import (
     PowerAllocation,
     effective_channels,
     phase_grid,
-    zf_svd,
+    zf_gram_inverse,
 )
 
 # Stopping tests of the relaxed solve: largest projected-gradient entry, both absolute
@@ -84,29 +84,24 @@ def trace_objective(theta: np.ndarray, channels: ChannelSet, powers: PowerAlloca
 
 def trace_value_and_grad(thetas: np.ndarray, h1: np.ndarray, h2: np.ndarray, h: np.ndarray,
                          p: np.ndarray) -> tuple:
-    """Radiated ZF power at a batch of phase vectors and its exact gradient, one stacked SVD.
+    """Radiated ZF power at a batch of phase vectors and its exact gradient, one stacked core.
 
     Row b has phases thetas[b] (N,), its own channels h1[b] (N, M), h2[b]
     (K, N), h[b] (K, M) and powers p[b] (K,); stack_rows repeats one
     channel and power vector per row. Returns values (B,) and gradients
-    (B, N). With the effective channel H = U S V^H, the ZF precoder
-    G = V S^-1 U^H and X = (H H^H)^-1 = U S^-2 U^H, tr(P X) has
-    d/d theta_n = 2 Im(phi_n [h1 G P X h2]_nn), and
-    h1 G P X h2 = (h1 V S^-1)(U^H P U S^-2)(U^H h2). Rank-deficient rows
-    give +inf and a zero gradient, so line searches back off. No row's
-    figures depend on the other rows.
+    (B, N). With the effective channel H, X = (H H^H)^-1 from
+    zf_gram_inverse and the ZF precoder G = H^H X, tr(P X) has
+    d/d theta_n = 2 Im(phi_n [h1 G P X h2]_nn) = 2 Im(phi_n [(h1 H^H)(X P X h2)]_nn).
+    Rank-deficient rows give +inf and a zero gradient (their X is zero),
+    so line searches back off. No row's figures depend on the other rows.
     """
     phi = np.exp(1j * thetas)
-    u, s, vh, beam_norms = zf_svd(effective_channels(h1, h2, h, phi))
-    bad = np.isinf(beam_norms[:, 0])
+    h_eff = effective_channels(h1, h2, h, phi)
+    x, beam_norms = zf_gram_inverse(h_eff)
     values = np.einsum("bk,bk->b", beam_norms, p)
-    values[bad] = np.inf  # inf * 0 of a zero-power user is nan
-    s[bad] = 1.0
-    uh = u.conj().swapaxes(1, 2)
-    h1_g = (h1 @ vh.conj().swapaxes(1, 2)) / s[:, None, :]
-    px = (uh @ (p[:, :, None] * u)) / (s * s)[:, None, :]
-    grad = 2.0 * (phi * np.einsum("bnk,bkn->bn", h1_g @ px, uh @ h2)).imag
-    grad[bad] = 0.0
+    values[np.isinf(beam_norms[:, 0])] = np.inf  # inf * 0 of a zero-power user is nan
+    xpx_h2 = ((x * p[:, None, :]) @ x) @ h2
+    grad = 2.0 * (phi * np.einsum("bnk,bkn->bn", h1 @ h_eff.conj().swapaxes(1, 2), xpx_h2)).imag
     return values, grad
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .model import BUDGET_SLACK, PowerAllocation, zf_factor
+from .model import BUDGET_SLACK, PowerAllocation, zf_factor, zf_gram_inverse
 from .model import zf_precoder  # noqa: F401  not called here; perfbench's instrument() wraps it
 
 LN2 = float(np.log(2.0))
@@ -45,9 +45,14 @@ def qos_min_powers(config: SystemConfig) -> np.ndarray:
 def zf_power_weights(h_eff: np.ndarray) -> np.ndarray:
     """Radiated watts per watt allocated to each user: the squared ZF beam norms of h_eff (K, M).
 
-    Raises SingularMatrixError when the channel is rank deficient.
+    These are zf_gram_inverse's norms of h_eff as a batch of one, so they
+    equal its row of any stack bit for bit. Raises SingularMatrixError when
+    the channel is rank deficient.
     """
-    return zf_factor(h_eff)[3]
+    norms = zf_gram_inverse(h_eff)[1][0]
+    if not np.isfinite(norms[0]):
+        zf_factor(h_eff)  # raises SingularMatrixError with the singular values
+    return norms
 
 
 def rate_and_power(p, mu, sigma2: float, power_offset):
@@ -103,22 +108,22 @@ def solve_inner(lam, weights, p_min, mu, sigma2: float, p_budget):
         raise ValueError("unbounded: zero-weight user with no ratio penalty")
 
     committed = (batch * p_min).sum(axis=1)
-    over = committed > p_budget * (1.0 + BUDGET_SLACK)
+    over = committed > budgets * (1.0 + BUDGET_SLACK)
     if np.count_nonzero(over):
         i = int(np.argmax(over))
         raise InfeasibleError(f"QoS floors need {committed[i]:.6g} W radiated, budget is "
                               f"{np.broadcast_to(budgets, over.shape)[i]:.6g} W")
     p = np.full(batch.shape, p_min)
-    unsettled = committed < p_budget * (1.0 - 1e-12)
+    unsettled = committed < budgets * (1.0 - 1e-12)
     a0 = LN2 * lam[:, None] * mu
     lw = LN2 * batch
-    target = p_budget + sigma2 * batch.sum(axis=1)
+    target = budgets + sigma2 * batch.sum(axis=1)
     nu = (a0 == 0.0).sum(axis=1) / (LN2 * target)
     with np.errstate(divide="ignore", invalid="ignore"):  # settled rows may divide by zero
         for _ in range(_NEWTON_ITERATIONS):
             level = 1.0 / (a0 + nu[:, None] * lw)  # p_k + sigma2 at multiplier nu
             p_nu = np.maximum(level - sigma2, p_min)
-            excess = (batch * p_nu).sum(axis=1) - p_budget
+            excess = (batch * p_nu).sum(axis=1) - budgets
             fits = unsettled & (excess <= 0.0)
             np.copyto(p, p_nu, where=fits[:, None])
             unsettled &= ~fits
@@ -169,8 +174,8 @@ def dinkelbach_batch(weights, p_min, mu, sigma2: float, p_budget, power_offset,
     iterations = np.zeros(n, dtype=int)
     lambdas_seen = []
     rows = np.arange(n)  # the rows still updating, and their terms
-    live = [weights, p_min, p_budget, power_offset]
-    own = [j for j, rank in enumerate((2, 2, 1, 1)) if np.asarray(live[j]).ndim == rank]
+    live = [weights] + [np.asarray(term, dtype=float) for term in (p_min, p_budget, power_offset)]
+    own = [j for j, rank in enumerate((2, 2, 1, 1)) if live[j].ndim == rank]
     for i in range(_DINKELBACH_ITERATIONS):
         if rows.size == 0:
             break

@@ -17,7 +17,7 @@ from .model import (
     effective_channel,
     effective_channels,
     phase_grid,
-    zf_svd,
+    zf_gram_inverse,
 )
 from .model import zf_precoder  # noqa: F401  not called here; perfbench's instrument() wraps it
 from .phases import RelaxedSolveOptions, quantize_phases, solve_relaxed_cells
@@ -121,15 +121,15 @@ def evaluate(config: SystemConfig, phases: PhaseConfig | None, powers: PowerAllo
 
 
 def _beam_loads(channels, phi: np.ndarray) -> np.ndarray:
-    """Squared ZF beam norms (B, K) of the surface at responses phi (B, N): one stacked SVD.
+    """Squared ZF beam norms (B, K) of the surface at responses phi (B, N): one zf_gram_inverse.
 
     channels is one ChannelSet, or a list of them, one per row of phi. Rows
     whose effective channel is rank deficient hold inf.
     """
     if isinstance(channels, ChannelSet):
-        return zf_svd(effective_channels(channels.h1, channels.h2, channels.h, phi))[3]
-    return zf_svd(effective_channels(*(np.stack([getattr(c, name) for c in channels])
-                                       for name in ("h1", "h2", "h")), phi))[3]
+        return zf_gram_inverse(effective_channels(channels.h1, channels.h2, channels.h, phi))[1]
+    return zf_gram_inverse(effective_channels(*(np.stack([getattr(c, name) for c in channels])
+                                                for name in ("h1", "h2", "h")), phi))[1]
 
 
 def _fits(weights: np.ndarray, p: np.ndarray, p_budget) -> np.ndarray:
@@ -211,11 +211,11 @@ def _grid_search(channels: ChannelSet, config: SystemConfig, start: PhaseConfig,
     """Best-improvement search over single-element moves on the b-bit grid, from start.
 
     Every point is scored by _score with the cell's terms. A certified start
-    ends the search "bound" after its one-row SVD, with no Dinkelbach run.
-    Otherwise each sweep scores, in one stacked SVD, the N (2^b - 1) vectors
-    that differ from the current point in one element: the first sweep with
-    the start, from ratio 0, each later one from the current ratio. The
-    search moves to the best row while it is strictly above the current
+    ends the search "bound" after its one-row Gram inverse, with no
+    Dinkelbach run. Otherwise each sweep scores, in one stacked Gram
+    inverse, the N (2^b - 1) vectors that differ from the current point in
+    one element: the first sweep with the start, from ratio 0, each later
+    one from the current ratio. The search moves to the best row while it is strictly above the current
     ratio (a tie goes to the current point, then to the lowest element and
     the fewest grid steps up), and ends "bound" when the row it moved to is
     certified, or when no row beats the current point but one is certified.
@@ -414,9 +414,9 @@ def exhaustive_search(channels: ChannelSet, config: SystemConfig,
     Candidates whose effective channel is rank deficient or whose QoS floors
     do not fit the budget are skipped. Candidate i sets element j to grid
     level (i // 2^(b*j)) mod 2^b. Candidates are scored _EXHAUSTIVE_CHUNK at
-    a time, one stacked SVD for their beam norms and one _score call from
-    ratio 0, with the cell's _cell_terms: terms if given, else computed
-    once per call. Deterministic:
+    a time, one stacked Gram inverse for their beam norms and one _score
+    call from ratio 0, with the cell's _cell_terms: terms if given, else
+    computed once per call. Deterministic:
     equal efficiencies resolve to the lowest enumeration index.
     outer_iterations reports the number of candidates enumerated. More than
     DEFAULT_ENUMERATION_CAP (2^20) candidates raise EnumerationCapError
@@ -443,7 +443,7 @@ def exhaustive_search(channels: ChannelSet, config: SystemConfig,
 def _fixed_link_rows(links, configs) -> tuple:
     """Beam norms of the stacked channels links, each row's budget and floors from configs,
     and the indices of the rows _fits keeps: full rank, with floors within the budget."""
-    weights = zf_svd(np.stack(links))[3]
+    weights = zf_gram_inverse(np.stack(links))[1]
     budget, p_min = (np.array(term) for term in zip(*((c.p_budget, qos_min_powers(c))
                                                       for c in configs)))
     return weights, budget, p_min, np.flatnonzero(_fits(weights, p_min, budget))
@@ -456,8 +456,8 @@ def relay_reports(cells) -> list:
     element (ideal reception, no precoding), so each cell's effective channel
     is a fixed matrix and only the power allocation is designed. Power
     accounting swaps the per-element surface draw for the relay's dedicated
-    transmit power. The cells' channels take one stacked SVD and their power
-    steps one dinkelbach_batch from ratio 0, each row with its own budget,
+    transmit power. The cells' channels take one stacked Gram inverse and
+    their power steps one dinkelbach_batch from ratio 0, each row with its own budget,
     floors and fixed draw, so each report equals its batch-of-one solve bit
     for bit. A cell whose relay channel is rank deficient, whose QoS floors
     do not fit its budget, or whose ratio does not settle gets the infeasible
@@ -490,8 +490,8 @@ def max_rate_fills(cells) -> list:
 
     This is the inner concave solve with no ratio penalty, so the budget
     constraint is necessarily active. The reports' channels (phases None:
-    the relay channel) take one stacked SVD and their fills one solve_inner
-    at ratio 0, each row with its own budget and floors, so each equals its
+    the relay channel) take one stacked Gram inverse and their fills one
+    solve_inner at ratio 0, each row with its own budget and floors, so each equals its
     batch-of-one fill bit for bit. The phases, tag and iteration count are
     kept; rate, power and efficiency are re-evaluated. A row whose channel is
     rank deficient, whose QoS floors do not fit its budget or whose budget

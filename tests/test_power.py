@@ -216,6 +216,25 @@ def test_inner_solve_deterministic():
     assert np.array_equal(a.p, b.p)
 
 
+def test_per_row_terms_given_as_lists_equal_the_array_solves():
+    # the (B,) budgets, (B, K) floors and (B,) fixed draws may be plain lists
+    weights = np.array([[1.0, 2.0], [0.3, 0.9], [4.0, 0.2]])
+    mu = np.array([1.1, 1.3])
+    budgets, offsets = [0.5, 2.0, 0.05], [0.1, 0.2, 0.3]
+    floors = [[0.0, 0.01], [0.02, 0.0], [0.0, 0.0]]
+    want = solve_inner([0.0, 1.0, 2.0], weights, np.array(floors), mu, 0.1, np.array(budgets))
+    got = solve_inner([0.0, 1.0, 2.0], weights, floors, mu, 0.1, budgets)
+    assert np.array_equal(got, want) and np.isfinite(want).all()
+    shared = (0.5, np.ones((2, 2)), np.zeros(2), np.ones(2), 0.1)
+    assert np.array_equal(solve_inner(*shared, [1.0, 2.0]),
+                          solve_inner(*shared, np.array([1.0, 2.0])))
+    want = power.dinkelbach_batch(weights, np.array(floors), mu, 0.1, np.array(budgets),
+                                  np.array(offsets), 1e-9)
+    got = power.dinkelbach_batch(weights, floors, mu, 0.1, budgets, offsets, 1e-9)
+    assert len(set(want[2].tolist())) > 1  # rows settle at different updates and leave the batch
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 # ------------------------------------------------------------------ Dinkelbach
 
 def golden_section_max(f, lo, hi, iterations=200):

@@ -455,7 +455,7 @@ def test_exhaustive_cap_refusal_names_count(monkeypatch):
     def no_scoring(*args):
         raise AssertionError("a candidate was scored before the cap check")
 
-    monkeypatch.setattr(solver, "zf_svd", no_scoring)
+    monkeypatch.setattr(solver, "zf_gram_inverse", no_scoring)
     with pytest.raises(EnumerationCapError, match="4194304"):
         exhaustive_search(ch, cfg)
 
